@@ -569,6 +569,17 @@ def _split_cap(group: list[TensorOp], machine: TCUMachine, units: int) -> int:
     return max(1, min(units, _group_rows(group) // machine.sqrt_m))
 
 
+def _chunk_costs(
+    machine: TCUMachine, rows: int, pieces: int, dtype
+) -> tuple[float, ...]:
+    """Modelled costs of a ``rows``-row stream's row-balanced chunks
+    when it is split ``pieces`` ways, in dispatch order."""
+    return tuple(
+        modelled_call_cost(machine, hi - lo, dtype)
+        for lo, hi in _split_bounds(rows, pieces)
+    )
+
+
 def _level_cost_vector(
     groups: list[list[TensorOp]], splits: Sequence[int], machine: TCUMachine
 ) -> np.ndarray:
@@ -576,9 +587,7 @@ def _level_cost_vector(
     the exact order :func:`_dispatch_parallel` issues the chunks."""
     costs: list[float] = []
     for group, pieces in zip(groups, splits, strict=True):
-        rows = _group_rows(group)
-        for lo, hi in _split_bounds(rows, pieces):
-            costs.append(modelled_call_cost(machine, hi - lo, group[0].dtype))
+        costs.extend(_chunk_costs(machine, _group_rows(group), pieces, group[0].dtype))
     return np.asarray(costs, dtype=np.float64)
 
 
@@ -603,6 +612,22 @@ def _level_makespan(
         return float("inf")
 
 
+def _exact_sums(tables: list[tuple[tuple[float, ...], ...]], shapes: list[int]) -> bool:
+    """Whether every sum of a level's chunk costs is exact in floats.
+
+    Holds when every tabulated cost is integer-valued and the level's
+    largest possible total (every group at its costliest factor) is
+    below ``2**53``: each partial per-unit sum is then an exactly
+    representable integer, whatever order it is accumulated in.
+    """
+    if not all(
+        float(c).is_integer() for table in tables for chunks in table for c in chunks
+    ):
+        return False
+    widest = [max(sum(int(c) for c in chunks) for chunks in table) for table in tables]
+    return sum(widest[s] for s in shapes) < 2**53
+
+
 def _choose_level_splits(
     groups: list[list[TensorOp]], machine: TCUMachine
 ) -> list[int]:
@@ -615,6 +640,17 @@ def _choose_level_splits(
     assert.  Larger levels run coordinate descent from the all-ones
     legacy schedule, accepting only strict improvements, so the result
     is never worse than not splitting.
+
+    Each distinct candidate is priced once.  Chunk costs are tabulated
+    once per group shape ``(rows, dtype)`` and factor, and a candidate's
+    cost vector is assembled from the tables — the same floats, in the
+    same order, as :func:`_level_cost_vector`.  Makespans are memoised
+    by the ``splits`` tuple; when the policy is
+    :attr:`~repro.core.scheduling.SchedulerPolicy.order_free` and every
+    sum is exact (:func:`_exact_sums`), permuting the cost vector cannot
+    change the makespan, so they are memoised by the multiset of
+    ``(shape, factor)`` pairs instead and a level of identical groups
+    prices each split *count* once.
     """
     units = int(getattr(machine, "units", 1))
     best = [1] * len(groups)
@@ -623,19 +659,51 @@ def _choose_level_splits(
     caps = [_split_cap(g, machine, units) for g in groups]
     if all(cap == 1 for cap in caps):
         return best
-    best_span = _level_makespan(groups, best, machine)
+
+    # tables[shapes[i]][f - 1] holds the chunk costs of group i split f ways
+    shape_ids: dict[tuple[int, np.dtype], int] = {}
+    tables: list[tuple[tuple[float, ...], ...]] = []
+    shapes: list[int] = []
+    for group, cap in zip(groups, caps, strict=True):
+        rows, dtype = _group_rows(group), np.dtype(group[0].dtype)
+        if (rows, dtype) not in shape_ids:
+            shape_ids[rows, dtype] = len(tables)
+            tables.append(
+                tuple(_chunk_costs(machine, rows, f, dtype) for f in range(1, cap + 1))
+            )
+        shapes.append(shape_ids[rows, dtype])
+
+    def cost_vector(splits: list[int]) -> np.ndarray:
+        chunks = (tables[s][f - 1] for s, f in zip(shapes, splits, strict=True))
+        return np.fromiter(itertools.chain.from_iterable(chunks), dtype=np.float64)
+
+    policy = machine.scheduler
+    multiset = policy.order_free and _exact_sums(tables, shapes)
+    spans: dict[tuple, float] = {}
+
+    def price(splits: list[int]) -> float:
+        key = tuple(sorted(zip(shapes, splits, strict=True))) if multiset else tuple(splits)
+        span = spans.get(key)
+        if span is None:
+            try:
+                span = schedule_batch(cost_vector(splits), units, policy).makespan
+            except ValueError:  # the policy refuses this batch size
+                span = float("inf")
+            spans[key] = span
+        return span
+
+    best_span = price(best)
     if best_span <= 0.0:
         return best
     # a perfectly balanced unsplit schedule is already optimal:
     # splitting only adds latency, and serial/p lower-bounds every split
-    serial = float(_level_cost_vector(groups, best, machine).sum())
+    serial = float(cost_vector(best).sum())
     if best_span == serial / units:
         return best
+    best_chunks = len(best)
 
-    def better(span: float, splits: list[int]) -> bool:
-        return span < best_span or (
-            span == best_span and sum(splits) < sum(best)
-        )
+    def better(span: float, chunks: int) -> bool:
+        return span < best_span or (span == best_span and chunks < best_chunks)
 
     space = 1
     for cap in caps:
@@ -647,21 +715,33 @@ def _choose_level_splits(
             splits = list(cand)
             if splits == best:
                 continue
-            span = _level_makespan(groups, splits, machine)
-            if better(span, splits):
-                best, best_span = splits, span
+            span = price(splits)
+            if better(span, sum(splits)):
+                best, best_span, best_chunks = splits, span, sum(splits)
         return best
+    # a move's makespan keyed by (moves accepted so far, moved group's
+    # slot, old factor, new factor): every accept strictly improves, so
+    # the count names the current best and the key names the trial
+    moves: dict[tuple[int, int, int, int], float] = {}
+    accepted = 0
     for _ in range(_SPLIT_DESCENT_PASSES):
         changed = False
         for gi, cap in enumerate(caps):
             for factor in range(1, cap + 1):
-                if factor == best[gi]:
+                old = best[gi]
+                if factor == old:
                     continue
-                trial = list(best)
-                trial[gi] = factor
-                span = _level_makespan(groups, trial, machine)
-                if better(span, trial):
-                    best, best_span = trial, span
+                key = (accepted, shapes[gi] if multiset else gi, old, factor)
+                span = moves.get(key)
+                if span is None:
+                    trial = list(best)
+                    trial[gi] = factor
+                    span = moves[key] = price(trial)
+                chunks = best_chunks - old + factor
+                if better(span, chunks):
+                    best[gi] = factor
+                    best_span, best_chunks = span, chunks
+                    accepted += 1
                     changed = True
         if not changed:
             break

@@ -133,9 +133,17 @@ class SchedulerPolicy:
     Subclasses implement :meth:`assign`; everything derived (timelines,
     makespan, utilisation) is computed uniformly by
     :func:`schedule_batch` so policies stay tiny and comparable.
+
+    ``order_free`` declares that the makespan depends only on the
+    multiset of job costs, not on their order, whenever float sums of
+    the costs are exact (integer-valued costs below ``2**53``).  The
+    auto-splitter then memoises makespans by multiset.  It is false by
+    default, and a subclass of an order-free policy that changes
+    :meth:`assign` must re-declare it.
     """
 
     name = "abstract"
+    order_free = False
 
     def assign(self, costs: np.ndarray, units: int) -> np.ndarray:
         raise NotImplementedError
@@ -181,6 +189,9 @@ class LPTScheduler(SchedulerPolicy):
     """Longest processing time first — the default offline policy."""
 
     name = "lpt"
+    # sorting by cost erases the input order (equal costs are
+    # interchangeable), so only the per-unit sums could see it
+    order_free = True
 
     def assign(self, costs: np.ndarray, units: int) -> np.ndarray:
         k = costs.size
@@ -211,6 +222,8 @@ class BruteForceScheduler(SchedulerPolicy):
     """
 
     name = "exact"
+    # the optimum is a function of the cost multiset
+    order_free = True
 
     def __init__(self, limit: int = 12) -> None:
         self.limit = int(limit)

@@ -23,9 +23,12 @@ from repro import (
     matmul_lazy,
     run_program,
 )
+import repro.core.program as program_module
 from repro.core.program import (
     ExecutionCursor,
     ProgramError,
+    TensorOp,
+    _choose_level_splits,
     _level_makespan,
     _split_cap,
     modelled_call_cost,
@@ -320,3 +323,170 @@ class TestSplitKnob:
         assert streamed(auto.ledger) == streamed(serial.ledger)
         assert auto.time <= pinned.time
         np.testing.assert_array_equal(out_auto, out_pinned)
+
+
+def reference_splits(groups, machine):
+    """The original chooser: the same search, with every candidate priced
+    afresh by ``_level_makespan`` (no tables, no memo)."""
+    units = int(getattr(machine, "units", 1))
+    best = [1] * len(groups)
+    if units <= 1 or not groups:
+        return best
+    caps = [_split_cap(g, machine, units) for g in groups]
+    if all(cap == 1 for cap in caps):
+        return best
+    best_span = _level_makespan(groups, best, machine)
+    if best_span <= 0.0:
+        return best
+    serial = float(program_module._level_cost_vector(groups, best, machine).sum())
+    if best_span == serial / units:
+        return best
+
+    def better(span, splits):
+        return span < best_span or (span == best_span and sum(splits) < sum(best))
+
+    space = 1
+    for cap in caps:
+        space *= cap
+    if space <= program_module._SPLIT_SEARCH_LIMIT:
+        for cand in itertools.product(*(range(1, cap + 1) for cap in caps)):
+            splits = list(cand)
+            if splits == best:
+                continue
+            span = _level_makespan(groups, splits, machine)
+            if better(span, splits):
+                best, best_span = splits, span
+        return best
+    for _ in range(program_module._SPLIT_DESCENT_PASSES):
+        changed = False
+        for gi, cap in enumerate(caps):
+            for factor in range(1, cap + 1):
+                if factor == best[gi]:
+                    continue
+                trial = list(best)
+                trial[gi] = factor
+                span = _level_makespan(groups, trial, machine)
+                if better(span, trial):
+                    best, best_span = trial, span
+                    changed = True
+        if not changed:
+            break
+    return best
+
+
+def count_calls(monkeypatch, *names):
+    """Count calls to the named ``repro.core.program`` globals (the
+    lookups the planner makes) while still running them."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(program_module, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(program_module, name, counting)
+    return counts
+
+
+def make_group(rows, dtype, sqrt_m=4):
+    """A merge group of ``rows`` streamed rows: one op, or two when the
+    stream is tall enough to come from two merged calls."""
+    parts = [rows] if rows < 2 * sqrt_m else [sqrt_m, rows - sqrt_m]
+    return [
+        TensorOp(i, "mm", shape=(n, sqrt_m), dtype=np.dtype(dtype))
+        for i, n in enumerate(parts)
+    ]
+
+
+SCHEDULERS = ("lpt", "round-robin", "greedy", "exact")
+FRACTIONAL_ELLS = (1 / 3, 2.5, 1e5 + 0.7)
+ELLS = (0.0, 16.0, 512.0) + FRACTIONAL_ELLS
+GROUP_ROWS = (4, 5, 8, 12, 16, 21, 33, 48)
+DTYPES = (np.float64, np.complex128, np.float32, np.complex64)
+
+
+def random_level(rng, scheduler, units, ell):
+    """A generated level: a few shapes shared by many groups (as merged
+    levels have), on a machine with random row bound and complex factor."""
+    machine = ParallelTCUMachine(
+        m=16,
+        ell=ell,
+        units=units,
+        scheduler=scheduler,
+        max_rows=(None, 16, 24)[int(rng.integers(3))],
+        complex_cost_factor=int(rng.integers(1, 5)),
+        execute="cost-only",
+    )
+    shapes = [
+        (int(rng.choice(GROUP_ROWS)), DTYPES[int(rng.integers(len(DTYPES)))])
+        for _ in range(int(rng.integers(1, 4)))
+    ]
+    # the exact oracle is exponential: keep its levels to a few chunks
+    n_groups = int(rng.integers(1, 4 if scheduler == "exact" else 11))
+    groups = [
+        make_group(*shapes[int(rng.integers(len(shapes)))]) for _ in range(n_groups)
+    ]
+    return groups, machine
+
+
+class TestSearchParity:
+    """The tabulated, memoised split search returns exactly the splits of
+    the original chooser that priced every candidate afresh."""
+
+    def test_identical_groups_level(self):
+        machine = ParallelTCUMachine(m=16, ell=512.0, units=3, execute="cost-only")
+        groups = [make_group(8, np.float64) for _ in range(256)]
+        chosen = _choose_level_splits(groups, machine)
+        assert chosen == reference_splits(groups, machine)
+        assert sum(f > 1 for f in chosen) == 1
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_generated_corpus(self, scheduler):
+        rng = np.random.default_rng(SCHEDULERS.index(scheduler))
+        searched = {"exhaustive": 0, "descent": 0}
+        for units in (2, 3, 4):
+            for ell in ELLS:
+                for _ in range(8):
+                    groups, machine = random_level(rng, scheduler, units, ell)
+                    chosen = _choose_level_splits(groups, machine)
+                    assert chosen == reference_splits(groups, machine), (
+                        units, ell, machine.max_rows, machine.complex_cost_factor,
+                        [(program_module._group_rows(g), g[0].dtype) for g in groups],
+                    )
+                    space = int(np.prod([_split_cap(g, machine, units) for g in groups]))
+                    if space > 1:
+                        limit = program_module._SPLIT_SEARCH_LIMIT
+                        searched["exhaustive" if space <= limit else "descent"] += 1
+        assert searched["exhaustive"] > 0
+        if scheduler != "exact":
+            assert searched["descent"] > 0
+
+    @pytest.mark.parametrize("ell", FRACTIONAL_ELLS)
+    def test_fractional_ell_takes_ordered_key(self, ell, monkeypatch):
+        """Non-integer chunk costs may round differently in another
+        order, so each ordered candidate is priced: 2**3 - 1 splits of
+        three identical groups.  With integer costs LPT prices each
+        split count once: 3 more multisets after the unsplit one."""
+        counts = count_calls(monkeypatch, "schedule_batch")
+        groups = [make_group(8, np.float64) for _ in range(3)]
+        for level_ell, priced in ((ell, 8), (16.0, 4)):
+            counts["schedule_batch"] = 0
+            machine = ParallelTCUMachine(m=16, ell=level_ell, units=2)
+            chosen = _choose_level_splits(groups, machine)
+            assert counts["schedule_batch"] == priced
+            assert chosen == reference_splits(groups, machine)
+
+
+class TestPlannerCost:
+    """Planning cost gate: the two-request matmul batch on the 3-unit
+    machine (one level of 256 identical 8-row groups) prices a handful
+    of distinct candidates, not every descent trial."""
+
+    def test_matmul_batch_plans_cheaply(self, monkeypatch):
+        counts = count_calls(monkeypatch, "schedule_batch", "modelled_call_cost")
+        machine = ParallelTCUMachine(m=16, ell=512.0, units=3, execute="cost-only")
+        plan = get_request_type("matmul").plan(machine, [4, 4])
+        assert counts["schedule_batch"] <= 32
+        assert counts["modelled_call_cost"] <= 600
+        assert sum(f > 1 for level in plan.splits for f in level) == 1

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.scheduling import (
     BruteForceScheduler,
@@ -167,3 +169,49 @@ class TestBruteForce:
 
     def test_gap_bound_is_one(self):
         assert BruteForceScheduler().gap_bound(4) == 1.0
+
+
+# integer-valued job costs: many small ones (ties), some large ones
+INTEGER_COSTS = st.lists(
+    st.one_of(st.integers(0, 6), st.integers(0, 2**40)).map(float),
+    min_size=1,
+    max_size=24,
+)
+
+
+class TestOrderFreedom:
+    """Policies declaring ``order_free`` give one makespan for every
+    order of an integer-valued cost vector, which is what lets the
+    auto-splitter memoise makespans by cost multiset."""
+
+    def test_declared_policies(self):
+        declared = {name for name in available_schedulers() if get_scheduler(name).order_free}
+        assert {"lpt", "exact"} <= declared
+        assert not {"round-robin", "greedy"} & declared
+        assert SchedulerPolicy.order_free is False
+
+    @settings(deadline=None, max_examples=80)
+    @given(costs=INTEGER_COSTS, units=st.integers(1, 5), data=st.data())
+    def test_makespan_is_permutation_invariant(self, costs, units, data):
+        permuted = data.draw(st.permutations(costs))
+        for name in available_schedulers():
+            policy = get_scheduler(name)
+            if not policy.order_free:
+                continue
+            if isinstance(policy, BruteForceScheduler) and len(costs) > policy.limit:
+                continue
+            spans = {
+                schedule_batch(np.array(order), units, policy).makespan
+                for order in (costs, permuted)
+            }
+            assert len(spans) == 1, (name, costs, permuted, spans)
+
+    def test_round_robin_is_not_order_free(self):
+        a = schedule_batch(np.array([1.0, 1.0, 2.0, 2.0]), 2, "round-robin")
+        b = schedule_batch(np.array([1.0, 2.0, 1.0, 2.0]), 2, "round-robin")
+        assert (a.makespan, b.makespan) == (3.0, 4.0)
+
+    def test_greedy_is_not_order_free(self):
+        a = schedule_batch(np.array([10.0, 10.0, 100.0]), 2, "greedy")
+        b = schedule_batch(np.array([100.0, 10.0, 10.0]), 2, "greedy")
+        assert (a.makespan, b.makespan) == (110.0, 100.0)
