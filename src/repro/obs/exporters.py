@@ -1,7 +1,7 @@
 """Trace and metrics exporters: Perfetto/Chrome trace JSON, Prometheus.
 
-:func:`to_chrome_trace` renders a :class:`~repro.obs.tracer.Tracer`
-into the Chrome trace-event JSON format, which the Perfetto UI
+:func:`chrome_trace_json` renders a :class:`~repro.obs.tracer.Tracer`
+as Chrome trace-event JSON text, which the Perfetto UI
 (https://ui.perfetto.dev) opens directly:
 
 * one process per view — ``priority classes`` (execution segments,
@@ -11,20 +11,30 @@ into the Chrome trace-event JSON format, which the Perfetto UI
   preemptions, faults, retries, degradations, SLO alerts, crash-repair
   windows) and ``metrics`` (counter tracks from the sampler);
 * timestamps are the simulated ledger clock verbatim — the trace of a
-  seeded run is **byte-identical across replays**
-  (:func:`chrome_trace_json` serialises with sorted keys and no
-  whitespace to make that checkable with ``==``).
+  seeded run is **byte-identical across replays**, checkable with
+  ``==`` on the text.
+
+The renderer writes the text in one pass over the tracer's columnar
+stores, from one template per event kind, without building or sorting
+a dict per event.  Its contract is byte identity: the text is exactly
+what ``json.dumps(trace, sort_keys=True, separators=(",", ":"))``
+gives for the trace-event dict (sorted keys, no whitespace).  So every
+number is formatted by the JSON encoder and every string escaped by
+its escaper.  :func:`to_chrome_trace` parses the text back into that
+dict, and :func:`write_chrome_trace` writes it to a file.
 
 :func:`prometheus_text` renders a
 :class:`~repro.obs.metrics.MetricsRegistry` in the Prometheus text
 exposition format (``# HELP``/``# TYPE`` plus samples; histograms
-expand to cumulative ``_bucket``/``_sum``/``_count`` series).
+expand to cumulative ``_bucket``/``_sum``/``_count`` series;
+non-finite values read ``+Inf``, ``-Inf`` and ``NaN``).
 """
 
 from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .metrics import Histogram, MetricsRegistry
@@ -55,171 +65,185 @@ _PROCESS_NAMES = {
 }
 
 
-def to_chrome_trace(tracer: Tracer, *, label: str = "serve") -> dict:
-    """Render ``tracer`` as a Chrome trace-event dict (see module doc)."""
-    events: list[dict] = []
+# One text template per event kind, its keys already in sorted order.
+# Every %s slot takes finished JSON text — a number from ``_numbers`` or
+# a string from ``_string`` — so no raw name ever reaches a template.
+# Process ids are the ``_PID_*`` constants above.
+_SPAN = '{"args":{%s},"cat":"%s","dur":%s,"name":%s,"ph":"X","pid":%d,"tid":%s,"ts":%s}'
+_BEGIN = (
+    '{"args":{"batch":%s,"outcome":%s,"rid":%s%s},"cat":"request","id":%s,'
+    '"name":%s,"ph":"b","pid":3,"tid":%s,"ts":%s}'
+)
+_END = '{"args":{},"cat":"request","id":%s,"name":%s,"ph":"e","pid":3,"tid":%s,"ts":%s}'
+_SHED = '{"args":{"rid":%s},"cat":"request","name":%s,"ph":"i","pid":3,"s":"t","tid":%s,"ts":%s}'
+_INSTANT = '{"args":{"batch":%s%s},"cat":"%s","name":%s,"ph":"i","pid":4,"s":"t","tid":0,"ts":%s}'
+# a counter is _COUNTER_HEAD + value + its series' tail + ts + "}"
+_COUNTER_HEAD = '{"args":{"value":'
+_COUNTER_TAIL = '},"name":%s,"ph":"C","pid":5,"tid":0,"ts":'
+_META = '{"args":{"name":%s},"name":"%s","ph":"M","pid":%s,"tid":%s}'
+
+_string = encode_basestring_ascii  # the string escaper json.dumps uses
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _numbers(column: list | tuple) -> list[str]:
+    """Each value of a numeric column as ``json.dumps`` writes it: one
+    encoder call per column, split on the commas between values (no
+    number, bool or null contains one)."""
+    return _encode(column)[1:-1].split(",") if column else []
+
+
+def _columns(rows: list[tuple], width: int) -> list[tuple]:
+    """A columnar store's rows transposed into ``width`` columns."""
+    return list(zip(*rows, strict=True)) or [()] * width
+
+
+def _spans(events: list[str], cat: str, pid: int, *columns) -> None:
+    """Append one ``X`` event per row of the columns
+    ``args, dur, name, tid, ts``."""
+    events += [
+        _SPAN % (args, cat, dur, name, pid, tid, ts)
+        for args, dur, name, tid, ts in zip(*columns, strict=True)
+    ]
+
+
+def chrome_trace_json(tracer: Tracer, *, label: str = "serve") -> str:
+    """Render ``tracer`` as Chrome trace-event JSON text (see module doc)."""
+    events: list[str] = []
     threads: dict[tuple[int, int], str] = {}
 
-    def complete(
-        name: str, cat: str, start: float, dur: float, pid: int, tid: int, **args
-    ) -> None:
-        events.append(
-            {
-                "name": name,
-                "cat": cat,
-                "ph": "X",
-                "ts": start,
-                "dur": dur,
-                "pid": pid,
-                "tid": tid,
-                "args": args,
-            }
-        )
-
     # -- priority-class lanes: execution segments + backoff waits ------
-    for batch, kind, prio, start, dur in tracer.segments:
-        threads.setdefault((_PID_CLASSES, prio), f"class p{prio}")
-        complete(f"{kind}#b{batch}", "exec", start, dur, _PID_CLASSES, prio, batch=batch)
-    for batch, kind, prio, start, end in tracer.waits:
-        threads.setdefault((_PID_CLASSES, prio), f"class p{prio}")
-        complete(
-            f"{kind}#b{batch} backoff",
-            "backoff",
-            start,
-            end - start,
-            _PID_CLASSES,
-            prio,
-            batch=batch,
-        )
+    batch, kind, prio, start, dur = _columns(tracer.segments, 5)
+    for p in dict.fromkeys(prio):
+        threads.setdefault((_PID_CLASSES, p), f"class p{p}")
+    exec_cols = (
+        ['"batch":' + b for b in _numbers(batch)],
+        _numbers(dur),
+        [_string(f"{k}#b{b}") for k, b in zip(kind, batch, strict=True)],
+    )
+    exec_starts = _numbers(start)
+    _spans(events, "exec", _PID_CLASSES, *exec_cols, _numbers(prio), exec_starts)
+    batch, kind, prio, start, end = _columns(tracer.waits, 5)
+    for p in dict.fromkeys(prio):
+        threads.setdefault((_PID_CLASSES, p), f"class p{p}")
+    _spans(
+        events,
+        "backoff",
+        _PID_CLASSES,
+        ['"batch":' + b for b in _numbers(batch)],
+        _numbers([e - s for s, e in zip(start, end, strict=True)]),
+        [_string(f"{k}#b{b} backoff") for k, b in zip(kind, batch, strict=True)],
+        _numbers(prio),
+        _numbers(start),
+    )
 
     # -- tensor-unit lanes: per-level spans (stepwise runs); fall back
     # to mirroring segments on the serial lane so the view never blanks
     if tracer.levels:
-        for batch, level, units, start, end in tracer.levels:
-            for unit in units if units else (-1,):
-                tid = unit + 1  # unit -1 (serial) renders as tid 0
-                threads.setdefault(
-                    (_PID_UNITS, tid), "serial" if unit < 0 else f"unit {unit}"
-                )
-                complete(
-                    f"b{batch}/L{level}",
-                    "level",
-                    start,
-                    end - start,
-                    _PID_UNITS,
-                    tid,
-                    batch=batch,
-                    level=level,
-                )
+        batch, level, units, start, end = _columns(tracer.levels, 5)
+        lanes = [u if u else (-1,) for u in units]  # -1: the serial lane
+        for unit in dict.fromkeys(u for lane in lanes for u in lane):
+            threads.setdefault(
+                (_PID_UNITS, unit + 1), "serial" if unit < 0 else f"unit {unit}"
+            )
+
+        def per_unit(column: list[str]) -> list[str]:
+            """Each row's text once per unit the level ran on."""
+            return [text for text, lane in zip(column, lanes, strict=True) for _ in lane]
+
+        level_args = [
+            f'"batch":{b},"level":{lv}'
+            for b, lv in zip(_numbers(batch), _numbers(level), strict=True)
+        ]
+        _spans(
+            events,
+            "level",
+            _PID_UNITS,
+            per_unit(level_args),
+            per_unit(_numbers([e - s for s, e in zip(start, end, strict=True)])),
+            per_unit([_string(f"b{b}/L{lv}") for b, lv in zip(batch, level, strict=True)]),
+            _numbers([unit + 1 for lane in lanes for unit in lane]),  # unit u: thread u+1
+            per_unit(_numbers(start)),
+        )
     else:
         threads.setdefault((_PID_UNITS, 0), "serial")
-        for batch, kind, prio, start, dur in tracer.segments:
-            complete(f"{kind}#b{batch}", "exec", start, dur, _PID_UNITS, 0, batch=batch)
+        serial = ["0"] * len(exec_starts)
+        _spans(events, "exec", _PID_UNITS, *exec_cols, serial, exec_starts)
 
     # -- request lifecycle: async spans, one track per request id ------
-    for rid, kind, prio, outcome, arrival, launch, finish, batch, met in (
-        tracer.requests
+    rid, kind, prio, outcome, arrival, _, finish, batch, met = _columns(
+        tracer.requests, 9
+    )
+    for p in dict.fromkeys(prio):
+        threads.setdefault((_PID_REQUESTS, p), f"class p{p}")
+    for r, k, o, m, r_s, p_s, a_s, f_s, b_s, m_s in zip(
+        rid,
+        kind,
+        outcome,
+        met,
+        *map(_numbers, (rid, prio, arrival, finish, batch, met)),
+        strict=True,
     ):
-        threads.setdefault((_PID_REQUESTS, prio), f"class p{prio}")
-        if outcome == "shed":
-            events.append(
-                {
-                    "name": f"{kind}#r{rid} shed",
-                    "cat": "request",
-                    "ph": "i",
-                    "s": "t",
-                    "ts": arrival,
-                    "pid": _PID_REQUESTS,
-                    "tid": prio,
-                    "args": {"rid": rid},
-                }
-            )
+        if o == "shed":
+            events.append(_SHED % (r_s, _string(f"{k}#r{r} shed"), p_s, a_s))
             continue
-        args = {"rid": rid, "batch": batch, "outcome": outcome}
-        if met is not None:
-            args["slo_met"] = met
-        for ph, ts in (("b", arrival), ("e", finish)):
-            events.append(
-                {
-                    "name": f"{kind}#r{rid}",
-                    "cat": "request",
-                    "ph": ph,
-                    "id": rid,
-                    "ts": ts,
-                    "pid": _PID_REQUESTS,
-                    "tid": prio,
-                    "args": args if ph == "b" else {},
-                }
-            )
+        name = _string(f"{k}#r{r}")
+        slo = "" if m is None else ',"slo_met":' + m_s
+        events.append(_BEGIN % (b_s, _string(o), r_s, slo, r_s, name, p_s, a_s))
+        events.append(_END % (r_s, name, p_s, f_s))
 
     # -- faults & alerts: instants + crash-repair windows --------------
     threads.setdefault((_PID_EVENTS, 0), "events")
-    for name, ts, batch, detail in tracer.instants:
-        args: dict[str, object] = {"batch": batch}
-        if detail:
-            args["detail"] = detail
-        events.append(
-            {
-                "name": name,
-                "cat": "fault" if not name.startswith("alert:") else "alert",
-                "ph": "i",
-                "s": "t",
-                "ts": ts,
-                "pid": _PID_EVENTS,
-                "tid": 0,
-                "args": args,
-            }
-        )
+    name, ts, batch, detail = _columns(tracer.instants, 4)
+    for n, d, t_s, b_s in zip(name, detail, _numbers(ts), _numbers(batch), strict=True):
+        extra = ',"detail":' + _string(d) if d else ""
+        cat = "fault" if not n.startswith("alert:") else "alert"
+        events.append(_INSTANT % (b_s, extra, cat, _string(n), t_s))
     if tracer.downs:
         threads.setdefault((_PID_EVENTS, 1), "unit repair")
-        for start, end in tracer.downs:
-            complete("unit down", "down", start, end - start, _PID_EVENTS, 1)
+        start, end = _columns(tracer.downs, 2)
+        count = len(start)
+        _spans(
+            events,
+            "down",
+            _PID_EVENTS,
+            [""] * count,
+            _numbers([e - s for s, e in zip(start, end, strict=True)]),
+            ['"unit down"'] * count,
+            ["1"] * count,
+            _numbers(start),
+        )
 
     # -- metrics: counter tracks from the sampler ----------------------
-    if tracer.sampler is not None:
-        for ts, snap in tracer.sampler.rows:
-            for full_name, value in snap.items():
-                events.append(
-                    {
-                        "name": full_name,
-                        "ph": "C",
-                        "ts": ts,
-                        "pid": _PID_METRICS,
-                        "tid": 0,
-                        "args": {"value": value},
-                    }
-                )
+    if tracer.sampler is not None and tracer.sampler.rows:
+        stamps, snaps = _columns(tracer.sampler.rows, 2)
+        names = [n for snap in snaps for n in snap]
+        values = _numbers([v for snap in snaps for v in snap.values()])
+        row_stamps = [
+            t for t, snap in zip(_numbers(stamps), snaps, strict=True) for _ in snap
+        ]
+        tails = {n: _COUNTER_TAIL % _string(n) for n in set(names)}
+        events += [
+            _COUNTER_HEAD + v + tails[n] + t + "}"
+            for n, v, t in zip(names, values, row_stamps, strict=True)
+        ]
 
-    meta: list[dict] = []
-    for pid, pname in _PROCESS_NAMES.items():
-        meta.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "args": {"name": f"{label}: {pname}"},
-            }
-        )
-    for (pid, tid), tname in sorted(threads.items()):
-        meta.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": tid,
-                "args": {"name": tname},
-            }
-        )
-    return {"traceEvents": meta + events, "displayTimeUnit": "ms"}
+    meta = [
+        _META % (_string(f"{label}: {pname}"), "process_name", pid, 0)
+        for pid, pname in _PROCESS_NAMES.items()
+    ]
+    keys = sorted(threads)
+    pids, tids = _numbers([k[0] for k in keys]), _numbers([k[1] for k in keys])
+    meta += [
+        _META % (_string(threads[key]), "thread_name", pid, tid)
+        for key, pid, tid in zip(keys, pids, tids, strict=True)
+    ]
+    return '{"displayTimeUnit":"ms","traceEvents":[' + ",".join(meta + events) + "]}"
 
 
-def chrome_trace_json(tracer: Tracer, *, label: str = "serve") -> str:
-    """Deterministic serialisation: sorted keys, no whitespace — equal
-    traces compare equal as strings (the replay-identity gate)."""
-    return json.dumps(
-        to_chrome_trace(tracer, label=label), sort_keys=True, separators=(",", ":")
-    )
+def to_chrome_trace(tracer: Tracer, *, label: str = "serve") -> dict:
+    """The trace-event dict: :func:`chrome_trace_json`'s text, parsed."""
+    return json.loads(chrome_trace_json(tracer, label=label))
 
 
 def write_chrome_trace(tracer: Tracer, path: str | Path, *, label: str = "serve") -> Path:
@@ -278,6 +302,10 @@ def validate_chrome_trace(trace: dict) -> None:
 
 
 def _fmt(value: float) -> str:
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "+Inf" if value > 0 else "-Inf"
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(value)

@@ -17,6 +17,7 @@ may carry several label sets (e.g. per-priority SLO attainment).
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 
 import numpy as np
@@ -110,6 +111,12 @@ class Histogram(_Metric):
         labels: dict[str, str] | None = None,
     ) -> None:
         super().__init__(name, help, labels)
+        for bound in bounds:
+            if not math.isfinite(bound):
+                raise ObsError(
+                    f"histogram {name!r} bucket bound {bound!r} is not finite "
+                    "(the +Inf bucket is implicit)"
+                )
         if not bounds or list(bounds) != sorted(bounds):
             raise ObsError(
                 f"histogram {name!r} needs sorted, non-empty bucket bounds"

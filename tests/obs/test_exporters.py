@@ -1,13 +1,19 @@
 """Chrome-trace / Perfetto and Prometheus export gates."""
 
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.presets import TPU_V1
 from repro.obs import (
+    Histogram,
     MetricsRegistry,
     ObsError,
+    Sampler,
     SloBurnMonitor,
     Tracer,
     chrome_trace_json,
@@ -49,6 +55,228 @@ def chaos_trace():
         tracer=tracer,
     ).serve(workload)
     return tracer, result
+
+
+def _reference_trace(tracer, *, label="serve"):
+    """The trace-event dict, built event by event as a dict of dicts —
+    the renderer's oracle (serialised by ``_reference_json``)."""
+    events = []
+    threads = {}
+
+    def complete(name, cat, start, dur, pid, tid, **args):
+        events.append(
+            {"name": name, "cat": cat, "ph": "X", "ts": start, "dur": dur,
+             "pid": pid, "tid": tid, "args": args}
+        )
+
+    for batch, kind, prio, start, dur in tracer.segments:
+        threads.setdefault((1, prio), f"class p{prio}")
+        complete(f"{kind}#b{batch}", "exec", start, dur, 1, prio, batch=batch)
+    for batch, kind, prio, start, end in tracer.waits:
+        threads.setdefault((1, prio), f"class p{prio}")
+        complete(
+            f"{kind}#b{batch} backoff", "backoff", start, end - start, 1, prio,
+            batch=batch,
+        )
+    if tracer.levels:
+        for batch, level, units, start, end in tracer.levels:
+            for unit in units if units else (-1,):
+                tid = unit + 1
+                threads.setdefault((2, tid), "serial" if unit < 0 else f"unit {unit}")
+                complete(
+                    f"b{batch}/L{level}", "level", start, end - start, 2, tid,
+                    batch=batch, level=level,
+                )
+    else:
+        threads.setdefault((2, 0), "serial")
+        for batch, kind, prio, start, dur in tracer.segments:
+            complete(f"{kind}#b{batch}", "exec", start, dur, 2, 0, batch=batch)
+    for rid, kind, prio, outcome, arrival, _, finish, batch, met in tracer.requests:
+        threads.setdefault((3, prio), f"class p{prio}")
+        if outcome == "shed":
+            events.append(
+                {"name": f"{kind}#r{rid} shed", "cat": "request", "ph": "i",
+                 "s": "t", "ts": arrival, "pid": 3, "tid": prio,
+                 "args": {"rid": rid}}
+            )
+            continue
+        args = {"rid": rid, "batch": batch, "outcome": outcome}
+        if met is not None:
+            args["slo_met"] = met
+        for ph, ts in (("b", arrival), ("e", finish)):
+            events.append(
+                {"name": f"{kind}#r{rid}", "cat": "request", "ph": ph, "id": rid,
+                 "ts": ts, "pid": 3, "tid": prio,
+                 "args": args if ph == "b" else {}}
+            )
+    threads.setdefault((4, 0), "events")
+    for name, ts, batch, detail in tracer.instants:
+        args = {"batch": batch}
+        if detail:
+            args["detail"] = detail
+        events.append(
+            {"name": name,
+             "cat": "fault" if not name.startswith("alert:") else "alert",
+             "ph": "i", "s": "t", "ts": ts, "pid": 4, "tid": 0, "args": args}
+        )
+    if tracer.downs:
+        threads.setdefault((4, 1), "unit repair")
+        for start, end in tracer.downs:
+            complete("unit down", "down", start, end - start, 4, 1)
+    if tracer.sampler is not None:
+        for ts, snap in tracer.sampler.rows:
+            for full_name, value in snap.items():
+                events.append(
+                    {"name": full_name, "ph": "C", "ts": ts, "pid": 5, "tid": 0,
+                     "args": {"value": value}}
+                )
+    processes = ("priority classes", "tensor units", "requests",
+                 "faults & alerts", "metrics")
+    meta = [
+        {"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
+         "args": {"name": f"{label}: {pname}"}}
+        for pid, pname in enumerate(processes, start=1)
+    ]
+    meta += [
+        {"name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
+         "args": {"name": tname}}
+        for (pid, tid), tname in sorted(threads.items())
+    ]
+    return {"traceEvents": meta + events, "displayTimeUnit": "ms"}
+
+
+def _reference_json(tracer, *, label="serve"):
+    return json.dumps(
+        _reference_trace(tracer, label=label), sort_keys=True, separators=(",", ":")
+    )
+
+
+def _tracer(*, segments=(), waits=(), levels=(), requests=(), instants=(),
+            downs=(), sampler_rows=None):
+    """A tracer whose stores are filled directly (``sampler_rows=None``:
+    no sampler)."""
+    tracer = Tracer()
+    tracer.segments = list(segments)
+    tracer.waits = list(waits)
+    tracer.levels = list(levels)
+    tracer.requests = list(requests)
+    tracer.instants = list(instants)
+    tracer.downs = list(downs)
+    if sampler_rows is not None:
+        tracer.sampler = Sampler(1.0)
+        tracer.sampler.rows = list(sampler_rows)
+    return tracer
+
+
+# strings the JSON escaper must handle: quotes, backslashes, control
+# characters, non-ASCII (astral too) and %, which a %-template would eat
+TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\%\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600'),
+        st.characters(),
+    ),
+    max_size=4,
+)
+SPECIAL = [-0.0, 0.0, 1e16, 5e-324, 1.5, math.nan, math.inf, -math.inf]
+NUMBER = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.sampled_from(SPECIAL),
+    st.sampled_from(SPECIAL).map(np.float64),
+    st.floats().map(np.float64),
+)
+ID = st.integers(-2, 10**6)
+PRIO = st.integers(0, 3)
+METRIC = st.one_of(
+    st.sampled_from(["requests_completed", "request_latency_sum"]),
+    TEXT.map(lambda v: f'slo_attainment{{class="{v}"}}'),
+)
+
+
+@st.composite
+def tracers(draw):
+    def rows(*columns):
+        return draw(st.lists(st.tuples(*columns), max_size=3))
+
+    return _tracer(
+        segments=rows(ID, TEXT, PRIO, NUMBER, NUMBER),
+        waits=rows(ID, TEXT, PRIO, NUMBER, NUMBER),
+        levels=rows(
+            ID, ID, st.lists(st.integers(-1, 3), max_size=3).map(tuple),
+            NUMBER, NUMBER,
+        ),
+        requests=rows(
+            ID, TEXT, PRIO, st.sampled_from(["done", "abandoned", "shed"]),
+            NUMBER, NUMBER, NUMBER, ID, st.sampled_from([None, True, False]),
+        ),
+        instants=rows(
+            st.one_of(TEXT.map("alert:".__add__), TEXT.map("fault:".__add__), TEXT),
+            NUMBER, ID, st.one_of(st.just(""), TEXT),
+        ),
+        downs=rows(NUMBER, NUMBER),
+        sampler_rows=draw(
+            st.none()
+            | st.lists(
+                st.tuples(NUMBER, st.dictionaries(METRIC, NUMBER, max_size=3)),
+                max_size=3,
+            )
+        ),
+    )
+
+
+class TestRendererMatchesReference:
+    """``chrome_trace_json`` against the dict-building reference:
+    identical text, not merely equal JSON."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(tracer=tracers(), label=TEXT)
+    def test_generated_stores(self, tracer, label):
+        with np.errstate(all="ignore"):
+            assert chrome_trace_json(tracer, label=label) == _reference_json(
+                tracer, label=label
+            )
+
+    def test_edge_values(self):
+        tricky = 'k"\\%s%d\x01\u00e9\U0001f600'
+        values = [*SPECIAL, *map(np.float64, SPECIAL), 3, -(2**70), True, False]
+        tracer = _tracer(
+            segments=[(i, tricky, 2, v, v) for i, v in enumerate(values)],
+            waits=[(7, tricky, 0, -0.0, math.inf)],
+            levels=[(1, 0, (), 5e-324, 1e16), (1, 1, (0, 2), np.float64(1.5), 3)],
+            requests=[
+                (0, tricky, 2, "done", 1.5, 2.0, np.float64(3.25), 4, True),
+                (1, tricky, 2, "done", 0, 1, 2, 4, False),
+                (2, tricky, 0, "abandoned", -0.0, math.nan, math.inf, 5, None),
+                (3, tricky, 0, "shed", np.float64(-0.0), math.nan, 9.0, -1, None),
+            ],
+            instants=[
+                ("alert:" + tricky, 1.0, -1, tricky),
+                ("fault:" + tricky, np.float64(2.5), 3, ""),
+                (tricky, math.nan, 0, "%"),
+            ],
+            downs=[(1e16, math.inf)],
+            sampler_rows=[
+                (0.0, {f'slo{{class="{tricky}{i}"}}': v for i, v in enumerate(values)}),
+                (np.float64(1.5), {"a": math.nan, "b": -math.inf, "c": np.float64(0.1)}),
+                (2, {}),
+            ],
+        )
+        with np.errstate(all="ignore"):
+            assert chrome_trace_json(tracer, label=tricky) == _reference_json(
+                tracer, label=tricky
+            )
+
+    def test_empty_tracer(self):
+        for tracer in (_tracer(), _tracer(sampler_rows=[])):
+            assert chrome_trace_json(tracer) == _reference_json(tracer)
+
+    def test_chaos_trace(self, chaos_trace):
+        tracer, _ = chaos_trace
+        assert tracer.levels and tracer.downs and tracer.sampler.rows
+        assert chrome_trace_json(tracer) == _reference_json(tracer)
+        assert to_chrome_trace(tracer, label="chaos") == json.loads(
+            _reference_json(tracer, label="chaos")
+        )
 
 
 class TestChromeTrace:
@@ -128,6 +356,33 @@ class TestPrometheusText:
         reg.gauge("slo", labels={"class": "2", "az": "a"}).set(0.5)
         text = prometheus_text(reg)
         assert 'slo{az="a",class="2"} 0.5' in text
+
+    def test_non_finite_values(self):
+        reg = MetricsRegistry()
+        reg.gauge("up").set(math.inf)
+        reg.gauge("down").set(-math.inf)
+        reg.gauge("unknown").set(math.nan)
+        text = prometheus_text(reg)
+        assert "up +Inf\n" in text
+        assert "down -Inf\n" in text
+        assert "unknown NaN\n" in text
+
+    def test_histogram_with_infinite_sum(self):
+        reg = MetricsRegistry()
+        reg.histogram("latency", (1.0,)).observe(math.inf)
+        text = prometheus_text(reg)
+        assert 'latency_bucket{le="1"} 0\n' in text
+        assert 'latency_bucket{le="+Inf"} 1\n' in text
+        assert "latency_sum +Inf\n" in text
+
+    @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
+    def test_histogram_rejects_non_finite_bounds(self, bound):
+        # +Inf is the implicit last bucket; an explicit one would be a
+        # second le="+Inf" series
+        with pytest.raises(ObsError, match=f"bound {bound!r} is not finite"):
+            Histogram("latency", bounds=(1.0, bound))
+        with pytest.raises(ObsError, match=f"bound {bound!r} is not finite"):
+            MetricsRegistry().histogram("latency", (bound,))
 
     def test_from_live_run(self, chaos_trace):
         tracer, result = chaos_trace
