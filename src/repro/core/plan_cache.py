@@ -287,7 +287,7 @@ class PlanCache:
 
     @staticmethod
     def key(kind: str, rows: Sequence[int], machine: TCUMachine) -> tuple:
-        return (str(kind), tuple(int(r) for r in rows), machine.config_key())
+        return (str(kind), tuple(map(int, rows)), machine.config_key())
 
     def get(self, key: tuple) -> CompiledPlan | None:
         entry = self._entries.get(key)

@@ -82,8 +82,11 @@ class BatchPolicy:
 
     def take(self, queue: deque[Request], now: float) -> list[Request]:
         """Pop and return the batch to launch now (FIFO prefix)."""
-        count = min(len(queue), self.max_size)
-        return [queue.popleft() for _ in range(count)]
+        if len(queue) <= self.max_size:
+            batch = list(queue)
+            queue.clear()
+            return batch
+        return [queue.popleft() for _ in range(self.max_size)]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"

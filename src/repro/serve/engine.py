@@ -20,7 +20,9 @@ in deterministic order (level-complete before arrival before release at
 equal times, matching the run-to-completion engine's tie-breaks):
 
 * **arrival** — the next request of the merged open-loop/injected
-  stream joins its class queue, or is shed by the admission policy;
+  stream joins its class queue, or is shed by the admission policy (an
+  arrival that is NaN, infinite or earlier than the last one admitted
+  raises :class:`ServeError`);
 * **release** — a class queue whose batching policy fires becomes a
   running batch (earliest release first, higher class on ties; see
   :func:`~repro.serve.batcher.priority_release`);
@@ -76,6 +78,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import count
+from operator import attrgetter
 
 import numpy as np
 
@@ -100,8 +103,9 @@ __all__ = ["ServingEngine", "ServeResult", "BatchRecord", "ServeError", "replay_
 
 
 class ServeError(RuntimeError):
-    """Raised on invalid serving states (non-monotone arrivals, a policy
-    refusing to drain, a violated conservation invariant)."""
+    """Raised on invalid serving states (non-finite or non-monotone
+    arrivals, a policy refusing to drain, a violated conservation
+    invariant)."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -372,15 +376,23 @@ class ServeResult:
         # columnar views of the per-request / per-batch records: the
         # invariants below check whole arrays at once, and only on a
         # violation fall back to a scan for the offending record
-        index_of = {b.index: i for i, b in enumerate(self.batches)}
-        n = len(self.requests)
-        arrivals = np.fromiter((r.arrival for r in self.requests), float, n)
-        launches = np.fromiter((r.launch for r in self.requests), float, n)
-        completions = np.fromiter((r.completion for r in self.requests), float, n)
-        req_batch = np.fromiter(
-            (index_of.get(r.batch, -1) for r in self.requests), np.int64, n
-        )
+        requests = self.requests
+        n = len(requests)
+        arrivals = np.fromiter(map(attrgetter("arrival"), requests), float, n)
+        launches = np.fromiter(map(attrgetter("launch"), requests), float, n)
+        completions = np.fromiter(map(attrgetter("completion"), requests), float, n)
         k = len(self.batches)
+        # each request's batch position (-1: no record), the last record
+        # winning when indices repeat, by one search over sorted indices
+        req_ids = np.fromiter(map(attrgetter("batch"), requests), np.int64, n)
+        req_batch = np.full(n, -1, np.int64)
+        if k:
+            b_index = np.fromiter(map(attrgetter("index"), self.batches), np.int64, k)
+            order = np.argsort(b_index, kind="stable")
+            sorted_index = b_index[order]
+            slot = np.searchsorted(sorted_index, req_ids, side="right") - 1
+            found = (slot >= 0) & (sorted_index[slot] == req_ids)
+            req_batch[found] = order[slot[found]]
         b_launch = np.fromiter((b.launch for b in self.batches), float, k)
         b_service = np.fromiter((b.service for b in self.batches), float, k)
         b_finish = np.fromiter((b.completion for b in self.batches), float, k)
@@ -404,10 +416,11 @@ class ServeResult:
             raise ServeError(f"request {bad.rid} has no batch record")
         matched = allclose(completions, b_finish[req_batch]) if n else np.ones(0, bool)
         if not matched.all():
-            bad = self.requests[int((~matched).argmax())]
+            at = int((~matched).argmax())
+            bad = self.requests[at]
             raise ServeError(
                 f"request {bad.rid} completion {bad.completion} != its "
-                f"batch's finish {b_finish[index_of[bad.batch]]}"
+                f"batch's finish {b_finish[req_batch[at]]}"
             )
         for req in self.shed:
             if req.done or not math.isnan(req.launch):
@@ -766,30 +779,14 @@ class ServingEngine:
         injected: list[tuple[float, int, Request]] = []
         seq = count()
         base = iter(workload.requests())
-        base_head = next(base, None)
+        head = next(base, None)
         last_arrival = -math.inf
-
-        def next_arrival_time() -> float:
-            bt = base_head.arrival if base_head is not None else math.inf
-            it = injected[0][0] if injected else math.inf
-            return min(bt, it)
-
-        def pop_arrival() -> Request:
-            nonlocal base_head, last_arrival
-            bt = base_head.arrival if base_head is not None else math.inf
-            it = injected[0][0] if injected else math.inf
-            if bt <= it:
-                req = base_head
-                base_head = next(base, None)
-            else:
-                req = heapq.heappop(injected)[2]
-            if req.arrival < last_arrival:
-                raise ServeError(
-                    f"arrival stream is not time-ordered: {req.arrival} after "
-                    f"{last_arrival}"
-                )
-            last_arrival = req.arrival
-            return req
+        # bound per run, not per engine: a wrapper installed on the
+        # policy's class after the engine was built still sees every call
+        admit = admission.admit
+        on_complete = workload.on_complete
+        if getattr(on_complete, "__func__", None) is Workload.on_complete:
+            on_complete = None  # the base method injects nothing
 
         clock = 0.0
         completion_clock = 0.0
@@ -857,23 +854,57 @@ class ServingEngine:
             if entered:
                 g_avail.set(len(finished) / entered)
 
-        def admit(req: Request) -> None:
-            nonlocal queued_now
-            key = (req.priority, req.kind)
-            queue = queues.setdefault(key, deque())
-            if admission.admit(req, queue, clock):
-                queue.append(req)
-                if tracing:
-                    queued_now += 1
-                    if sampling:
-                        g_queue.set(queued_now)
-            else:
-                shed.append(req)
-                if tracing:
-                    c_shed.inc()
-                    tr.request_shed(
-                        req.rid, req.kind, req.priority, req.arrival, ts=clock
+        def pump(limit: int, until: float = math.inf) -> float:
+            """The arrival event: admit or shed, in time order, up to
+            ``limit`` arrivals (all when negative) due strictly before
+            ``until``; return the next arrival's time (``inf`` when none
+            is left).  The stream goes before injected follow-ups at
+            equal times, and each arrival must be finite and no earlier
+            than the last one admitted."""
+            nonlocal head, last_arrival, clock, queued_now
+            while True:
+                if injected and (head is None or injected[0][0] < head.arrival):
+                    req = injected[0][2]
+                elif head is not None:
+                    req = head
+                else:
+                    return math.inf
+                arrival = req.arrival
+                if not last_arrival <= arrival < math.inf:
+                    if arrival < last_arrival:
+                        raise ServeError(
+                            f"arrival stream is not time-ordered: request "
+                            f"{req.rid} arrives at {arrival} after {last_arrival}"
+                        )
+                    raise ServeError(
+                        f"request {req.rid} arrives at {arrival}; arrivals "
+                        "must be finite"
                     )
+                if not (limit and arrival < until):
+                    return arrival
+                limit -= 1
+                if req is head:
+                    head = next(base, None)
+                else:
+                    heapq.heappop(injected)
+                last_arrival = clock = arrival
+                key = (req.priority, req.kind)
+                queue = queues.get(key)
+                if queue is None:
+                    queue = queues[key] = deque()
+                if admit(req, queue, arrival):
+                    queue.append(req)
+                    if tracing:
+                        queued_now += 1
+                        if sampling:
+                            g_queue.set(queued_now)
+                else:
+                    shed.append(req)
+                    if tracing:
+                        c_shed.inc()
+                        tr.request_shed(
+                            req.rid, req.kind, req.priority, arrival, ts=arrival
+                        )
 
         def set_boundary(run: _Run) -> None:
             run.boundary = run.seg_clock + (ledger.clock - run.seg_base)
@@ -1245,10 +1276,11 @@ class ServingEngine:
             spans = (
                 (*run.attempt_spans, run.attempt_span) if fault_active else ()
             )
+            requests = run.requests
             batches[run.index] = BatchRecord(
                 index=run.index,
                 kind=run.kind,
-                rids=tuple(r.rid for r in run.requests),
+                rids=tuple([r.rid for r in requests]),
                 rows=tuple(run.rows),
                 launch=run.launch,
                 service=run.service,
@@ -1265,11 +1297,13 @@ class ServingEngine:
                 first_failure=run.first_failure,
                 degraded=run.degraded,
             )
-            for req in run.requests:
+            for req in requests:
                 req.completion = finish
-                finished.append(req)
-                for new in workload.on_complete(req, finish):
-                    heapq.heappush(injected, (new.arrival, next(seq), new))
+            finished.extend(requests)
+            if on_complete is not None:
+                for req in requests:
+                    for new in on_complete(req, finish):
+                        heapq.heappush(injected, (new.arrival, next(seq), new))
             running = None
             if tracing:
                 c_completed.inc(len(run.requests))
@@ -1306,7 +1340,6 @@ class ServingEngine:
             tr.bind_ledger(ledger)
         try:
             while True:
-                na = next_arrival_time()
                 if sampling and sampler.due(clock):
                     sampler.sample(reg, ts=clock)
                 if running is not None:
@@ -1315,10 +1348,7 @@ class ServingEngine:
                     # arrival due strictly before the boundary is admitted
                     # in one pump instead of a full event-loop turn each
                     boundary = running.boundary
-                    while na < boundary:
-                        clock = na
-                        admit(pop_arrival())
-                        na = next_arrival_time()
+                    pump(-1, boundary)
                     clock = boundary
                     run = running
                     if run.pending_fail is not None:
@@ -1348,6 +1378,9 @@ class ServingEngine:
                 # batch is not ready before its backoff expires, and nothing
                 # starts while the unit is down — both terms are 0 on a
                 # zero-fault run, so the keys collapse to the PR5 ones.
+                # Arrivals are admitted one per turn here, so the sampler
+                # can read the queue between two same-instant arrivals.
+                na = pump(0)
                 draining = na == math.inf
                 best: tuple | None = None
                 if suspended:
@@ -1385,8 +1418,7 @@ class ServingEngine:
                         # in which case the arrival goes first
                         when = up_time(when)
                         if na <= when and na < math.inf:
-                            clock = na
-                            admit(pop_arrival())
+                            pump(1)
                             continue
                     action, payload = best[4]
                     if action == "resume":
@@ -1394,8 +1426,7 @@ class ServingEngine:
                     else:
                         launch(payload, when)
                 elif na < math.inf:
-                    clock = na
-                    admit(pop_arrival())
+                    pump(1)
                 else:
                     stranded = sum(len(q) for q in queues.values())
                     if stranded:

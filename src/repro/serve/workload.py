@@ -59,6 +59,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 from collections.abc import Iterator, Sequence
 
@@ -746,6 +747,53 @@ def _rows_column(rng: np.random.Generator, rows, kind: str, total: int) -> np.nd
 _CHUNK = 1 << 16
 
 
+def _request_chunk(
+    wl: PoissonWorkload | TraceWorkload, rid: int, arrivals: np.ndarray, rows: np.ndarray
+) -> Iterator[Request]:
+    """The requests of ``wl`` from ``rid`` on, built from the chunk's
+    columns by a single ``map`` (no Python frame per request).  Absolute
+    deadlines are ``arrival + deadline``, the same float sum per request."""
+    deadline = wl.deadline
+    deadlines = repeat(None) if deadline is None else (arrivals + deadline).tolist()
+    return map(
+        Request,
+        range(rid, rid + len(arrivals)),
+        repeat(wl.kind),
+        arrivals.tolist(),
+        rows.tolist(),
+        repeat(wl.slo),
+        repeat(wl.priority),
+        deadlines,
+    )
+
+
+# parameter rules for _check: what the message says, and the test
+_FINITE = ("finite", np.isfinite)
+_POSITIVE = ("finite and > 0", lambda v: np.isfinite(v) & (v > 0))
+_NON_NEGATIVE = ("finite and >= 0", lambda v: np.isfinite(v) & (v >= 0))
+_NOT_NAN = ("a number, not NaN", lambda v: ~np.isnan(v))
+
+
+def _check(name: str, value, rule=_FINITE) -> None:
+    """Raise a ValueError naming ``name`` and the first offending value
+    unless every element of ``value`` satisfies ``rule``; ``None``
+    (an unset optional parameter) always passes."""
+    if value is None:
+        return
+    text, test = rule
+    ok = test(np.asarray(value, dtype=np.float64)).ravel()
+    if not ok.all():
+        bad = np.ravel(value).tolist()[int(ok.argmin())]
+        raise ValueError(f"{name} must be {text}, got {bad!r}")
+
+
+def _check_stamps(slo, deadline, rows) -> None:
+    """The per-request stamps every stock workload shares."""
+    _check("slo", slo, _NOT_NAN)
+    _check("deadline", deadline, _NOT_NAN)
+    _check("rows", rows, _NON_NEGATIVE)
+
+
 class Workload:
     """A request stream plus an optional completion feedback loop.
 
@@ -753,7 +801,11 @@ class Workload:
     arrival order (lazily — million-request streams never materialise).
     :meth:`on_complete` is called by the engine at every request
     completion and may inject new requests (the closed-loop mechanism);
-    the default is an open loop that injects nothing.
+    the default is an open loop that injects nothing, and the engine
+    skips the call for workloads that do not override it.  Every
+    arrival, streamed or injected, must be finite and no earlier than
+    the one admitted before it, or the engine raises
+    :class:`~repro.serve.engine.ServeError`.
     """
 
     def requests(self) -> Iterator[Request]:
@@ -794,10 +846,11 @@ class PoissonWorkload(Workload):
         seed: int = 0,
         start: float = 0.0,
     ) -> None:
-        if rate <= 0:
-            raise ValueError(f"rate must be > 0, got {rate}")
+        _check("rate", rate, _POSITIVE)
         if total < 0:
             raise ValueError(f"total must be >= 0, got {total}")
+        _check("start", start)
+        _check_stamps(slo, deadline, rows)
         self.rate = float(rate)
         self.total = int(total)
         self.kind = kind
@@ -809,29 +862,21 @@ class PoissonWorkload(Workload):
         self.start = float(start)
 
     def requests(self) -> Iterator[Request]:
-        rng = np.random.default_rng(self.seed)
-        t = self.start
-        rid = 0
-        while rid < self.total:
-            n = min(_CHUNK, self.total - rid)
-            gaps = rng.exponential(1.0 / self.rate, size=n)
-            # cumsum accumulates sequentially, so seeding the first gap
-            # with t reproduces the scalar `t += gap` loop bit for bit
-            gaps[0] += t
-            arrivals = np.cumsum(gaps).tolist()
-            rows = _rows_column(rng, self.rows, self.kind, n).tolist()
-            for i in range(n):
-                t = arrivals[i]
-                yield Request(
-                    rid=rid,
-                    kind=self.kind,
-                    arrival=t,
-                    rows=rows[i],
-                    slo=self.slo,
-                    priority=self.priority,
-                    deadline=None if self.deadline is None else t + self.deadline,
-                )
-                rid += 1
+        def chunks() -> Iterator[Iterator[Request]]:
+            rng = np.random.default_rng(self.seed)
+            t = self.start
+            for rid in range(0, self.total, _CHUNK):
+                n = min(_CHUNK, self.total - rid)
+                gaps = rng.exponential(1.0 / self.rate, size=n)
+                # cumsum accumulates sequentially, so seeding the first gap
+                # with t reproduces the scalar `t += gap` loop bit for bit
+                gaps[0] += t
+                arrivals = np.cumsum(gaps)
+                t = float(arrivals[-1])
+                rows = _rows_column(rng, self.rows, self.kind, n)
+                yield _request_chunk(self, rid, arrivals, rows)
+
+        return chain.from_iterable(chunks())
 
 
 class BurstyWorkload(Workload):
@@ -856,10 +901,11 @@ class BurstyWorkload(Workload):
         seed: int = 0,
         start: float = 0.0,
     ) -> None:
-        if rate_high <= 0 or rate_low <= 0:
-            raise ValueError("both rates must be > 0")
-        if dwell <= 0:
-            raise ValueError(f"dwell must be > 0, got {dwell}")
+        _check("rate_high", rate_high, _POSITIVE)
+        _check("rate_low", rate_low, _POSITIVE)
+        _check("dwell", dwell, _POSITIVE)
+        _check("start", start)
+        _check_stamps(slo, deadline, rows)
         self.rates = (float(rate_high), float(rate_low))
         self.total = int(total)
         self.dwell = float(dwell)
@@ -929,8 +975,9 @@ class ClosedLoopWorkload(Workload):
     ) -> None:
         if clients < 1:
             raise ValueError(f"clients must be >= 1, got {clients}")
-        if think < 0:
-            raise ValueError(f"think must be >= 0, got {think}")
+        _check("think", think, _NON_NEGATIVE)
+        _check("start", start)
+        _check_stamps(slo, deadline, rows)
         self.clients = int(clients)
         self.total = int(total)
         self.think = float(think)
@@ -1015,9 +1062,11 @@ class TraceWorkload(Workload):
             path = Path(times)
             times = np.load(path) if path.suffix == ".npy" else np.loadtxt(path)
         times = np.asarray(times, dtype=np.float64).ravel()
-        if scale <= 0:
-            raise ValueError(f"scale must be > 0, got {scale}")
+        _check("scale", scale, _POSITIVE)
+        _check("start", start)
+        _check_stamps(slo, deadline, rows)
         times = float(start) + float(scale) * times
+        _check("times", times)
         if times.size > 1 and np.any(np.diff(times) < 0):
             raise ValueError("trace timestamps must be non-decreasing")
         self.times = times
@@ -1030,22 +1079,14 @@ class TraceWorkload(Workload):
         self.seed = int(seed)
 
     def requests(self) -> Iterator[Request]:
-        rng = np.random.default_rng(self.seed)
-        rows = np.empty(0, dtype=np.int64)
-        for rid in range(self.total):
-            i = rid % _CHUNK
-            if i == 0:  # refill the row-count buffer chunkwise (O(1) memory)
-                rows = _rows_column(rng, self.rows, self.kind, min(_CHUNK, self.total - rid))
-            t = float(self.times[rid])
-            yield Request(
-                rid=rid,
-                kind=self.kind,
-                arrival=t,
-                rows=int(rows[i]),
-                slo=self.slo,
-                priority=self.priority,
-                deadline=None if self.deadline is None else t + self.deadline,
-            )
+        def chunks() -> Iterator[Iterator[Request]]:
+            rng = np.random.default_rng(self.seed)
+            for rid in range(0, self.total, _CHUNK):
+                n = min(_CHUNK, self.total - rid)
+                rows = _rows_column(rng, self.rows, self.kind, n)
+                yield _request_chunk(self, rid, self.times[rid : rid + n], rows)
+
+        return chain.from_iterable(chunks())
 
 
 class DiurnalWorkload(Workload):
@@ -1076,12 +1117,13 @@ class DiurnalWorkload(Workload):
         seed: int = 0,
         start: float = 0.0,
     ) -> None:
-        if rate <= 0:
-            raise ValueError(f"rate must be > 0, got {rate}")
+        _check("rate", rate, _POSITIVE)
         if total < 0:
             raise ValueError(f"total must be >= 0, got {total}")
-        if period <= 0:
-            raise ValueError(f"period must be > 0, got {period}")
+        _check("period", period, _POSITIVE)
+        _check("phase", phase)
+        _check("start", start)
+        _check_stamps(slo, deadline, rows)
         if not 0.0 <= amplitude <= 1.0:
             raise ValueError(f"amplitude must be in [0, 1], got {amplitude}")
         self.rate = float(rate)

@@ -9,6 +9,7 @@ path, and through a cost-only machine.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -294,3 +295,95 @@ class TestEngineBehaviour:
 
         with pytest.raises(ValueError, match="unknown request type"):
             ServingEngine(machine, "continuous").serve(Bad())
+
+
+class _Stamped(Workload):
+    """Serves the given arrival stamps as-is (no constructor checks)."""
+
+    def __init__(self, stamps):
+        self.stamps = stamps
+
+    def requests(self):
+        for rid, arrival in enumerate(self.stamps):
+            yield Request(rid=rid, kind="matmul", arrival=arrival, rows=4)
+
+
+class _InjectsAt(_Stamped):
+    """A closed loop whose follow-ups arrive at ``now + think``."""
+
+    def __init__(self, stamps, think, total):
+        super().__init__(stamps)
+        self.think = think
+        self.total = total
+
+    def requests(self):
+        self.issued = len(self.stamps)
+        return super().requests()
+
+    def on_complete(self, request, now):
+        if self.issued >= self.total:
+            return []
+        self.issued += 1
+        return [Request(rid=self.issued - 1, kind="matmul", arrival=now + self.think, rows=4)]
+
+
+class TestUnservableArrivals:
+    """A NaN or infinite arrival is an error, never the end of the stream."""
+
+    @pytest.mark.parametrize(
+        ("stamps", "rid", "value"),
+        [
+            ([0.0, 1.0, math.inf], 2, "inf"),
+            ([math.nan] * 3, 0, "nan"),
+            ([0.0, math.nan, 5.0], 1, "nan"),
+            ([math.inf, math.inf], 0, "inf"),
+        ],
+        ids=["trailing-inf", "all-nan", "nan-between", "all-inf"],
+    )
+    def test_streamed(self, stamps, rid, value):
+        machine = TCUMachine(m=16, ell=64.0, execute="cost-only")
+        with pytest.raises(ServeError, match=rf"^request {rid} arrives at {value}; .*finite"):
+            ServingEngine(machine, "continuous").serve(_Stamped(stamps))
+
+    @pytest.mark.parametrize("think", [math.nan, math.inf])
+    def test_injected(self, think):
+        machine = TCUMachine(m=16, ell=64.0, execute="cost-only")
+        workload = _InjectsAt([0.0], think=think, total=3)
+        with pytest.raises(ServeError, match=rf"^request 1 arrives at {think}; .*finite"):
+            ServingEngine(machine, "continuous").serve(workload)
+
+
+class TestConservationBatchLookup:
+    """check_conservation finds each request's batch record by index,
+    whatever the indices are."""
+
+    @staticmethod
+    def _served():
+        machine = TCUMachine(m=16, ell=64.0, execute="cost-only")
+        return ServingEngine(machine, SizeBatcher(size=3)).serve(poisson(total=12, seed=3))
+
+    @pytest.mark.parametrize("offset", [7, -1000])
+    def test_any_record_indices(self, offset):
+        result = self._served()
+        result.batches = [replace(b, index=b.index + offset) for b in result.batches]
+        for req in result.requests:
+            req.batch += offset
+        result.check_conservation()
+
+    @pytest.mark.parametrize("batch", [-1, 10**6])
+    def test_request_without_record(self, batch):
+        result = self._served()
+        result.requests[4].batch = batch
+        with pytest.raises(ServeError, match=r"^request 4 has no batch record$"):
+            result.check_conservation()
+
+    def test_request_on_the_wrong_record(self):
+        result = self._served()
+        first, last = result.batches[0], result.batches[-1]
+        req = next(r for r in result.requests if r.batch == first.index)
+        req.batch = last.index
+        with pytest.raises(
+            ServeError,
+            match=rf"^request {req.rid} completion .* batch's finish {last.completion}$",
+        ):
+            result.check_conservation()

@@ -1,5 +1,7 @@
 """Workload generators and the request-type registry."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,8 @@ from repro.serve import (
     get_request_type,
     register_request_type,
 )
+from repro.serve import workload as workload_module
+from repro.serve.workload import Request
 
 
 def arrivals(workload):
@@ -361,3 +365,170 @@ class TestPlanLowering:
         machine = TCUMachine(m=16, ell=8.0)
         with pytest.raises(NotImplementedError, match="neither plan"):
             Hollow().serve(machine, [4])
+
+
+_NAN, _INF = math.nan, math.inf
+
+# valid constructor arguments per workload; each bad case overrides one
+_VALID = {
+    PoissonWorkload: {"rate": 1.0, "total": 3},
+    BurstyWorkload: {"rate_high": 0.1, "rate_low": 0.01, "total": 3, "dwell": 10.0},
+    ClosedLoopWorkload: {"clients": 1, "total": 3},
+    TraceWorkload: {"times": [0.0, 1.0, 5.0]},
+    DiurnalWorkload: {"rate": 1.0, "total": 3, "period": 10.0},
+}
+
+# (workload, parameter, bad value, the value the message shows)
+_BAD_PARAMETERS = [
+    (PoissonWorkload, "rate", _NAN, "nan"),
+    (PoissonWorkload, "rate", _INF, "inf"),
+    (PoissonWorkload, "start", _NAN, "nan"),
+    (PoissonWorkload, "start", -_INF, "-inf"),
+    (PoissonWorkload, "deadline", _NAN, "nan"),
+    (PoissonWorkload, "slo", _NAN, "nan"),
+    (PoissonWorkload, "rows", -4, "-4"),
+    (PoissonWorkload, "rows", (4, -1), "-1"),
+    (BurstyWorkload, "rate_high", _NAN, "nan"),
+    (BurstyWorkload, "rate_low", _INF, "inf"),
+    (BurstyWorkload, "dwell", _NAN, "nan"),
+    (BurstyWorkload, "dwell", _INF, "inf"),
+    (BurstyWorkload, "start", _NAN, "nan"),
+    (BurstyWorkload, "rows", -1, "-1"),
+    (ClosedLoopWorkload, "think", _NAN, "nan"),
+    (ClosedLoopWorkload, "think", _INF, "inf"),
+    (ClosedLoopWorkload, "start", _INF, "inf"),
+    (ClosedLoopWorkload, "deadline", _NAN, "nan"),
+    (ClosedLoopWorkload, "rows", -2, "-2"),
+    (TraceWorkload, "times", [0.0, _NAN, 5.0], "nan"),
+    (TraceWorkload, "times", [0.0, 1.0, _INF], "inf"),
+    (TraceWorkload, "scale", _NAN, "nan"),
+    (TraceWorkload, "scale", _INF, "inf"),
+    (TraceWorkload, "start", _NAN, "nan"),
+    (TraceWorkload, "slo", _NAN, "nan"),
+    (TraceWorkload, "rows", (2, -8), "-8"),
+    (DiurnalWorkload, "rate", _NAN, "nan"),
+    (DiurnalWorkload, "rate", _INF, "inf"),
+    (DiurnalWorkload, "period", _NAN, "nan"),
+    (DiurnalWorkload, "period", _INF, "inf"),
+    (DiurnalWorkload, "phase", _NAN, "nan"),
+    (DiurnalWorkload, "start", _INF, "inf"),
+    (DiurnalWorkload, "deadline", _NAN, "nan"),
+]
+
+
+@pytest.mark.parametrize(
+    ("cls", "param", "value", "shown"),
+    _BAD_PARAMETERS,
+    ids=[f"{c.__name__}-{p}-{s}" for c, p, _, s in _BAD_PARAMETERS],
+)
+def test_constructor_rejects_unservable_parameter(cls, param, value, shown):
+    kwargs = dict(_VALID[cls], **{param: value})
+    with pytest.raises(ValueError, match=rf"^{param} must be .*, got {shown}$"):
+        cls(**kwargs)
+
+
+# ----------------------------------------------------------------------
+# generator parity: the chunk builders against per-request generators
+# ----------------------------------------------------------------------
+def _per_request_poisson(wl):
+    """PoissonWorkload.requests as it was before the chunk builder: one
+    generator step and one keyword Request(...) call per request."""
+    chunk = workload_module._CHUNK
+    rng = np.random.default_rng(wl.seed)
+    t = wl.start
+    rid = 0
+    while rid < wl.total:
+        n = min(chunk, wl.total - rid)
+        gaps = rng.exponential(1.0 / wl.rate, size=n)
+        gaps[0] += t
+        arrivals = np.cumsum(gaps).tolist()
+        rows = workload_module._rows_column(rng, wl.rows, wl.kind, n).tolist()
+        for i in range(n):
+            t = arrivals[i]
+            yield Request(
+                rid=rid,
+                kind=wl.kind,
+                arrival=t,
+                rows=rows[i],
+                slo=wl.slo,
+                priority=wl.priority,
+                deadline=None if wl.deadline is None else t + wl.deadline,
+            )
+            rid += 1
+
+
+def _per_request_trace(wl):
+    """TraceWorkload.requests as it was before the chunk builder."""
+    chunk = workload_module._CHUNK
+    rng = np.random.default_rng(wl.seed)
+    rows = np.empty(0, dtype=np.int64)
+    for rid in range(wl.total):
+        i = rid % chunk
+        if i == 0:
+            rows = workload_module._rows_column(rng, wl.rows, wl.kind, min(chunk, wl.total - rid))
+        t = float(wl.times[rid])
+        yield Request(
+            rid=rid,
+            kind=wl.kind,
+            arrival=t,
+            rows=int(rows[i]),
+            slo=wl.slo,
+            priority=wl.priority,
+            deadline=None if wl.deadline is None else t + wl.deadline,
+        )
+
+
+_STAMPS = [
+    {},
+    {"rows": 8},
+    {"rows": (4, 8, 16), "deadline": 2.5e3},
+    {"kind": "dft", "slo": 4e3, "priority": 2, "deadline": 1e3},
+    {"rows": (1, 2), "start": 123.25},
+]
+
+
+def _poisson(total, **stamps):
+    return PoissonWorkload(rate=1 / 300, total=total, seed=5, **stamps)
+
+
+def _trace(total, **stamps):
+    times = np.cumsum(np.random.default_rng(9).exponential(50.0, total).round(-1))
+    return TraceWorkload(times, seed=5, **stamps)  # .round(-1): some gaps are 0
+
+
+_ORACLES = [(_poisson, _per_request_poisson), (_trace, _per_request_trace)]
+
+
+class TestChunkedGenerators:
+    """Chunk-built streams equal the per-request generators request for
+    request, across chunk boundaries and after a reseed."""
+
+    @pytest.mark.parametrize("stamps", _STAMPS, ids=lambda s: ",".join(s) or "defaults")
+    @pytest.mark.parametrize("make, oracle", _ORACLES, ids=["poisson", "trace"])
+    def test_small_chunks(self, monkeypatch, make, oracle, stamps):
+        monkeypatch.setattr(workload_module, "_CHUNK", 16)
+        wl = make(2 * 16 + 3, **stamps)
+        assert list(wl.requests()) == list(oracle(wl))
+        wl.reseed(77)
+        assert list(wl.requests()) == list(oracle(wl))
+
+    @pytest.mark.parametrize("make, oracle", _ORACLES, ids=["poisson", "trace"])
+    def test_full_chunks(self, make, oracle):
+        wl = make(2 * workload_module._CHUNK + 3, rows=(4, 8), deadline=900.0, start=7.5)
+        got = list(wl.requests())
+        assert len(got) == wl.total
+        assert got == list(oracle(wl))
+
+    def test_first_request_builds_one_chunk(self, monkeypatch):
+        drawn = []
+        rows_column = workload_module._rows_column
+
+        def counting(rng, rows, kind, total):
+            drawn.append(total)
+            return rows_column(rng, rows, kind, total)
+
+        monkeypatch.setattr(workload_module, "_rows_column", counting)
+        stream = PoissonWorkload(rate=1.0, total=10**9, rows=4).requests()
+        assert drawn == []
+        assert next(stream).rid == 0
+        assert drawn == [workload_module._CHUNK]
