@@ -10,10 +10,9 @@ import time
 
 import numpy as np
 
-from repro import TCUMachine, matmul
+from repro import TCUMachine, matmul, matmul_lazy
 from repro.analysis.tables import render_table
 from repro.core.program import TensorProgram, run_program
-from repro.matmul.dense import _emit_theorem2, _pad_operands
 
 
 def _paths(m, ell, A, B):
@@ -25,7 +24,7 @@ def _paths(m, ell, A, B):
     unfused = TCUMachine(m=m, ell=ell)
     t0 = time.perf_counter()
     program = TensorProgram()
-    lazy = _emit_theorem2(unfused, program, *_pad_operands(unfused, A, B, True))
+    lazy = matmul_lazy(unfused, program, A, B)
     run_program(program, unfused, fused=False)
     lazy.result()
     wall_unfused = time.perf_counter() - t0

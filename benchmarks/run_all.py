@@ -58,7 +58,7 @@ import numpy as np
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from repro import ParallelTCUMachine, TCUMachine, matmul  # noqa: E402
+from repro import ParallelTCUMachine, TCUMachine, matmul, matmul_lazy  # noqa: E402
 from repro.arith.intmul import int_multiply  # noqa: E402
 from repro.arith.karatsuba import karatsuba_multiply  # noqa: E402
 from repro.arith.polyeval import batch_polyeval  # noqa: E402
@@ -67,7 +67,6 @@ from repro.extmem.simulate import simulate_ledger_io  # noqa: E402
 from repro.graph.apsd import apsd  # noqa: E402
 from repro.graph.closure import transitive_closure  # noqa: E402
 from repro.linalg.gaussian import ge_solve  # noqa: E402
-from repro.matmul.dense import _emit_theorem2, _pad_operands  # noqa: E402
 from repro.matmul.sparse import sparse_mm  # noqa: E402
 from repro.matmul.strassen import strassen_like_mm  # noqa: E402
 from repro.transform.dft import batched_dft  # noqa: E402
@@ -161,7 +160,7 @@ def theorem_scenarios() -> dict[str, dict]:
 
 def _planned_product(machine, A, B):
     program = TensorProgram()
-    lazy = _emit_theorem2(machine, program, *_pad_operands(machine, A, B, True))
+    lazy = matmul_lazy(machine, program, A, B)
     run_program(program, machine)
     return lazy.result()
 
@@ -178,7 +177,7 @@ def exec_path_comparison(n: int, m: int = 256, ell: float = 32.0) -> dict:
 
     def run_unfused():
         program = TensorProgram()
-        lazy = _emit_theorem2(unfused, program, *_pad_operands(unfused, A, B, True))
+        lazy = matmul_lazy(unfused, program, A, B)
         run_program(program, unfused, fused=False)
         return lazy.result()
 

@@ -351,13 +351,16 @@ class TCUMachine:
         self.charge_mm_grid(n, k, dtype)
         if self.execute == "cost-only":
             return placeholder(out_shape, dtype)
-        if A.ndim == 2 and B.ndim == 3:
-            # one shared stream against k resident blocks: a single GEMM
-            # against the horizontally concatenated blocks beats k tiny
-            # batched products by an order of magnitude
-            kb = B.shape[0]
-            C2 = A @ B.transpose(1, 0, 2).reshape(s, kb * s)
-            C = C2.reshape(n, kb, s).transpose(1, 0, 2)
+        if B.ndim >= 3 and B.shape[-3] > 1 and (A.ndim == 2 or A.shape[-3] == 1):
+            # shared streams, each against its own row of kb resident
+            # blocks: one GEMM per stream against the horizontally
+            # concatenated blocks beats kb tiny batched products by an
+            # order of magnitude
+            kb = B.shape[-3]
+            stream = A if A.ndim == 2 else A[..., 0, :, :]
+            rows = np.swapaxes(B, -3, -2).reshape(B.shape[:-3] + (s, kb * s))
+            C2 = np.matmul(stream, rows)
+            C = np.swapaxes(C2.reshape(C2.shape[:-1] + (kb, s)), -3, -2)
         else:
             C = np.matmul(A, B)
         if self.check_overflow and np.issubdtype(C.dtype, np.integer):

@@ -47,6 +47,7 @@ The obvious consequences the benches measure:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +104,30 @@ class BatchStats:
         return self.serial_time / self.makespan if self.makespan else 1.0
 
 
+def _stack_lead(A: np.ndarray, B: np.ndarray) -> tuple[int, ...]:
+    """The broadcast leading shape of a stacked ``mm_batch`` pair."""
+    try:
+        lead = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+    except ValueError as exc:
+        raise TensorShapeError(
+            f"batch operand shapes {A.shape} and {B.shape} do not broadcast"
+        ) from exc
+    if 0 in lead:
+        raise TensorShapeError(f"batch pair {A.shape} @ {B.shape} holds no calls")
+    return lead
+
+
+def _stacked(outs: list[np.ndarray], lead: tuple[int, ...], cost_only: bool) -> np.ndarray:
+    """Per-call products of a stacked pair, in C order, as one
+    ``lead + (n, sqrt(m))`` array (a placeholder when cost-only)."""
+    first = outs[0]
+    if cost_only:
+        return placeholder(lead + first.shape, first.dtype)
+    out = np.empty(lead + first.shape, dtype=first.dtype)
+    out.reshape((-1,) + first.shape)[:] = outs
+    return out
+
+
 class ParallelTCUMachine(TCUMachine):
     """An (m, l)-TCU with ``units`` identical tensor units.
 
@@ -149,6 +174,14 @@ class ParallelTCUMachine(TCUMachine):
         hardware chunks run back-to-back on the unit it is assigned to,
         exactly as the scalar splitting primitive issues them.
 
+        A pair may also be stacked like :meth:`mm_grid`'s operands —
+        ``A`` of shape ``(..., n, sqrt(m))`` and ``B`` of shape
+        ``(..., sqrt(m), sqrt(m))`` whose leading dimensions broadcast —
+        standing for one call per broadcast element, in C order; its
+        result is the stacked ``(..., n, sqrt(m))`` product.  The plain
+        path multiplies such a pair in one ``np.matmul`` (a grid's
+        strips broadcast against its blocks, never copied per call).
+
         ``policy`` overrides the machine's scheduler for this batch.
         """
         sched_policy = self.scheduler if policy is None else get_scheduler(policy)
@@ -164,20 +197,24 @@ class ParallelTCUMachine(TCUMachine):
             self.last_schedule = None
             return []
         s = self.sqrt_m
-        k = len(pairs)
         pairs = [(np.asarray(A), np.asarray(B)) for A, B in pairs]
-        ns = np.empty(k, dtype=np.int64)
+        ns = np.empty(len(pairs), dtype=np.int64)
+        leads: list[tuple[int, ...]] = []
         for i, (A, B) in enumerate(pairs):
-            if A.ndim != 2 or A.shape[1] != s or B.shape != (s, s):
+            if A.ndim < 2 or A.shape[-1] != s or B.shape[-2:] != (s, s):
                 raise TensorShapeError(
                     f"batch operand shapes {A.shape} @ {B.shape} violate the "
                     f"(n x {s}) @ ({s} x {s}) interface"
                 )
-            if A.shape[0] < s:
+            if A.shape[-2] < s:
                 raise TensorShapeError(
-                    f"batch left operand has {A.shape[0]} rows < sqrt(m)={s}"
+                    f"batch left operand has {A.shape[-2]} rows < sqrt(m)={s}"
                 )
-            ns[i] = A.shape[0]
+            ns[i] = A.shape[-2]
+            leads.append(_stack_lead(A, B) if A.ndim > 2 or B.ndim > 2 else ())
+        if any(leads):
+            ns = np.repeat(ns, [math.prod(lead) for lead in leads])
+        k = int(ns.size)
 
         # Fast path: machines whose calls are plain n*sqrt(m) + l numpy
         # products.  Anything that changes per-call cost or numerics —
@@ -216,17 +253,29 @@ class ParallelTCUMachine(TCUMachine):
             saved = self.ledger
             self.ledger = scratch
             results = []
+            cost_only = self.execute == "cost-only"
             costs = np.empty(k)
             call_rows = np.empty(k + 1, dtype=np.int64)
             call_rows[0] = 0
             prev = 0.0
+            i = 0
             try:
-                for i, (A, B) in enumerate(pairs):
-                    results.append(self.mm(A, B))
-                    cum = scratch.tensor_time + scratch.latency_time
-                    costs[i] = cum - prev
-                    prev = cum
-                    call_rows[i + 1] = len(scratch.calls)
+                for (A, B), lead in zip(pairs, leads, strict=True):
+                    if not lead:
+                        calls = [(A, B)]
+                    else:
+                        Ab = np.broadcast_to(A, lead + A.shape[-2:])
+                        Bb = np.broadcast_to(B, lead + (s, s))
+                        calls = [(Ab[idx], Bb[idx]) for idx in np.ndindex(*lead)]
+                    outs = []
+                    for A1, B1 in calls:
+                        outs.append(self.mm(A1, B1))
+                        cum = scratch.tensor_time + scratch.latency_time
+                        costs[i] = cum - prev
+                        prev = cum
+                        call_rows[i + 1] = len(scratch.calls)
+                        i += 1
+                    results.append(outs[0] if not lead else _stacked(outs, lead, cost_only))
             finally:
                 self.ledger = saved
             serial_throughput = scratch.tensor_time
@@ -275,8 +324,8 @@ class ParallelTCUMachine(TCUMachine):
             return results
         if self.execute == "cost-only":
             return [
-                placeholder((A.shape[0], s), np.result_type(A.dtype, B.dtype))
-                for A, B in pairs
+                placeholder(lead + (A.shape[-2], s), np.result_type(A.dtype, B.dtype))
+                for (A, B), lead in zip(pairs, leads, strict=True)
             ]
         return [A @ B for A, B in pairs]
 

@@ -108,8 +108,9 @@ class CompiledPlan:
         One :class:`LevelCharges` per plan level, in execution order.
     reload_words:
         ``reload_words[d]`` is the resident-block word count a cursor
-        suspended before level ``d`` must re-load on resume — the exact
-        value live :meth:`ExecutionCursor.resident_words` returns there.
+        suspended before level ``d`` must re-load on resume — read from
+        the plan's suffix table (:meth:`~repro.core.program.Plan.resident_words`),
+        the one live :meth:`ExecutionCursor.resident_words` reads.
     coalesced:
         When every level is ``simple`` and all deltas are integer-valued
         floats (so float addition re-associates exactly), the whole
@@ -237,7 +238,7 @@ def compile_plan(rtype: Plannable, machine: TCUMachine, rows: Sequence[int]) -> 
         stats = plan.stats
         cursor = ExecutionCursor(plan, probe)
         while not cursor.done:
-            reloads.append(cursor.resident_words())
+            reloads.append(plan.resident_words(cursor.next_level))
             scratch.reset()
             cursor.step()
             levels.append(_capture(scratch, s, ell))

@@ -46,6 +46,13 @@ by content: pre-pad a shared right operand once if you want cross-call
 merging, because two distinct padded copies of equal content are not
 recognised as the same block.
 
+A whole Theorem 2 product is one ``grid`` node (:meth:`TensorProgram.grid`)
+plus the ``stripsum`` node that reduces it.  The planner expands a grid
+into its ``kq * kr`` logical calls arithmetically — block identities from
+the right operand's data pointer and strides — so levels, merges, splits
+and charges are those of the per-call ``mm``/``add`` emission, while
+dispatch multiplies whole grids in stacked products.
+
 Quickstart — five products against one resident weight matrix pay one
 latency instead of five::
 
@@ -77,15 +84,19 @@ from .scheduling import schedule_batch
 __all__ = [
     "TensorOp",
     "TensorProgram",
+    "GridCall",
+    "CallGroups",
     "Plan",
     "PlanStats",
     "ProgramError",
     "Lazy",
     "ExecutionCursor",
     "CompiledCursor",
+    "check_split",
     "modelled_call_cost",
     "plan_program",
     "execute_plan",
+    "run_grid",
     "run_program",
 ]
 
@@ -131,6 +142,17 @@ class TensorOp:
         arithmetic in the RAM model, the same convention the merged-call
         row gathering uses), so later ops can consume slices of a value
         produced earlier in the program.
+    ``grid``
+        The Theorem 2 products of padded operands ``a`` (``p x kq*s``)
+        and ``b`` (``kq*s x kr*s``): ``value[i, j] = a_i @ b_ij`` for
+        every ``sqrt(m)``-wide strip ``a_i`` and block ``b_ij``, shape
+        ``(kq, kr, p, s)``.  Planned as ``kq * kr`` logical calls
+        (:class:`GridCall`).
+    ``stripsum``
+        ``value[:, j-th block column] = sum_i a.value[i, j]`` for the
+        grid op ``a``, each column summed from zeros in strip order and
+        charged one RAM unit per word per partial — the per-column
+        ``add`` nodes of the Theorem 2 schedule as one node.
 
     Operands are either concrete ``ndarray`` inputs or other ops
     (dependency edges).  ``value`` is ``None`` until the owning program
@@ -190,7 +212,7 @@ class TensorOp:
             for _, src in self.terms:
                 if isinstance(src, TensorOp):
                     yield src
-        elif self.kind in ("copy", "view"):
+        elif self.kind in ("copy", "view", "stripsum"):
             if isinstance(self.a, TensorOp):
                 yield self.a
 
@@ -226,6 +248,59 @@ class Lazy:
         if self._value is None:
             self._value = self._fn()
         return self._value
+
+
+class GridCall:
+    """One logical call of a ``grid`` op: strip ``i`` against block ``(i, j)``.
+
+    Duck-types the ``mm`` op fields the planner and executors read
+    (``a``, ``b``, ``shape``, ``dtype``).  Built only where a call must
+    stand alone — a merge group it shares with other calls, or a group
+    read off :class:`CallGroups` — so planning and dispatching an
+    unmerged grid never creates one per call.
+    """
+
+    __slots__ = ("grid", "i", "j")
+
+    def __init__(self, grid: TensorOp, i: int, j: int) -> None:
+        self.grid = grid
+        self.i = i
+        self.j = j
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.grid.shape[2], self.grid.shape[3]
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.grid.dtype
+
+    @property
+    def a(self) -> np.ndarray:
+        s = self.grid.shape[3]
+        return self.grid.a[:, self.i * s : (self.i + 1) * s]
+
+    @property
+    def b(self) -> np.ndarray:
+        s = self.grid.shape[3]
+        i, j = self.i, self.j
+        return self.grid.b[i * s : (i + 1) * s, j * s : (j + 1) * s]
+
+    def store(self, value: np.ndarray) -> None:
+        """Write this call's product into the grid's products array."""
+        grid = self.grid
+        if grid.value is None or not grid.value.flags.writeable:
+            grid.value = np.empty(grid.shape, dtype=value.dtype)
+        grid.value[self.i, self.j] = value
+
+
+def _grid_calls(grid: TensorOp) -> Iterable[GridCall]:
+    """A grid's calls in the per-op emission's order: block column
+    ``j`` outer, strip ``i`` inner."""
+    kq, kr = grid.shape[:2]
+    for j in range(kr):
+        for i in range(kq):
+            yield GridCall(grid, i, j)
 
 
 class TensorProgram:
@@ -268,6 +343,42 @@ class TensorProgram:
         )
         self._append(op)
         return op
+
+    def grid(self, a: np.ndarray, b: np.ndarray, sqrt_m: int) -> TensorOp:
+        """Record the Theorem 2 product ``a @ b`` of padded operands.
+
+        ``a`` is ``p x q`` and ``b`` is ``q x r`` (concrete arrays or
+        placeholders) with ``q`` and ``r`` multiples of ``sqrt_m`` and
+        ``p >= sqrt_m``.  Appends a ``grid`` op — the ``kq * kr``
+        strip-by-block calls, at level 0 — and the ``stripsum`` op that
+        reduces them at level 1, and returns the latter, whose value is
+        the ``p x r`` product.  Planned, charged and levelled exactly
+        like one ``mm`` per ``(strip, block)`` pair plus one ``add`` per
+        output block column; ``sqrt_m`` must match the executing
+        machine.
+        """
+        a = np.asarray(a)
+        b = np.asarray(b)
+        s = int(sqrt_m)
+        if a.ndim != 2 or b.ndim != 2:
+            raise TensorShapeError(
+                f"grid operands must be 2-D, got shapes {a.shape} and {b.shape}"
+            )
+        p, q = a.shape
+        r = b.shape[1]
+        if b.shape[0] != q or q == 0 or r == 0 or q % s or r % s or p < s:
+            raise TensorShapeError(
+                f"grid operands {a.shape} @ {b.shape} are not padded to the "
+                f"sqrt(m)={s} grid"
+            )
+        dtype = np.result_type(a.dtype, b.dtype)
+        products = TensorOp(
+            len(self.ops), "grid", a=a, b=b, shape=(q // s, r // s, p, s), dtype=dtype
+        )
+        total = TensorOp(len(self.ops) + 1, "stripsum", a=products, shape=(p, r), dtype=dtype)
+        total.level = 1  # array operands put the products at level 0
+        self.ops += (products, total)
+        return total
 
     def add(self, terms: Sequence[tuple[float, Source] | Source]) -> TensorOp:
         """Record an elementwise linear combination of equal-shape sources.
@@ -385,6 +496,10 @@ class TensorProgram:
 class PlanStats:
     """What the planner did to a program.
 
+    Counts are logical: a ``grid`` op counts as its ``kq * kr`` ``mm``
+    calls and a ``stripsum`` op as its ``kr`` column ``add`` nodes, so
+    a grid plans to the stats of the per-call emission it stands for.
+
     Attributes
     ----------
     ops:
@@ -407,13 +522,71 @@ class PlanStats:
     levels: int
 
 
+class CallGroups(Sequence):
+    """A plan level's merged call groups, in dispatch order.
+
+    ``parts`` holds merge groups — lists of ``mm`` ops and
+    :class:`GridCall` s sharing one resident block, issued as one merged
+    call — and ``grid`` ops, each standing for its ``kq * kr`` unmerged
+    calls, one group per call in :func:`_grid_calls` order.  ``len()``
+    counts groups; iterating or indexing yields member lists, building
+    grid calls on demand.
+    """
+
+    __slots__ = ("parts", "_count")
+
+    def __init__(self, parts: list) -> None:
+        self.parts = parts
+        self._count = sum(
+            1 if isinstance(part, list) else part.shape[0] * part.shape[1]
+            for part in parts
+        )
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self):
+        for part in self.parts:
+            if isinstance(part, list):
+                yield part
+            else:
+                yield from ([call] for call in _grid_calls(part))
+
+    def __getitem__(self, index):
+        return list(self)[index]
+
+    def shapes(self) -> list[tuple[int, np.dtype]]:
+        """``(rows, dtype)`` of every group, in order: what the split
+        search and the cost model read."""
+        out: list[tuple[int, np.dtype]] = []
+        for part in self.parts:
+            if isinstance(part, list):
+                out.append((_group_rows(part), np.dtype(part[0].dtype)))
+            else:
+                kq, kr, p, _ = part.shape
+                out.extend([(p, np.dtype(part.dtype))] * (kq * kr))
+        return out
+
+
+def _group_shapes(groups) -> list[tuple[int, np.dtype]]:
+    if isinstance(groups, CallGroups):
+        return groups.shapes()
+    return [(_group_rows(g), np.dtype(g[0].dtype)) for g in groups]
+
+
+def _parts(groups) -> list:
+    return groups.parts if isinstance(groups, CallGroups) else list(groups)
+
+
 @dataclass
 class Plan:
     """An executable schedule: levelled call groups plus CPU-side ops.
 
-    ``levels[d]`` is a pair ``(groups, others)`` where each group is a
-    list of ``mm`` ops sharing one resident right-hand block (issued as
-    a single merged call) and ``others`` are the level's add/copy ops.
+    ``levels[d]`` is a pair ``(groups, others)`` where ``groups`` is the
+    level's :class:`CallGroups` — each group a list of ``mm`` ops or
+    grid calls sharing one resident right-hand block (issued as a
+    single merged call), unmerged grids held whole — and ``others`` are
+    the level's add/copy/apply/view/stripsum ops.
 
     ``splits[d][i]`` is the split factor chosen for group ``i`` of level
     ``d``: a factor ``f > 1`` dispatches the group's merged stream as
@@ -432,10 +605,44 @@ class Plan:
     dispatch.
     """
 
-    levels: list[tuple[list[list[TensorOp]], list[TensorOp]]]
+    levels: list[tuple[CallGroups, list[TensorOp]]]
     stats: PlanStats
     splits: list[list[int]] | None = field(default=None)
     modelled_makespans: list[float] | None = field(default=None)
+    _suffix_words: tuple[int, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def resident_words(self, from_level: int = 0) -> int:
+        """Words of distinct resident blocks that levels at/after
+        ``from_level`` stream against (0 past the last level).
+
+        Read from a per-plan suffix table built once, on first use, in
+        one backward pass over the levels (a suffix union of resident
+        keys, grid blocks included), so pricing a resume at every level
+        is linear in plan size.
+        """
+        if self._suffix_words is None:
+            self._suffix_words = _suffix_resident_words(self.levels)
+        if from_level >= len(self._suffix_words):
+            return 0
+        return self._suffix_words[from_level]
+
+
+def _suffix_resident_words(levels) -> tuple[int, ...]:
+    """``words[d]``: resident-block words of levels ``d..``, plus a
+    final 0; distinctness follows :func:`_resident_key`."""
+    seen: set[tuple] = set()
+    words = [0] * (len(levels) + 1)
+    for d in range(len(levels) - 1, -1, -1):
+        words[d] = words[d + 1]
+        for g in levels[d][0]:
+            key = _resident_key(g[0])
+            if key not in seen:
+                seen.add(key)
+                rows, cols = _source_shape(g[0].b)
+                words[d] += rows * cols
+    return tuple(words)
 
 
 def _buffer_key(arr: np.ndarray) -> tuple:
@@ -445,7 +652,38 @@ def _buffer_key(arr: np.ndarray) -> tuple:
     return (iface["data"][0], arr.shape, iface["strides"], iface["typestr"])
 
 
-def _resident_key(op: TensorOp) -> tuple:
+def _grid_family(grid: TensorOp) -> tuple[tuple, int] | None:
+    """What a grid's block keys share, and the operand's data pointer.
+
+    Every block view ``b[i*s:(i+1)*s, j*s:(j+1)*s]`` has the
+    :func:`_resident_key` ``("arr", ptr) + family`` with ``family =
+    ((s, s), strides, typestr, dtype)`` and ``ptr = data + s*(i*st0 +
+    j*st1)`` — ``strides`` is ``None`` when the view is C-contiguous, as
+    numpy reports it — so keys need no views.  ``None`` for a fully
+    zero-strided operand (a placeholder), whose blocks are keyed by
+    identity and never merge.
+    """
+    b = grid.b
+    s = grid.shape[3]
+    st0, st1 = b.strides
+    if st0 == 0 and st1 == 0:
+        return None
+    iface = b.__array_interface__
+    contiguous = s == 1 or (st1 == b.itemsize and st0 == s * b.itemsize)
+    strides = None if contiguous else (st0, st1)
+    family = ((s, s), strides, iface["typestr"], np.dtype(grid.dtype).str)
+    return family, iface["data"][0]
+
+
+def _grid_pointers(grid: TensorOp, base: int) -> list[int]:
+    """Data pointers of a grid's blocks, in :func:`_grid_calls` order."""
+    kq, kr, _, s = grid.shape
+    st0, st1 = grid.b.strides
+    rows = [s * st0 * i for i in range(kq)]
+    return [base + s * st1 * j + row for j in range(kr) for row in rows]
+
+
+def _resident_key(op: TensorOp | GridCall) -> tuple:
     """Identity of an mm op's resident block plus cost-relevant dtype
     information, used to decide merge groups.
 
@@ -463,8 +701,18 @@ def _resident_key(op: TensorOp) -> tuple:
     view object to several ops (the documented way to request shared
     residency) still merges; distinct placeholder objects never do.
     Partially broadcast numeric views keep the buffer key: equal
-    pointer/strides/shape still implies equal elements there.
+    pointer/strides/shape still implies equal elements there.  A grid
+    call's key is computed from its grid's operand
+    (:func:`_grid_family`), equal to the key of its block view.
     """
+    if isinstance(op, GridCall):
+        grid = op.grid
+        known = _grid_family(grid)
+        if known is None:
+            return ("broadcast", id(grid), op.i, op.j, np.dtype(grid.dtype).str)
+        family, base = known
+        st0, st1 = grid.b.strides
+        return ("arr", base + grid.shape[3] * (op.i * st0 + op.j * st1)) + family
     b = op.b
     if isinstance(b, TensorOp):
         b_key: tuple = ("op", id(b))
@@ -566,11 +814,15 @@ def _split_cap(group: list[TensorOp], machine: TCUMachine, units: int) -> int:
     """The largest feasible split factor for a merge group: no more
     chunks than units, and every chunk at least ``sqrt(m)`` rows (the
     single-call interface floor)."""
-    return max(1, min(units, _group_rows(group) // machine.sqrt_m))
+    return _rows_cap(_group_rows(group), machine, units)
+
+
+def _rows_cap(rows: int, machine: TCUMachine, units: int) -> int:
+    return max(1, min(units, rows // machine.sqrt_m))
 
 
 def _chunk_costs(
-    machine: TCUMachine, rows: int, pieces: int, dtype
+    machine: TCUMachine, rows: int, dtype, pieces: int
 ) -> tuple[float, ...]:
     """Modelled costs of a ``rows``-row stream's row-balanced chunks
     when it is split ``pieces`` ways, in dispatch order."""
@@ -586,8 +838,12 @@ def _level_cost_vector(
     """Per-chunk modelled costs of one level under the given splits, in
     the exact order :func:`_dispatch_parallel` issues the chunks."""
     costs: list[float] = []
-    for group, pieces in zip(groups, splits, strict=True):
-        costs.extend(_chunk_costs(machine, _group_rows(group), pieces, group[0].dtype))
+    tables: dict[tuple, tuple[float, ...]] = {}
+    for shape, pieces in zip(_group_shapes(groups), splits, strict=True):
+        chunks = tables.get((shape, pieces))
+        if chunks is None:
+            chunks = tables[shape, pieces] = _chunk_costs(machine, *shape, pieces)
+        costs.extend(chunks)
     return np.asarray(costs, dtype=np.float64)
 
 
@@ -654,9 +910,10 @@ def _choose_level_splits(
     """
     units = int(getattr(machine, "units", 1))
     best = [1] * len(groups)
-    if units <= 1 or not groups:
+    if units <= 1 or not len(groups):
         return best
-    caps = [_split_cap(g, machine, units) for g in groups]
+    group_shapes = _group_shapes(groups)
+    caps = [_rows_cap(rows, machine, units) for rows, _ in group_shapes]
     if all(cap == 1 for cap in caps):
         return best
 
@@ -664,12 +921,11 @@ def _choose_level_splits(
     shape_ids: dict[tuple[int, np.dtype], int] = {}
     tables: list[tuple[tuple[float, ...], ...]] = []
     shapes: list[int] = []
-    for group, cap in zip(groups, caps, strict=True):
-        rows, dtype = _group_rows(group), np.dtype(group[0].dtype)
+    for (rows, dtype), cap in zip(group_shapes, caps, strict=True):
         if (rows, dtype) not in shape_ids:
             shape_ids[rows, dtype] = len(tables)
             tables.append(
-                tuple(_chunk_costs(machine, rows, f, dtype) for f in range(1, cap + 1))
+                tuple(_chunk_costs(machine, rows, dtype, f) for f in range(1, cap + 1))
             )
         shapes.append(shape_ids[rows, dtype])
 
@@ -748,6 +1004,68 @@ def _choose_level_splits(
     return best
 
 
+def check_split(split: str | int) -> None:
+    """Reject a ``split`` that is neither ``"auto"`` nor an integer >= 1."""
+    if split != "auto" and (
+        isinstance(split, bool)
+        or not isinstance(split, (int, np.integer))
+        or split < 1
+    ):
+        raise ProgramError(
+            f"split must be 'auto' or an integer >= 1, got {split!r}"
+        )
+
+
+def _level_parts(ops: list[TensorOp], merge: bool, expand: bool) -> list:
+    """A level's call parts in first-appearance order: merge groups of
+    calls sharing a resident key, and (unless ``expand``) grid ops kept
+    whole.  With ``expand`` every grid call joins the keyed merge as a
+    :class:`GridCall`; without ``merge`` every call is its own group."""
+    parts: list = []
+    keyed: dict[tuple, list] = {}
+    for op in ops:
+        if op.kind == "grid" and not expand:
+            parts.append(op)
+            continue
+        for member in (op,) if op.kind == "mm" else _grid_calls(op):
+            if not merge:
+                parts.append([member])
+                continue
+            key = _resident_key(member)
+            group = keyed.get(key)
+            if group is None:
+                keyed[key] = group = []
+                parts.append(group)
+            group.append(member)
+    return parts
+
+
+def _grid_blocks_shared(parts: list) -> bool:
+    """Whether any whole grid among ``parts`` has a block key equal to
+    another block of its own, of another grid, or of a merge group —
+    checked per key family on the blocks' data pointers."""
+    seen: dict[tuple, set[int]] = {}
+    for part in parts:
+        if isinstance(part, list):
+            continue
+        known = _grid_family(part)
+        if known is None:
+            continue
+        family, base = known
+        pointers = seen.setdefault(family, set())
+        count = len(pointers)
+        pointers.update(_grid_pointers(part, base))
+        if len(pointers) != count + part.shape[0] * part.shape[1]:
+            return True
+    if seen:
+        for part in parts:
+            if isinstance(part, list):
+                key = _resident_key(part[0])
+                if key[0] == "arr" and key[1] in seen.get(key[2:], ()):
+                    return True
+    return False
+
+
 def plan_program(
     program: TensorProgram,
     machine: TCUMachine,
@@ -783,20 +1101,23 @@ def plan_program(
         (capped per group by feasibility: at most ``p`` chunks, each at
         least ``sqrt(m)`` rows).  On single-unit machines every mode
         degenerates to the legacy schedule.
+
+    A ``grid`` op is expanded into its ``kq * kr`` logical calls
+    arithmetically: its block keys come from the right operand's data
+    pointer and strides (:func:`_grid_family`), so it merges, caps,
+    splits and prices exactly like the per-call ``mm`` ops it stands
+    for, in their order.  A level whose grid blocks all have distinct
+    keys keeps each grid whole in its :class:`CallGroups`; only a level
+    where a grid block is shared materialises :class:`GridCall` s.
     """
-    if split != "auto" and (
-        isinstance(split, bool)
-        or not isinstance(split, (int, np.integer))
-        or split < 1
-    ):
-        raise ProgramError(
-            f"split must be 'auto' or an integer >= 1, got {split!r}"
-        )
+    check_split(split)
     s = machine.sqrt_m
     n_levels = 0
     mm_ops = 0
+    nodes = 0
     for op in program.ops:
         n_levels = max(n_levels, op.level + 1)
+        nodes += 1
         if op.kind == "mm":
             mm_ops += 1
             n, w = op.shape[0], _source_shape(op.a)[1]
@@ -810,31 +1131,39 @@ def plan_program(
                     f"op #{op.op_id}: left operand must have n >= sqrt(m)={s} "
                     f"rows, got {n}"
                 )
+        elif op.kind == "grid":
+            if op.shape[3] != s:
+                raise TensorShapeError(
+                    f"op #{op.op_id}: grid is padded to sqrt(m)={op.shape[3]}, "
+                    f"the machine has sqrt(m)={s}"
+                )
+            mm_ops += op.shape[0] * op.shape[1]
+            nodes += op.shape[0] * op.shape[1] - 1
+        elif op.kind == "stripsum":
+            nodes += op.a.shape[1] - 1
 
     by_level: list[list[TensorOp]] = [[] for _ in range(n_levels)]
     for op in program.ops:
         by_level[op.level].append(op)
 
-    levels: list[tuple[list[list[TensorOp]], list[TensorOp]]] = []
+    levels: list[tuple[CallGroups, list[TensorOp]]] = []
     calls = 0
     for level_ops in by_level:
-        groups: dict[tuple, list[TensorOp]] = {}
-        singles: list[list[TensorOp]] = []
-        others: list[TensorOp] = []
-        for op in level_ops:
-            if op.kind != "mm":
-                others.append(op)
-            elif merge:
-                groups.setdefault(_resident_key(op), []).append(op)
-            else:
-                singles.append([op])
-        if not merge:
-            level_groups = singles
-        else:
-            level_groups = []
-            for group in groups.values():
-                level_groups.extend(_cap_group(group, machine.max_rows))
+        calls_ops = [op for op in level_ops if op.kind in ("mm", "grid")]
+        parts = _level_parts(calls_ops, merge, expand=False)
+        if merge and _grid_blocks_shared(parts):
+            parts = _level_parts(calls_ops, merge, expand=True)
+        level_groups = CallGroups(
+            [
+                capped
+                for part in parts
+                for capped in (
+                    _cap_group(part, machine.max_rows) if isinstance(part, list) else (part,)
+                )
+            ]
+        )
         calls += len(level_groups)
+        others = [op for op in level_ops if op.kind not in ("mm", "grid")]
         levels.append((level_groups, others))
 
     units = int(getattr(machine, "units", 1))
@@ -847,14 +1176,14 @@ def plan_program(
             chosen = [1] * len(level_groups)
         else:
             chosen = [
-                min(int(split), _split_cap(g, machine, units))
-                for g in level_groups
+                min(int(split), _rows_cap(rows, machine, units))
+                for rows, _ in level_groups.shapes()
             ]
         splits.append(chosen)
         modelled.append(_level_makespan(level_groups, chosen, machine))
 
     stats = PlanStats(
-        ops=len(program.ops),
+        ops=nodes,
         mm_ops=mm_ops,
         tensor_calls_planned=calls,
         merged_away=mm_ops - calls,
@@ -886,25 +1215,41 @@ def _group_operands(group: list[TensorOp]) -> np.ndarray:
     return np.vstack([_resolve(op.a) for op in group])  # repro-lint: disable=LED001 -- stacking merged streams is row bookkeeping (index arithmetic), uncharged by the module-docstring convention
 
 
-def _scatter_group(group: list[TensorOp], out: np.ndarray) -> None:
+def _scatter_group(group: list, out: np.ndarray) -> None:
     offset = 0
     for op in group:
         rows = op.shape[0]
-        op.value = out[offset : offset + rows]
+        if isinstance(op, GridCall):
+            op.store(out[offset : offset + rows])
+        else:
+            op.value = out[offset : offset + rows]
         offset += rows
 
 
-def _scatter_placeholders(group: list[TensorOp]) -> None:
+def _scatter_placeholders(group: list) -> None:
     for op in group:
-        op.value = placeholder(op.shape, op.dtype)
+        if isinstance(op, GridCall):
+            op.grid.value = placeholder(op.grid.shape, op.grid.dtype)
+        else:
+            op.value = placeholder(op.shape, op.dtype)
 
 
-def _group_rows(group: list[TensorOp]) -> int:
+def _group_rows(group: list) -> int:
     return sum(op.shape[0] for op in group)
 
 
+def _grid_strips(grid: TensorOp) -> np.ndarray:
+    """A grid's strips ``a_i`` as a ``(kq, p, s)`` view."""
+    kq, _, p, s = grid.shape
+    return grid.a.reshape(p, kq, s).swapaxes(0, 1)
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
 def _dispatch_parallel(
-    groups: list[list[TensorOp]],
+    groups: CallGroups,
     machine: ParallelTCUMachine,
     cost_only: bool,
     splits: Sequence[int] | None = None,
@@ -925,54 +1270,163 @@ def _dispatch_parallel(
     itself), so the numerics are bit-identical to the unsplit call
     while each chunk lands on its own unit with its own trace
     ``unit_id``.
+
+    A whole grid none of whose calls is split rides the batch as one
+    stacked pair — its strips broadcast against its blocks, calls in
+    :func:`_grid_calls` order — which ``mm_batch``'s plain path
+    multiplies in one ``np.matmul``; a grid with a split call is
+    issued call by call.
     """
     s = machine.sqrt_m
     if splits is None:
         splits = [1] * len(groups)
-    pairs = []
-    for g, pieces in zip(groups, splits, strict=True):
-        if cost_only:
-            A = placeholder((_group_rows(g), s), g[0].dtype)
-            B = placeholder((s, s), g[0].dtype)
+    pairs: list[tuple[np.ndarray, np.ndarray]] = []
+    issued: list[tuple] = []  # (group, pieces), or (grid, None) for a stacked grid
+    index = 0
+    for part in _parts(groups):
+        if isinstance(part, list):
+            members = [(part, splits[index])]
+            index += 1
         else:
-            A = _group_operands(g)
-            B = _resolve(g[0].b)
-        if pieces == 1:
-            pairs.append((A, B))
-        else:
-            pairs.extend(
-                (A[lo:hi], B) for lo, hi in _split_bounds(A.shape[0], pieces)
-            )
+            kq, kr, p, _ = part.shape
+            factors = splits[index : index + kq * kr]
+            index += kq * kr
+            if max(factors) == 1:
+                if cost_only:
+                    A = placeholder((1, kq, p, s), part.dtype)
+                    B = placeholder((kr, kq, s, s), part.dtype)
+                else:
+                    A = _grid_strips(part)[None]
+                    B = part.b.reshape(kq, s, kr, s).transpose(2, 0, 1, 3)
+                pairs.append((A, B))
+                issued.append((part, None))
+                continue
+            members = list(zip(([c] for c in _grid_calls(part)), factors, strict=True))
+        for g, pieces in members:
+            if cost_only:
+                A = placeholder((_group_rows(g), s), g[0].dtype)
+                B = placeholder((s, s), g[0].dtype)
+            else:
+                A = _group_operands(g)
+                B = _resolve(g[0].b)
+            if pieces == 1:
+                pairs.append((A, B))
+            else:
+                pairs.extend(
+                    (A[lo:hi], B) for lo, hi in _split_bounds(A.shape[0], pieces)
+                )
+            issued.append((g, pieces))
     results = machine.mm_batch(pairs)
     index = 0
-    for g, pieces in zip(groups, splits, strict=True):
+    for target, pieces in issued:
+        if pieces is None:
+            out = results[index]
+            index += 1
+            if cost_only:
+                target.value = placeholder(target.shape, target.dtype)
+            else:
+                target.value = out.swapaxes(0, 1)
+            continue
         outs = results[index : index + pieces]
         index += pieces
         if cost_only:
-            _scatter_placeholders(g)
+            _scatter_placeholders(target)
         elif pieces == 1:
-            _scatter_group(g, outs[0])
+            _scatter_group(target, outs[0])
         else:
-            _scatter_group(g, np.vstack(outs))  # repro-lint: disable=LED001 -- reassembling sibling chunk outputs is the inverse of the uncharged merge gather (row bookkeeping)
+            _scatter_group(target, np.vstack(outs))  # repro-lint: disable=LED001 -- reassembling sibling chunk outputs is the inverse of the uncharged merge gather (row bookkeeping)
 
 
-def _dispatch_grid(groups: list[list[TensorOp]], machine: TCUMachine) -> None:
-    """One level on a sequential machine, fused: bucket the merged call
-    groups and issue each bucket as one :meth:`TCUMachine.mm_grid`.
+def _grid_per_call(grid: TensorOp, machine: TCUMachine) -> None:
+    """Issue a grid's calls one by one through ``machine.mm``, in
+    :func:`_grid_calls` order — the per-call primitive for machines
+    whose calls cannot be stacked, and the ``fused=False`` executor."""
+    cost_only = machine.execute == "cost-only"
+    value = None
+    for call in _grid_calls(grid):
+        out = machine.mm(call.a, call.b)
+        if cost_only:
+            continue
+        if value is None:
+            value = np.empty(grid.shape, dtype=out.dtype)
+        value[call.i, call.j] = out
+    grid.value = placeholder(grid.shape, grid.dtype) if cost_only else value
 
-    Calls sharing a left operand buffer (e.g. the same Theorem 2 strip
-    streamed against many resident blocks) become one broadcast grid —
-    their stacked right operands ride a single ``np.matmul`` without
-    duplicating the stream — and the remaining equal-height calls are
-    stacked into one grid per ``(rows, dtype)`` bucket.  Charges equal
-    the per-op loop exactly; trace rows may land in a different order
-    within the level (the per-shape totals are unchanged).
+
+def _run_grids(grids: list[TensorOp], machine: TCUMachine) -> None:
+    """Whole grids on a sequential machine: one stacked
+    :meth:`TCUMachine.mm_grid` per grid shape.
+
+    Each strip is stacked once and broadcast against its row of blocks
+    (never repeated), so ``mm_grid`` runs one GEMM per strip against
+    its concatenated block row — the numerics the per-call emission's
+    shared-stream grids had.  Charges are one bulk append per bucket.
+    Numeric machines whose calls cannot be stacked (non-fusable
+    kernels, streams the row bound splits) issue each call through
+    ``mm`` instead.
     """
     s = machine.sqrt_m
     cost_only = machine.execute == "cost-only"
-    if cost_only:
-        buckets: dict[tuple, list[list[TensorOp]]] = {}
-        for g in groups:
+    buckets: dict[tuple, list[TensorOp]] = {}
+    for grid in grids:
+        if not cost_only and (
+            not machine.fusable
+            or (machine.max_rows is not None and grid.shape[2] > machine.max_rows)
+        ):
+            _grid_per_call(grid, machine)
+            continue
+        buckets.setdefault((grid.shape, np.dtype(grid.dtype).str), []).append(grid)
+    for (shape, _), bucket in buckets.items():
+        kq, kr, p, _ = shape
+        k = len(bucket)
+        dtype = bucket[0].dtype
+        if cost_only:
+            machine.mm_grid(
+                placeholder((k, kq, 1, p, s), dtype), placeholder((k, kq, kr, s, s), dtype)
+            )
+            for grid in bucket:
+                grid.value = placeholder(grid.shape, dtype)
+            continue
+        strips = _stack([_grid_strips(grid) for grid in bucket])
+        rows = _stack([grid.b.reshape(kq, s, kr * s) for grid in bucket])
+        out = machine.mm_grid(strips[:, :, None], rows.reshape(k, kq, s, kr, s).swapaxes(2, 3))
+        for grid, value in zip(bucket, out, strict=True):
+            grid.value = value
+
+
+def _strip_sum(op: TensorOp) -> np.ndarray:
+    """A ``stripsum`` op's value: each block column of the product
+    summed from zeros over the grid's strips in order."""
+    products = op.a.result()
+    kq, kr, p, s = products.shape
+    blocks = np.zeros((kr, p, s), dtype=op.dtype)
+    for i in range(kq):
+        blocks += products[i]
+    return np.ascontiguousarray(blocks.swapaxes(0, 1)).reshape(p, kr * s)
+
+
+def _dispatch_grid(groups: CallGroups, machine: TCUMachine) -> None:
+    """One level on a sequential machine, fused: whole grids through
+    :func:`_run_grids`, then the merge groups bucketed into
+    :meth:`TCUMachine.mm_grid` calls.
+
+    Merge groups sharing a left operand buffer (e.g. one stream against
+    many resident blocks) become one broadcast grid — their stacked
+    right operands ride a single ``np.matmul`` without duplicating the
+    stream — and the remaining equal-height groups are stacked into one
+    grid per ``(rows, dtype)`` bucket.  Charges equal the per-call loop
+    exactly; trace rows may land in a different order within the level
+    (the per-shape totals are unchanged).
+    """
+    s = machine.sqrt_m
+    parts = _parts(groups)
+    grids = [part for part in parts if not isinstance(part, list)]
+    if grids:
+        _run_grids(grids, machine)
+    merged = [part for part in parts if isinstance(part, list)]
+    if machine.execute == "cost-only":
+        buckets: dict[tuple, list[list]] = {}
+        for g in merged:
             n_g = _group_rows(g)
             if machine.max_rows is not None and n_g > machine.max_rows:
                 # the hardware would split this stream: scalar call so
@@ -992,8 +1446,8 @@ def _dispatch_grid(groups: list[list[TensorOp]], machine: TCUMachine) -> None:
                 _scatter_placeholders(g)
         return
 
-    by_a: dict[tuple, list[tuple[list[TensorOp], np.ndarray, np.ndarray]]] = {}
-    for g in groups:
+    by_a: dict[tuple, list[tuple[list, np.ndarray, np.ndarray]]] = {}
+    for g in merged:
         A = _group_operands(g)
         B = _resolve(g[0].b)
         if not machine.fusable or (
@@ -1004,7 +1458,7 @@ def _dispatch_grid(groups: list[list[TensorOp]], machine: TCUMachine) -> None:
         key = _buffer_key(A) + (np.result_type(A, B).str,)
         by_a.setdefault(key, []).append((g, A, B))
 
-    singles: dict[tuple, list[tuple[list[TensorOp], np.ndarray, np.ndarray]]] = {}
+    singles: dict[tuple, list[tuple[list, np.ndarray, np.ndarray]]] = {}
     for items in by_a.values():
         if len(items) == 1:
             g, A, B = items[0]
@@ -1030,7 +1484,7 @@ def _dispatch_grid(groups: list[list[TensorOp]], machine: TCUMachine) -> None:
 
 
 def _execute_level(
-    groups: list[list[TensorOp]],
+    groups: CallGroups,
     others: list[TensorOp],
     machine: TCUMachine,
     fused: bool,
@@ -1039,7 +1493,7 @@ def _execute_level(
     """Execute one planned level: its merged call groups, then its
     CPU-side ops — the unit of work :class:`ExecutionCursor` steps by."""
     cost_only = machine.execute == "cost-only"
-    if groups:
+    if len(groups):
         if isinstance(machine, ParallelTCUMachine) and (
             len(groups) > 1
             or (splits is not None and any(f > 1 for f in splits))
@@ -1048,7 +1502,10 @@ def _execute_level(
         elif fused:
             _dispatch_grid(groups, machine)
         else:
-            for g in groups:
+            for g in _parts(groups):
+                if not isinstance(g, list):
+                    _grid_per_call(g, machine)
+                    continue
                 out = machine.mm(_group_operands(g), _resolve(g[0].b))
                 if cost_only:
                     _scatter_placeholders(g)
@@ -1099,6 +1556,10 @@ def _execute_level(
                 op.value = placeholder(op.shape, op.dtype)
                 continue
             op.value = _resolve(op.a)[op.key]
+        elif op.kind == "stripsum":
+            kq, kr, p, s = op.a.shape
+            machine.charge_cpu(kq * kr * p * s)
+            op.value = placeholder(op.shape, op.dtype) if cost_only else _strip_sum(op)
         else:  # pragma: no cover - defensive
             raise ProgramError(f"unknown op kind {op.kind!r}")
 
@@ -1205,20 +1666,11 @@ class ExecutionCursor:
         level) still has to stream against.  Distinctness follows the
         planner's own resident identity (:func:`_resident_key`), so a
         block shared by many calls is counted once — exactly the set a
-        resume must re-load.
+        resume must re-load.  Read from the plan's suffix table
+        (:meth:`Plan.resident_words`).
         """
         start = self.next_level if from_level is None else from_level
-        seen: set[tuple] = set()
-        words = 0
-        for groups, _ in self.plan.levels[start:]:
-            for g in groups:
-                key = _resident_key(g[0])
-                if key in seen:
-                    continue
-                seen.add(key)
-                shape = _source_shape(g[0].b)
-                words += shape[0] * shape[1]
-        return words
+        return self.plan.resident_words(start)
 
     def charge_reload(self) -> float:
         """Charge the resume cost of a suspended cursor and return it.
@@ -1373,6 +1825,34 @@ class CompiledCursor:
         return self.machine.ledger.charge_reload(self.resident_words())
 
 
+def run_grid(total: TensorOp, machine: TCUMachine) -> np.ndarray:
+    """Execute one grid product — the op :meth:`TensorProgram.grid`
+    returned — without planning it, and return its value.
+
+    A lone grid has nothing to merge, so a sequential machine runs it
+    through the level executor directly, charging exactly what its
+    planned execution charges.  On a machine that can fuse it —
+    fusable numerics, no overflow check, a stream the row bound does
+    not split — its products and strip sums are one GEMM
+    ``np.dot(a, b)`` (the strip sums are the contraction over strips),
+    charged as the grid's calls plus its strip sums.
+    """
+    grid = total.a
+    kq, kr, p, s = grid.shape
+    if (
+        machine.execute != "cost-only"
+        and machine.fusable
+        and not machine.check_overflow
+        and (machine.max_rows is None or p <= machine.max_rows)
+    ):
+        machine.charge_mm_grid(p, kq * kr, grid.dtype)
+        machine.charge_cpu(kq * kr * p * s)
+        total.value = np.dot(grid.a, grid.b)
+    else:
+        _execute_level(CallGroups([grid]), [total], machine, fused=True)
+    return total.value
+
+
 def execute_plan(plan: Plan, machine: TCUMachine, *, fused: bool = True) -> None:
     """Run a plan to exhaustion, charging the machine's ledger, and
     populate ``op.value`` on every node.
@@ -1383,14 +1863,17 @@ def execute_plan(plan: Plan, machine: TCUMachine, *, fused: bool = True) -> None
     With ``fused=True`` (default) each level's merged call groups are
     bucketed and issued through the bulk :meth:`TCUMachine.mm_grid`
     primitive — one stacked numpy product and one vectorised ledger
-    charge per bucket instead of a Python-level call per op.
-    ``fused=False`` replays the per-group scalar schedule (the
-    pre-fusion executor, kept as the equivalence reference).  On a
+    charge per bucket instead of a Python-level call per op; whole
+    grids (Theorem 2 products) are stacked one ``mm_grid`` per grid
+    shape.  ``fused=False`` replays the per-group scalar schedule and
+    issues grids call by call (the pre-fusion executor, kept as the
+    equivalence reference).  On a
     :class:`~repro.core.parallel.ParallelTCUMachine`, each level's
     merged calls are issued as one :meth:`mm_batch` (scheduled over the
     units by the machine's policy) in either mode and on every machine
     configuration, including row-bounded, complex-cost, systolic and
-    overflow-checked machines.
+    overflow-checked machines; an unsplit grid joins that batch as one
+    stacked pair.  Strip sums run with the level's CPU-side ops.
 
     On a machine with ``execute="cost-only"`` all numeric work is
     skipped: call groups are charged from their shapes alone and every

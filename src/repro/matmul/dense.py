@@ -16,16 +16,20 @@ model time; :func:`matmul` generalises the same schedule to arbitrary
 
 Plan/execute split
 ------------------
-By default (``plan=True``) the schedule is *built* as a lazy
-:class:`~repro.core.program.TensorProgram` — ``mm`` nodes for the
-``C_{i,j}`` products, ``add`` nodes for the strip reductions — and
-executed through :func:`~repro.core.program.run_program`.  For a single
-product the planned charges are identical to the eager ones (there is
-nothing to merge inside one Theorem 2 grid), but the planner batches
-each DAG level on a :class:`~repro.core.parallel.ParallelTCUMachine`
-and, across products sharing a resident block (see :func:`matmul_lazy`),
-merges calls so k products pay one latency.  ``plan=False`` is the
-eager escape hatch that executes each call as it is produced.
+A product is one grid node of a lazy
+:class:`~repro.core.program.TensorProgram`
+(:meth:`~repro.core.program.TensorProgram.grid`): the ``kq * kr``
+``C_{i,j}`` calls plus the strip sums ``C_j = sum_i C_{i,j}``, planned,
+levelled and charged exactly like one ``mm`` node per call and one
+``add`` node per output block column.  :func:`matmul` runs its one grid
+through the level executor: a
+:class:`~repro.core.parallel.ParallelTCUMachine` plans it (the planner
+batches its calls over the units), a sequential machine runs it unplanned
+(a lone grid has nothing to merge) — as a single ``A @ B`` GEMM on
+machines that can fuse it.  Across products sharing a resident block
+(see :func:`matmul_lazy`) the planner merges calls so k products pay one
+latency.  ``plan=False`` is the eager escape hatch that executes each
+call as it is produced.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 
 from ..core.machine import TCUMachine, placeholder
 from ..core.parallel import ParallelTCUMachine
-from ..core.program import Lazy, TensorProgram, run_program
+from ..core.program import Lazy, TensorProgram, check_split, run_grid, run_program
 from .schedule import ceil_to_multiple, pad_matrix, padded_copy_cost, theorem2_tasks
 
 __all__ = [
@@ -59,7 +63,12 @@ def _check_operands(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def _pad_operands(
     tcu: TCUMachine, A: np.ndarray, B: np.ndarray, charge_padding: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pad both operands to the tensor-unit grid, charging the copies."""
+    """Pad both operands to the tensor-unit grid, charging the copies.
+
+    On a cost-only machine a padded copy is an O(1) placeholder: the
+    copy is charged but never materialised (a fresh copy's blocks are
+    distinct from every other buffer either way).
+    """
     p, q = A.shape
     _, r = B.shape
     s = tcu.sqrt_m
@@ -70,64 +79,13 @@ def _pad_operands(
         tcu.charge_cpu(
             padded_copy_cost(A, p_pad, q_pad) + padded_copy_cost(B, q_pad, r_pad)
         )
+    if tcu.execute == "cost-only":
+        return _padded_placeholder(A, p_pad, q_pad), _padded_placeholder(B, q_pad, r_pad)
     return pad_matrix(A, p_pad, q_pad), pad_matrix(B, q_pad, r_pad)
 
 
-def _emit_theorem2(
-    tcu: TCUMachine, program: TensorProgram, Ap: np.ndarray, Bp: np.ndarray
-) -> Lazy:
-    """Append the Theorem 2 schedule for padded operands to ``program``.
-
-    One ``mm`` node per grid product, one ``add`` node per output
-    column; the returned :class:`Lazy` assembles the padded result after
-    the program has executed.  Charges match the eager loop exactly
-    (each ``add`` term costs one RAM unit per word, like the eager
-    ``C_j += C_{i,j}`` accumulation).
-    """
-    s = tcu.sqrt_m
-    p_pad = Ap.shape[0]
-    r_pad = Bp.shape[1]
-    partials: dict[int, list] = {}
-    for j, _, strip, block in theorem2_tasks(Ap, Bp, s):
-        partials.setdefault(j, []).append(program.mm(strip, block))
-    columns = [program.add(partials[j]) for j in range(r_pad // s)]
-
-    def assemble() -> np.ndarray:
-        C = np.zeros((p_pad, r_pad), dtype=np.result_type(Ap.dtype, Bp.dtype))
-        for j, col in enumerate(columns):
-            C[:, j * s : (j + 1) * s] = col.result()
-        return C
-
-    return Lazy(assemble)
-
-
-def _charge_theorem2_grid(tcu: TCUMachine, p_pad: int, kq: int, kr: int, dtype) -> None:
-    """Charge the whole Theorem 2 grid — ``kq * kr`` tall calls of
-    ``p_pad`` rows (the machine's bulk grid rule) plus the per-partial
-    strip accumulations — exactly as the per-task loop would."""
-    tcu.charge_mm_grid(p_pad, kq * kr, dtype)
-    tcu.charge_cpu(kq * kr * p_pad * tcu.sqrt_m)  # the C_{i,j} accumulations
-
-
-def _matmul_fused(tcu: TCUMachine, Ap: np.ndarray, Bp: np.ndarray) -> np.ndarray:
-    """The Theorem 2 strip-by-block grid as one fused contraction.
-
-    The strips ``A_i`` and blocks ``B_{i,j}`` are strided views of the
-    padded operands, so the whole grid is a single tensordot (which
-    lowers to one GEMM) — the per-call products and the ``sum_i C_{i,j}``
-    strip accumulations fuse into it.  Charges are identical to issuing
-    the ``kq * kr`` calls through :meth:`TCUMachine.mm` one by one.
-    """
-    s = tcu.sqrt_m
-    p_pad, q_pad = Ap.shape
-    r_pad = Bp.shape[1]
-    kq, kr = q_pad // s, r_pad // s
-    dtype = np.result_type(Ap.dtype, Bp.dtype)
-    _charge_theorem2_grid(tcu, p_pad, kq, kr, dtype)
-    strips = Ap.reshape(p_pad, kq, s).transpose(1, 0, 2)  # (i, p, k) views
-    blocks = Bp.reshape(kq, s, kr, s).transpose(0, 2, 1, 3)  # (i, j, k, t)
-    C = np.tensordot(strips, blocks, axes=((0, 2), (0, 2)))  # (p, j, t)
-    return C.reshape(p_pad, r_pad)
+def _padded_placeholder(M: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    return M if M.shape == (rows, cols) else placeholder((rows, cols), M.dtype)
 
 
 def matmul(
@@ -151,27 +109,32 @@ def matmul(
         Charge the RAM-model cost of materialising padded copies (on by
         default; disable only inside algorithms that pre-pad).
     plan:
-        Dispatch the whole schedule through the fused grid kernel (the
-        default): one vectorised ledger charge and one stacked numpy
-        contraction for the entire strip-by-block grid, cost-identical
-        to the eager loop.  Machines the fused kernel cannot express
-        exactly (parallel batch accounting, hardware row bounds that
-        split the stream, the systolic backend, quantised kernels) fall
-        back to the planned :class:`~repro.core.program.TensorProgram`
-        path.  ``False`` executes each tensor call eagerly as the
-        schedule produces it.
+        Build the schedule as one grid node and run it through the level
+        executor (the default): a
+        :class:`~repro.core.parallel.ParallelTCUMachine` plans the grid
+        and batches its calls over the units; a sequential machine runs
+        it unplanned — one ``A @ B`` GEMM with one vectorised ledger
+        charge on machines that can fuse it, a stacked grid product
+        whose every call is checked on overflow-checked machines, the
+        grid's calls through the machine's own primitive on
+        row-bounded, weak, quantised and systolic machines.  Charges
+        equal the eager loop's.  ``False`` executes each tensor call
+        eagerly as the schedule produces it.
     split:
-        Forwarded to :func:`~repro.core.program.plan_program` on the
-        planned path: ``"auto"`` (default) lets the cost model split
-        merged tall calls across parallel units, ``1`` pins the legacy
+        Validated on entry for every machine (``"auto"`` or an integer
+        ``>= 1``, else :class:`~repro.core.program.ProgramError`) and
+        forwarded to :func:`~repro.core.program.plan_program` on a
+        parallel machine: ``"auto"`` (default) lets the cost model split
+        merged tall calls across the units, ``1`` pins the legacy
         one-call-per-group schedule, an explicit ``s`` forces ``s``
-        chunks per group.  Serial machines and the fused direct path
-        are unaffected (splitting is the identity there).
+        chunks per group.  Sequential machines are unaffected
+        (splitting is the identity there).
 
     On a machine with ``execute="cost-only"`` the product is never
-    computed: the schedule's exact model cost is charged from shapes
-    alone and an O(1)-storage placeholder is returned, so sweeps can run
-    at ledger speed on operands that are themselves placeholders.
+    computed and no padded copy is materialised: the schedule's exact
+    model cost is charged from shapes alone and an O(1)-storage
+    placeholder is returned, so sweeps can run at ledger speed on
+    operands that are themselves placeholders.
 
     Notes
     -----
@@ -180,52 +143,23 @@ def matmul(
     asymmetric behaviour of Section 3 (property 3).  Output additions
     are charged one RAM unit per word.
     """
+    check_split(split)
     A, B = _check_operands(A, B)
     p, q = A.shape
     _, r = B.shape
     if p == 0 or q == 0 or r == 0:
         return np.zeros((p, r), dtype=np.result_type(A.dtype, B.dtype))
-    s = tcu.sqrt_m
-    p_pad = max(p, s)
-    q_pad = ceil_to_multiple(q, s)
-    r_pad = ceil_to_multiple(r, s)
-    cost_only = tcu.execute == "cost-only"
-    direct = (
-        plan
-        and not isinstance(tcu, ParallelTCUMachine)
-        and (tcu.max_rows is None or p_pad <= tcu.max_rows)
-        # machines that restrict the call interface itself (the weak
-        # model's square-only mm) must keep validating every call
-        and type(tcu).mm is TCUMachine.mm
-        # the fused contraction sums partials before any value exists to
-        # check, so overflow-checked machines take the program path
-        # (whose grid primitive checks every stacked product)
-        and not tcu.check_overflow
-        and (cost_only or tcu.fusable)
-    )
-
-    if direct and cost_only:
-        # never materialise the padded copies: charge the schedule from
-        # shapes alone (the operands may themselves be placeholders)
-        if charge_padding:
-            tcu.charge_cpu(
-                padded_copy_cost(A, p_pad, q_pad) + padded_copy_cost(B, q_pad, r_pad)
-            )
-        dtype = np.result_type(A.dtype, B.dtype)
-        _charge_theorem2_grid(tcu, p_pad, q_pad // s, r_pad // s, dtype)
-        return placeholder((p, r), dtype)
-
     Ap, Bp = _pad_operands(tcu, A, B, charge_padding)
-
-    if direct:
-        return _matmul_fused(tcu, Ap, Bp)[:p, :r]
-
     if plan:
         program = TensorProgram()
-        lazy = _emit_theorem2(tcu, program, Ap, Bp)
-        run_program(program, tcu, split=split)
-        return lazy.result()[:p, :r]
+        product = program.grid(Ap, Bp, tcu.sqrt_m)
+        if isinstance(tcu, ParallelTCUMachine):
+            run_program(program, tcu, split=split)
+        else:
+            run_grid(product, tcu)
+        return product.result()[:p, :r]
 
+    s = tcu.sqrt_m
     out_dtype = np.result_type(Ap.dtype, Bp.dtype)
     C = np.zeros((Ap.shape[0], Bp.shape[1]), dtype=out_dtype)
     for j, _, strip, block in theorem2_tasks(Ap, Bp, s):
@@ -245,7 +179,8 @@ def matmul_lazy(
     *,
     charge_padding: bool = True,
 ) -> Lazy:
-    """Append a Theorem 2 product to a caller-owned program.
+    """Append a Theorem 2 product to a caller-owned program, as one
+    grid node (:meth:`~repro.core.program.TensorProgram.grid`).
 
     This is how independent products join one plan: every product built
     into the same program is planned together, so calls that share a
@@ -266,9 +201,8 @@ def matmul_lazy(
     if p == 0 or q == 0 or r == 0:
         empty = np.zeros((p, r), dtype=np.result_type(A.dtype, B.dtype))
         return Lazy(lambda: empty)
-    Ap, Bp = _pad_operands(tcu, A, B, charge_padding)
-    lazy = _emit_theorem2(tcu, program, Ap, Bp)
-    return Lazy(lambda: lazy.result()[:p, :r])
+    product = program.grid(*_pad_operands(tcu, A, B, charge_padding), tcu.sqrt_m)
+    return Lazy(lambda: product.result()[:p, :r])
 
 
 def square_mm(tcu: TCUMachine, A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -153,15 +153,31 @@ def recursion_depth(side: int, cutoff: int, block: int) -> int:
     return depth
 
 
-def _combine(
+def _operand_pairs(
     tcu: TCUMachine,
-    blocks: list[list[np.ndarray]],
-    coeffs: Coeffs,
-    side: int,
+    A: np.ndarray,
+    B: np.ndarray,
+    alg: BilinearAlgorithm,
+    sub: int,
     dtype: np.dtype,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The ``p0`` operand pairs of one recursion step, formed one pair
+    at a time: linear combinations of the operands' ``sub x sub``
+    blocks, charging one RAM unit per word per term (one charge for the
+    step, paid when the first pair is formed)."""
+    b = alg.block
+    blocksA = [[A[i * sub : (i + 1) * sub, j * sub : (j + 1) * sub] for j in range(b)] for i in range(b)]
+    blocksB = [[B[i * sub : (i + 1) * sub, j * sub : (j + 1) * sub] for j in range(b)] for i in range(b)]
+    terms = sum(len(a_coeffs) + len(b_coeffs) for a_coeffs, b_coeffs in alg.products)
+    tcu.charge_cpu(terms * sub * sub)
+    for a_coeffs, b_coeffs in alg.products:
+        yield _combine(blocksA, a_coeffs, sub, dtype), _combine(blocksB, b_coeffs, sub, dtype)
+
+
+def _combine(
+    blocks: list[list[np.ndarray]], coeffs: Coeffs, side: int, dtype: np.dtype
 ) -> np.ndarray:
-    """Form a linear combination of operand blocks, charging one RAM
-    unit per word touched."""
+    """A linear combination of operand blocks (charged by the caller)."""
     out = np.zeros((side, side), dtype=dtype)
     for (i, j), coef in coeffs.items():
         if coef == 1:
@@ -170,7 +186,6 @@ def _combine(
             out -= blocks[i][j]
         else:
             out += coef * blocks[i][j]
-        tcu.charge_cpu(side * side)
     return out
 
 
@@ -265,28 +280,12 @@ def _recurse(
         A = pad_matrix(A, padded, padded)
         B = pad_matrix(B, padded, padded)
     sub = padded // b
-    blocksA = [[A[i * sub : (i + 1) * sub, j * sub : (j + 1) * sub] for j in range(b)] for i in range(b)]
-    blocksB = [[B[i * sub : (i + 1) * sub, j * sub : (j + 1) * sub] for j in range(b)] for i in range(b)]
     dtype = np.result_type(A.dtype, B.dtype)
-
-    prods: list[np.ndarray] = []
-    for a_coeffs, b_coeffs in alg.products:
-        left = _combine(tcu, blocksA, a_coeffs, sub, dtype)
-        right = _combine(tcu, blocksB, b_coeffs, sub, dtype)
-        prods.append(_recurse(tcu, left, right, alg, cutoff))
-
-    C = np.zeros((padded, padded), dtype=dtype)
-    for (i, j), terms in alg.c_terms.items():
-        out = C[i * sub : (i + 1) * sub, j * sub : (j + 1) * sub]
-        for idx, coef in terms:
-            if coef == 1:
-                out += prods[idx]
-            elif coef == -1:
-                out -= prods[idx]
-            else:
-                out += coef * prods[idx]
-            tcu.charge_cpu(sub * sub)
-    return C[:side, :side]
+    prods = [
+        _recurse(tcu, left, right, alg, cutoff)
+        for left, right in _operand_pairs(tcu, A, B, alg, sub, dtype)
+    ]
+    return _assemble(tcu, alg, prods, padded, sub, dtype)[:side, :side]
 
 
 def _recurse_lazy(
@@ -316,29 +315,40 @@ def _recurse_lazy(
         A = pad_matrix(A, padded, padded)
         B = pad_matrix(B, padded, padded)
     sub = padded // b
-    blocksA = [[A[i * sub : (i + 1) * sub, j * sub : (j + 1) * sub] for j in range(b)] for i in range(b)]
-    blocksB = [[B[i * sub : (i + 1) * sub, j * sub : (j + 1) * sub] for j in range(b)] for i in range(b)]
     dtype = np.result_type(A.dtype, B.dtype)
-
-    lazies: list[Lazy] = []
-    for a_coeffs, b_coeffs in alg.products:
-        left = _combine(tcu, blocksA, a_coeffs, sub, dtype)
-        right = _combine(tcu, blocksB, b_coeffs, sub, dtype)
-        lazies.append(_recurse_lazy(tcu, program, left, right, alg, cutoff))
+    lazies = [
+        _recurse_lazy(tcu, program, left, right, alg, cutoff)
+        for left, right in _operand_pairs(tcu, A, B, alg, sub, dtype)
+    ]
 
     def assemble() -> np.ndarray:
         prods = [lazy.result() for lazy in lazies]
-        C = np.zeros((padded, padded), dtype=dtype)
-        for (i, j), terms in alg.c_terms.items():
-            out = C[i * sub : (i + 1) * sub, j * sub : (j + 1) * sub]
-            for idx, coef in terms:
-                if coef == 1:
-                    out += prods[idx]
-                elif coef == -1:
-                    out -= prods[idx]
-                else:
-                    out += coef * prods[idx]
-                tcu.charge_cpu(sub * sub)
-        return C[:side, :side]
+        return _assemble(tcu, alg, prods, padded, sub, dtype)[:side, :side]
 
     return Lazy(assemble)
+
+
+def _assemble(
+    tcu: TCUMachine,
+    alg: BilinearAlgorithm,
+    prods: list[np.ndarray],
+    padded: int,
+    sub: int,
+    dtype: np.dtype,
+) -> np.ndarray:
+    """Form the output blocks from the products, charging one RAM unit
+    per word per term (one charge for the whole assembly)."""
+    C = np.zeros((padded, padded), dtype=dtype)
+    terms_total = 0
+    for (i, j), terms in alg.c_terms.items():
+        out = C[i * sub : (i + 1) * sub, j * sub : (j + 1) * sub]
+        for idx, coef in terms:
+            if coef == 1:
+                out += prods[idx]
+            elif coef == -1:
+                out -= prods[idx]
+            else:
+                out += coef * prods[idx]
+        terms_total += len(terms)
+    tcu.charge_cpu(terms_total * sub * sub)
+    return C

@@ -20,6 +20,7 @@ from repro import (
     TCUMachine,
     TensorProgram,
     compile_plan,
+    matmul,
     matmul_lazy,
     run_program,
 )
@@ -279,6 +280,21 @@ class TestSplitKnob:
             plan_program(prog, machine, split=True)
         with pytest.raises(ProgramError):
             plan_program(prog, machine, split="bogus")
+
+    @pytest.mark.parametrize("config", sorted(MACHINE_CONFIGS))
+    def test_invalid_split_rejected_on_entry_to_kernels(self, config):
+        """``split`` is checked on entry to ``matmul`` on every machine —
+        serial ones never reach the planner — so ``batched_dft`` and the
+        other kernels forwarding it inherit the check."""
+        rng = np.random.default_rng(1)
+        message = "split must be 'auto' or an integer >= 1, got 'bogus'"
+        machine = MACHINE_CONFIGS[config]()
+        with pytest.raises(ProgramError) as raised:
+            matmul(machine, rng.random((8, 4)), rng.random((4, 4)), split="bogus")
+        assert str(raised.value) == message
+        with pytest.raises(ProgramError) as raised:
+            batched_dft(machine, rng.random((2, 16)) + 0j, split="bogus")
+        assert str(raised.value) == message
 
     def test_explicit_split_forces_factor(self):
         machine = ParallelTCUMachine(m=16, ell=ELL, units=4)

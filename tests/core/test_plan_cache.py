@@ -19,7 +19,7 @@ from repro import (
     compile_plan,
 )
 from repro.core.ledger import LedgerError
-from repro.core.program import ExecutionCursor, ProgramError
+from repro.core.program import ExecutionCursor, ProgramError, _resident_key, _source_shape
 from repro.serve import get_request_type
 
 ELL = 512.0
@@ -156,6 +156,35 @@ class TestCompiledPlanShape:
         compiled = compile_plan(get_request_type("matmul"), machine, [8, 8, 8])
         assert compiled.coalesced is None
         assert any(not level.simple for level in compiled.levels)
+
+    @pytest.mark.parametrize("config", sorted(MACHINE_CONFIGS))
+    @pytest.mark.parametrize("kind,rows", KINDS)
+    def test_resident_words_table_equals_rescan(self, config, kind, rows):
+        """The plan's one-pass suffix table against the per-level rescan
+        the cursor ran before it, at every level, and the compiled
+        reload words read from the same table."""
+        machine = MACHINE_CONFIGS[config]()
+        plan = get_request_type(kind).plan(machine.fork(), rows)
+
+        def rescan(start):
+            seen, words = set(), 0
+            for groups, _ in plan.levels[start:]:
+                for g in groups:
+                    key = _resident_key(g[0])
+                    if key not in seen:
+                        seen.add(key)
+                        shape = _source_shape(g[0].b)
+                        words += shape[0] * shape[1]
+            return words
+
+        cursor = ExecutionCursor(plan, machine)
+        for level in range(len(plan.levels) + 1):
+            assert plan.resident_words(level) == rescan(level)
+            assert cursor.resident_words(level) == rescan(level)
+        compiled = compile_plan(get_request_type(kind), machine, rows)
+        assert list(compiled.reload_words) == [
+            rescan(level) for level in range(compiled.total_levels)
+        ]
 
     def test_reload_words_mirror_live_cursor(self):
         machine = TCUMachine(m=16, ell=ELL, execute="cost-only")
