@@ -35,9 +35,11 @@ def _workload(rng, k: int, n: int, s: int):
 
 
 def _eager_time(streams, W, m, ell) -> float:
+    """One product per stream: a lone product has nothing to merge, so
+    each pays its own latency, as an eager per-call schedule does."""
     tcu = TCUMachine(m=m, ell=ell)
     for X in streams:
-        matmul(tcu, X, W, plan=False)
+        matmul(tcu, X, W)
     return tcu.time
 
 

@@ -7,10 +7,10 @@ Three sections are produced:
 * ``theorems`` — one direct smoke scenario per theorem: wall-clock
   seconds, charged model time and tensor-call count, so regressions in
   either real speed or accounting show up side by side.
-* ``exec_paths`` — the Theorem 2 product timed through all four
-  execution paths (eager, planned-unfused, fused, cost-only) with
-  speedups relative to the planned-unfused baseline — the before/after
-  record for the fused-execution work.
+* ``exec_paths`` — the Theorem 2 product timed through all three
+  execution paths (planned-unfused, fused, cost-only) with speedups
+  relative to the planned-unfused baseline — the before/after record
+  for the fused-execution work.
 * ``benches`` — every ``benchmarks/bench_*.py`` file run through pytest
   with ``--benchmark-disable`` (each timed body executes once): per-file
   wall clock and pass/fail.
@@ -166,12 +166,9 @@ def _planned_product(machine, A, B):
 
 
 def exec_path_comparison(n: int, m: int = 256, ell: float = 32.0) -> dict:
-    """The Theorem 2 product through all four execution paths."""
+    """The Theorem 2 product through all three execution paths."""
     A = RNG.random((n, n))
     B = RNG.random((n, n))
-
-    eager = TCUMachine(m=m, ell=ell)
-    wall_eager, _ = timed(lambda: matmul(eager, A, B, plan=False))
 
     unfused = TCUMachine(m=m, ell=ell)
 
@@ -184,18 +181,15 @@ def exec_path_comparison(n: int, m: int = 256, ell: float = 32.0) -> dict:
     wall_unfused, _ = timed(run_unfused)
 
     fused = TCUMachine(m=m, ell=ell)
-    wall_fused, _ = timed(lambda: matmul(fused, A, B, plan=True))
+    wall_fused, _ = timed(lambda: matmul(fused, A, B))
 
     cost = TCUMachine(m=m, ell=ell, execute="cost-only")
-    wall_cost, _ = timed(lambda: matmul(cost, A, B, plan=True))
+    wall_cost, _ = timed(lambda: matmul(cost, A, B))
 
     wall_numpy, _ = timed(lambda: A @ B)
 
     ledgers_equal = (
-        eager.ledger.snapshot()
-        == unfused.ledger.snapshot()
-        == fused.ledger.snapshot()
-        == cost.ledger.snapshot()
+        unfused.ledger.snapshot() == fused.ledger.snapshot() == cost.ledger.snapshot()
     )
     return {
         "n": n,
@@ -206,7 +200,6 @@ def exec_path_comparison(n: int, m: int = 256, ell: float = 32.0) -> dict:
         "ledgers_identical": ledgers_equal,
         "wall_s": {
             "numpy_raw": round(wall_numpy, 6),
-            "eager": round(wall_eager, 6),
             "planned_unfused": round(wall_unfused, 6),
             "fused": round(wall_fused, 6),
             "cost_only": round(wall_cost, 6),

@@ -386,7 +386,6 @@ class CostLedger:
     _agg: dict[tuple[int, int], list[float]] = field(default_factory=dict)
     _section_stack: list[str] = field(default_factory=list)
     _section_totals: dict[str, float] = field(default_factory=dict)
-    _bound: set[tuple[int, float]] = field(default_factory=set, repr=False)
     on_charge: Callable[[str, float], None] | None = field(
         default=None, repr=False, compare=False
     )
@@ -399,28 +398,6 @@ class CostLedger:
         ):
             raise ValueError(
                 f"trace_calls must be True, False or 'aggregate', got {self.trace_calls!r}"
-            )
-
-    def bind_machine(self, sqrt_m: int, ell: float) -> None:
-        """Register a machine's ``(sqrt_m, ell)`` as valid for bulk charges.
-
-        Every :class:`~repro.core.machine.TCUMachine` binds its ledger at
-        construction; a ledger shared across machines accumulates every
-        pair.  Once bound, :meth:`charge_tensor_bulk` rejects parameters
-        from any *other* machine — the guard that keeps a compiled plan
-        cached under one machine fingerprint from silently poisoning a
-        differently-parameterised ledger on replay.  Bare ledgers (never
-        bound) accept any caller, preserving the PR 2 semantics for
-        scratch and test ledgers.
-        """
-        self._bound.add((int(sqrt_m), float(ell)))
-
-    def _check_bound(self, sqrt_m: int, latency: float) -> None:
-        if self._bound and (int(sqrt_m), float(latency)) not in self._bound:
-            raise LedgerError(
-                f"bulk charge with sqrt_m={sqrt_m}, latency={latency} does not "
-                f"match any machine bound to this ledger {sorted(self._bound)}; "
-                "replaying a plan compiled for a different machine configuration?"
             )
 
     # ------------------------------------------------------------------
@@ -476,7 +453,6 @@ class CostLedger:
             )
         if latency < 0:
             raise LedgerError(f"negative latency {latency!r}")
-        self._check_bound(s, latency)
         throughput = float(int(ns.sum()) * s)
         latency_total = float(latency) * k
         self.tensor_time += throughput

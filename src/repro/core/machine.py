@@ -137,7 +137,6 @@ class TCUMachine:
         self.execute = execute
         self.check_overflow = bool(check_overflow)
         self.ledger = ledger if ledger is not None else CostLedger(trace_calls=trace_calls)
-        self.ledger.bind_machine(self.sqrt_m, self.ell)
         self._words: WordSpec | None = None
         self._systolic: SystolicArray | None = None
 
@@ -364,7 +363,10 @@ class TCUMachine:
         else:
             C = np.matmul(A, B)
         if self.check_overflow and np.issubdtype(C.dtype, np.integer):
-            check_no_overflow(C, self.words)
+            # call by call in grid order: the error names the first
+            # offending call, exactly as the :meth:`mm` loop would
+            for idx in np.ndindex(*lead):
+                check_no_overflow(C[idx], self.words)
         return C
 
     def _systolic_mm(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:

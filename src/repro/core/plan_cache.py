@@ -25,11 +25,11 @@ configuration)``.  This module exploits that replayability:
   serving hot path never re-plans a shape it has seen.
 
 Compilation runs on a **fork** of the target machine (fresh ledger), so
-probing never pollutes the live clock; the fork's ledger is bound to the
-machine's ``(sqrt_m, ell)`` exactly as a constructor-made ledger would
-be, so a compiled plan replayed onto a differently-parameterised
-machine's ledger raises :class:`~repro.core.ledger.LedgerError` instead
-of silently poisoning it.
+probing never pollutes the live clock.  A compiled plan carries the
+``config_key()`` of the machine it was compiled for, and
+:class:`~repro.core.program.CompiledCursor` refuses to replay it onto a
+machine with any other key (:class:`~repro.core.ledger.LedgerError`)
+instead of silently charging the donor machine's schedule.
 """
 
 from __future__ import annotations
@@ -52,9 +52,7 @@ class Plannable(Protocol):
     """What compilation needs from a request type — structural, so the
     serve-layer types satisfy it without a core -> serve import."""
 
-    def plan(self, machine: TCUMachine, rows: Sequence[int]) -> Plan | None: ...
-
-    def serve(self, machine: TCUMachine, rows: Sequence[int]) -> None: ...
+    def plan(self, machine: TCUMachine, rows: Sequence[int]) -> Plan: ...
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,10 +93,13 @@ class CompiledPlan:
     kind / rows:
         The request kind and per-request row counts the plan was
         compiled for (informational; the cache key carries them too).
+    config_key:
+        The compiling machine's :meth:`~repro.core.machine.TCUMachine.config_key`;
+        a cursor refuses to replay the plan onto a machine whose key
+        differs.
     sqrt_m / ell:
-        The probe machine's call parameters — every replayed bulk
-        charge uses them, so a bound ledger of any other machine
-        rejects the replay.
+        The probe machine's call parameters, which every replayed bulk
+        charge uses.
     prelude:
         Charges the request type's ``plan()`` emitted while *building*
         the program (eager padding copies, Fourier-matrix loads).  The
@@ -118,19 +119,19 @@ class CompiledPlan:
         run-to-exhaustion replay then costs a single bulk charge.
         ``None`` when per-level replay is required for bit-identity.
     stats:
-        The live plan's :class:`~repro.core.program.PlanStats`
-        (``None`` for legacy-atomic kinds frozen from ``serve()``).
+        The live plan's :class:`~repro.core.program.PlanStats`.
     """
 
     kind: str
     rows: tuple[int, ...]
+    config_key: tuple
     sqrt_m: int
     ell: float
     prelude: LevelCharges | None
     levels: tuple[LevelCharges, ...]
     reload_words: tuple[int, ...]
     coalesced: LevelCharges | None
-    stats: PlanStats | None
+    stats: PlanStats
 
     @property
     def total_levels(self) -> int:
@@ -212,42 +213,30 @@ def compile_plan(rtype: Plannable, machine: TCUMachine, rows: Sequence[int]) -> 
     Runs on ``machine.fork()`` with a fresh full-trace scratch ledger —
     the live ledger is never touched — resetting the scratch before
     every level so each captured record is the exact from-zero delta
-    that level charges.  Legacy-atomic kinds (``plan()`` is ``None``)
-    are frozen from one ``serve()`` call into a single synthetic level,
-    preserving their never-preempted semantics (a one-level cursor has
-    no interior boundary to suspend at).
+    that level charges.
     """
     rows = [int(r) for r in rows]
     probe = machine.fork()
     scratch = CostLedger(trace_calls=True)
     s, ell = probe.sqrt_m, probe.ell
-    scratch.bind_machine(s, ell)
     probe.ledger = scratch
     plan = rtype.plan(probe, rows)
     prelude: LevelCharges | None = _capture(scratch, s, ell)
 
     levels: list[LevelCharges] = []
     reloads: list[int] = []
-    stats: PlanStats | None = None
-    if plan is None:
+    cursor = ExecutionCursor(plan, probe)
+    while not cursor.done:
+        reloads.append(plan.resident_words(cursor.next_level))
         scratch.reset()
-        rtype.serve(probe, rows)
+        cursor.step()
+        levels.append(_capture(scratch, s, ell))
+    if not levels:
+        # a plan with no levels still owes its build charges; keep one
+        # empty level so a cursor has a step to apply them on
+        scratch.reset()
         levels.append(_capture(scratch, s, ell))
         reloads.append(0)
-    else:
-        stats = plan.stats
-        cursor = ExecutionCursor(plan, probe)
-        while not cursor.done:
-            reloads.append(plan.resident_words(cursor.next_level))
-            scratch.reset()
-            cursor.step()
-            levels.append(_capture(scratch, s, ell))
-        if not levels:
-            # a plan with no levels still owes its build charges; keep
-            # one empty level so a cursor has a step to apply them on
-            scratch.reset()
-            levels.append(_capture(scratch, s, ell))
-            reloads.append(0)
 
     if prelude.tensor_calls == 0 and prelude.total_time == 0.0:
         prelude = None
@@ -255,13 +244,14 @@ def compile_plan(rtype: Plannable, machine: TCUMachine, rows: Sequence[int]) -> 
     return CompiledPlan(
         kind=getattr(rtype, "name", type(rtype).__name__),
         rows=tuple(rows),
+        config_key=probe.config_key(),
         sqrt_m=s,
         ell=ell,
         prelude=prelude,
         levels=level_tuple,
         reload_words=tuple(reloads),
         coalesced=_coalesce(prelude, level_tuple, ell),
-        stats=stats,
+        stats=plan.stats,
     )
 
 
@@ -272,9 +262,9 @@ class PlanCache:
     Hit/miss/eviction counters are cumulative over the cache's lifetime;
     consumers (e.g. :class:`~repro.serve.engine.ServingEngine`) report
     per-run deltas.  One cache may safely serve many machines — the
-    config fingerprint in the key keeps their plans apart, and the
-    ledger-binding guard makes a mis-keyed replay an error rather than
-    silent corruption.
+    config fingerprint in the key keeps their plans apart, and the same
+    fingerprint stored in each plan makes a mis-keyed replay an error
+    rather than silent corruption.
     """
 
     def __init__(self, capacity: int = 256) -> None:

@@ -77,6 +77,7 @@ from typing import TypeAlias
 
 import numpy as np
 
+from .ledger import LedgerError
 from .machine import TCUMachine, TensorShapeError, placeholder
 from .parallel import ParallelTCUMachine
 from .scheduling import schedule_batch
@@ -1706,9 +1707,20 @@ class CompiledCursor:
     ``plan()``-build charges the live engine pays at launch (the
     compiled plan's ``prelude``) are applied together with level 0, so a
     cursor resumed at a later level never re-pays them.
+
+    A plan replays only onto a machine whose
+    :meth:`~repro.core.machine.TCUMachine.config_key` equals the one it
+    was compiled under: any other machine raises
+    :class:`~repro.core.ledger.LedgerError` before anything is charged.
     """
 
     def __init__(self, compiled, machine: TCUMachine) -> None:
+        key = machine.config_key()
+        if key != compiled.config_key:
+            raise LedgerError(
+                f"plan compiled for {compiled.config_key} cannot replay on {key}; "
+                "replaying a plan compiled for a different machine configuration?"
+            )
         self.compiled = compiled
         self.machine = machine
         self.next_level = 0
@@ -1744,9 +1756,7 @@ class CompiledCursor:
         else:
             # a makespan-scaled parallel level: its counters carry one
             # non-formula addend each, so replay the captured deltas and
-            # trace columns verbatim (mm_batch's own accounting), after
-            # the same machine-binding check the public path enforces
-            led._check_bound(s, ell)
+            # trace columns verbatim (mm_batch's own accounting)
             led.tensor_time += charges.tensor_time
             led.latency_time += charges.latency_time
             led.tensor_calls += charges.tensor_calls

@@ -108,6 +108,13 @@ class QuantizedTCUMachine(TCUMachine):
         """
         return super().config_key() + (self.precision,)
 
+    def fork(self) -> QuantizedTCUMachine:
+        """A machine with identical parameters (including the precision
+        format) and a fresh ledger."""
+        twin = super().fork()
+        twin.precision = self.precision
+        return twin
+
     def _quantize(self, x: np.ndarray) -> np.ndarray:
         if np.iscomplexobj(x):
             return quantize_array(x.real, self.precision) + 1j * quantize_array(

@@ -41,11 +41,11 @@ class SeidelStats:
 
 
 def _square_graph(
-    tcu: TCUMachine, A: np.ndarray, algorithm: BilinearAlgorithm, plan: bool
+    tcu: TCUMachine, A: np.ndarray, algorithm: BilinearAlgorithm
 ) -> np.ndarray:
     """Adjacency matrix of G^2 (paths of length <= 2, no self loops)."""
     n = A.shape[0]
-    B = strassen_like_mm(tcu, A, A, algorithm=algorithm, plan=plan)
+    B = strassen_like_mm(tcu, A, A, algorithm=algorithm)
     A2 = ((B > 0) | (A > 0)).astype(np.int64)
     np.fill_diagonal(A2, 0)
     tcu.charge_cpu(3 * n * n)
@@ -58,15 +58,13 @@ def seidel(
     *,
     algorithm: BilinearAlgorithm = STRASSEN_2X2,
     stats: SeidelStats | None = None,
-    plan: bool = True,
 ) -> np.ndarray:
     """Distance matrix of a *connected* unweighted undirected graph.
 
     The iterated-squaring levels are inherently sequential (each
-    squared graph feeds the next recursion), so ``plan=True`` (default)
-    routes each level's two products through the plan/execute layer —
-    their Strassen leaves are planned and batched together — while
-    ``plan=False`` keeps every tensor call eager.
+    squared graph feeds the next recursion), so each level's two
+    products go through the plan/execute layer one at a time — their
+    Strassen leaves are planned and batched together.
 
     Raises ``ValueError`` if the graph is disconnected (detected when
     the recursion exceeds the ceil(log2 n) + 1 levels a connected graph
@@ -93,7 +91,7 @@ def seidel(
     if n == 1:
         return np.zeros((1, 1))
     max_depth = int(np.ceil(np.log2(n))) + 1
-    return _seidel_rec(tcu, A, algorithm, stats, 0, max_depth, plan)
+    return _seidel_rec(tcu, A, algorithm, stats, 0, max_depth)
 
 
 def _seidel_rec(
@@ -103,7 +101,6 @@ def _seidel_rec(
     stats: SeidelStats | None,
     depth: int,
     max_depth: int,
-    plan: bool = True,
 ) -> np.ndarray:
     n = A.shape[0]
     if stats is not None:
@@ -120,13 +117,11 @@ def _seidel_rec(
             "recursion exceeded the connected-graph bound: "
             "the input graph is disconnected (use apsd() for components)"
         )
-    A2 = _square_graph(tcu, A, algorithm, plan)
+    A2 = _square_graph(tcu, A, algorithm)
     if stats is not None:
         stats.products += 1
-    D2 = _seidel_rec(tcu, A2, algorithm, stats, depth + 1, max_depth, plan)
-    C = strassen_like_mm(
-        tcu, D2.astype(np.int64), A, algorithm=algorithm, plan=plan
-    )
+    D2 = _seidel_rec(tcu, A2, algorithm, stats, depth + 1, max_depth)
+    C = strassen_like_mm(tcu, D2.astype(np.int64), A, algorithm=algorithm)
     if stats is not None:
         stats.products += 1
     deg = A.sum(axis=0)
@@ -145,7 +140,6 @@ def apsd(
     *,
     algorithm: BilinearAlgorithm = STRASSEN_2X2,
     stats: SeidelStats | None = None,
-    plan: bool = True,
 ) -> np.ndarray:
     """All-pairs shortest distances of an unweighted undirected graph.
 
@@ -184,7 +178,7 @@ def apsd(
             stats.component_sizes.append(len(idx))
         sub = A[np.ix_(idx, idx)]
         tcu.charge_cpu(len(idx) * len(idx))
-        Dsub = seidel(tcu, sub, algorithm=algorithm, stats=stats, plan=plan)
+        Dsub = seidel(tcu, sub, algorithm=algorithm, stats=stats)
         D[np.ix_(idx, idx)] = Dsub
         tcu.charge_cpu(len(idx) * len(idx))
     return D

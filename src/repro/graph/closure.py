@@ -20,14 +20,13 @@ Total model time (Theorem 5):
 
     T(n) = Theta( n^3 / sqrt(m) + (n^2/m) l + n^2 sqrt(m) ).
 
-With ``plan=True`` (default) each pivot's trailing update is built as a
-:class:`~repro.core.program.TensorProgram`: the planner notices that
-the above/below segments of one ``j`` share the same resident weight
-block and merges them into a single taller call — one latency per
-``(k, j)`` pair instead of two — and, on a
-:class:`~repro.core.parallel.ParallelTCUMachine`, batches all of a
-pivot's updates across its tensor units.  ``plan=False`` issues the
-Figure 7 calls eagerly, one at a time.
+Each pivot's trailing update is built as a
+:class:`~repro.core.program.TensorProgram`: the planner notices that the
+above/below segments of one ``j`` share the same resident weight block
+and merges them into a single taller call — one latency per ``(k, j)``
+pair instead of the two the per-segment Figure 7 sequence pays — and,
+on a :class:`~repro.core.parallel.ParallelTCUMachine`, batches all of a
+pivot's updates across its tensor units.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.machine import TCUMachine
-from ..core.program import TensorProgram, run_program
+from ..core.program import TensorProgram, check_split, run_program
 from ..matmul.schedule import ceil_to_multiple
 
 __all__ = ["transitive_closure"]
@@ -78,7 +77,6 @@ def transitive_closure(
     tcu: TCUMachine,
     adjacency: np.ndarray,
     *,
-    plan: bool = True,
     split: str | int = "auto",
 ) -> np.ndarray:
     """Transitive closure of a directed graph (Figure 7).
@@ -87,15 +85,10 @@ def transitive_closure(
     ----------
     adjacency:
         ``n x n`` 0/1 matrix, ``adjacency[i, j] = 1`` iff edge i -> j.
-    plan:
-        Build each pivot's trailing update lazily and let the planner
-        merge the two same-weight-block segment calls of every ``j``
-        into one (half the latency; identical throughput and output).
-        ``False`` replays the eager per-segment call sequence.
     split:
         Planner split policy for each pivot's trailing-update level
         (``"auto"`` re-splits merged strips across parallel units;
-        ``1`` pins the legacy schedule).  Ignored when ``plan=False``.
+        ``1`` pins the legacy schedule).
 
     Returns
     -------
@@ -111,6 +104,7 @@ def transitive_closure(
     kernels and trailing tensor calls) while the numeric closure work is
     skipped; the returned matrix is then meaningless.
     """
+    check_split(split)
     A = np.asarray(adjacency)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"adjacency must be square, got {A.shape}")
@@ -144,43 +138,27 @@ def transitive_closure(
             segments.append(slice(0, k * s))
         if k + 1 < nb:
             segments.append(slice((k + 1) * s, padded))
-        if plan:
-            # Lazy build: both segments of a given j reference the same
-            # copied weight op, so the planner merges them into one tall
-            # call; all (j, seg) products of this pivot are independent
-            # (they read the pivot column, write disjoint strips) and
-            # form a single batchable level.
-            program = TensorProgram()
-            tasks = []
-            for j in range(nb):
-                if j == k:
-                    continue
-                jj = slice(j * s, (j + 1) * s)
-                # weight must not alias the updated strip
-                weight = program.copy(work[kk, jj])
-                for seg in segments:
-                    op = program.mm(work[seg, kk], weight)
-                    tasks.append((jj, seg, op))
-            run_program(program, tcu, split=split)
-            for jj, seg, op in tasks:
-                # X <- min(X + Y*Z, 1): integer product + clamp
-                if tcu.execute != "cost-only":
-                    strip = work[seg, jj]
-                    np.minimum(strip + op.result(), 1, out=strip)
-                tcu.charge_cpu(2 * (seg.stop - seg.start) * s)
-            continue
+        # Lazy build: both segments of a given j reference the same
+        # copied weight op, so the planner merges them into one tall
+        # call; all (j, seg) products of this pivot are independent
+        # (they read the pivot column, write disjoint strips) and form
+        # a single batchable level.
+        program = TensorProgram()
+        tasks = []
         for j in range(nb):
             if j == k:
                 continue
             jj = slice(j * s, (j + 1) * s)
-            Z = work[kk, jj].copy()  # weight must not alias the updated strip
-            tcu.charge_cpu(s * s)
+            # weight must not alias the updated strip
+            weight = program.copy(work[kk, jj])
             for seg in segments:
-                tall = work[seg, kk]
-                prod = tcu.mm(tall, Z)
+                op = program.mm(work[seg, kk], weight)
+                tasks.append((jj, seg, op))
+        run_program(program, tcu, split=split)
+        for jj, seg, op in tasks:
+            # X <- min(X + Y*Z, 1): integer product + clamp
+            if tcu.execute != "cost-only":
                 strip = work[seg, jj]
-                # X <- min(X + Y*Z, 1): integer product + clamp
-                if tcu.execute != "cost-only":
-                    np.minimum(strip + prod, 1, out=strip)
-                tcu.charge_cpu(2 * (seg.stop - seg.start) * s)
+                np.minimum(strip + op.result(), 1, out=strip)
+            tcu.charge_cpu(2 * (seg.stop - seg.start) * s)
     return work[:n, :n]

@@ -28,8 +28,7 @@ batches its calls over the units), a sequential machine runs it unplanned
 (a lone grid has nothing to merge) — as a single ``A @ B`` GEMM on
 machines that can fuse it.  Across products sharing a resident block
 (see :func:`matmul_lazy`) the planner merges calls so k products pay one
-latency.  ``plan=False`` is the eager escape hatch that executes each
-call as it is produced.
+latency.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ import numpy as np
 from ..core.machine import TCUMachine, placeholder
 from ..core.parallel import ParallelTCUMachine
 from ..core.program import Lazy, TensorProgram, check_split, run_grid, run_program
-from .schedule import ceil_to_multiple, pad_matrix, padded_copy_cost, theorem2_tasks
+from .schedule import ceil_to_multiple, pad_matrix, padded_copy_cost
 
 __all__ = [
     "matmul",
@@ -94,7 +93,6 @@ def matmul(
     B: np.ndarray,
     *,
     charge_padding: bool = True,
-    plan: bool = True,
     split: str | int = "auto",
 ) -> np.ndarray:
     """``C = A @ B`` for arbitrary 2-D shapes via the Theorem 2 schedule.
@@ -108,18 +106,6 @@ def matmul(
     charge_padding:
         Charge the RAM-model cost of materialising padded copies (on by
         default; disable only inside algorithms that pre-pad).
-    plan:
-        Build the schedule as one grid node and run it through the level
-        executor (the default): a
-        :class:`~repro.core.parallel.ParallelTCUMachine` plans the grid
-        and batches its calls over the units; a sequential machine runs
-        it unplanned — one ``A @ B`` GEMM with one vectorised ledger
-        charge on machines that can fuse it, a stacked grid product
-        whose every call is checked on overflow-checked machines, the
-        grid's calls through the machine's own primitive on
-        row-bounded, weak, quantised and systolic machines.  Charges
-        equal the eager loop's.  ``False`` executes each tensor call
-        eagerly as the schedule produces it.
     split:
         Validated on entry for every machine (``"auto"`` or an integer
         ``>= 1``, else :class:`~repro.core.program.ProgramError`) and
@@ -136,6 +122,15 @@ def matmul(
     placeholder is returned, so sweeps can run at ledger speed on
     operands that are themselves placeholders.
 
+    The schedule is one grid node run through the level executor: a
+    :class:`~repro.core.parallel.ParallelTCUMachine` plans the grid and
+    batches its calls over the units; a sequential machine runs it
+    unplanned — one ``A @ B`` GEMM with one vectorised ledger charge on
+    machines that can fuse it, a stacked grid product whose every call
+    is checked on overflow-checked machines, the grid's calls through
+    the machine's own primitive on row-bounded, weak, quantised and
+    systolic machines.
+
     Notes
     -----
     The right operand block ``B_{i,j}`` is loaded once per tensor call
@@ -150,25 +145,13 @@ def matmul(
     if p == 0 or q == 0 or r == 0:
         return np.zeros((p, r), dtype=np.result_type(A.dtype, B.dtype))
     Ap, Bp = _pad_operands(tcu, A, B, charge_padding)
-    if plan:
-        program = TensorProgram()
-        product = program.grid(Ap, Bp, tcu.sqrt_m)
-        if isinstance(tcu, ParallelTCUMachine):
-            run_program(program, tcu, split=split)
-        else:
-            run_grid(product, tcu)
-        return product.result()[:p, :r]
-
-    s = tcu.sqrt_m
-    out_dtype = np.result_type(Ap.dtype, Bp.dtype)
-    C = np.zeros((Ap.shape[0], Bp.shape[1]), dtype=out_dtype)
-    for j, _, strip, block in theorem2_tasks(Ap, Bp, s):
-        # One tall tensor call: the full-height strip A_i against the
-        # resident block B_{i,j}.
-        partial = tcu.mm(strip, block)
-        C[:, j * s : (j + 1) * s] += partial
-        tcu.charge_cpu(Ap.shape[0] * s)  # the C_{i,j} accumulation
-    return C[:p, :r]
+    program = TensorProgram()
+    product = program.grid(Ap, Bp, tcu.sqrt_m)
+    if isinstance(tcu, ParallelTCUMachine):
+        run_program(program, tcu, split=split)
+    else:
+        run_grid(product, tcu)
+    return product.result()[:p, :r]
 
 
 def matmul_lazy(
@@ -222,7 +205,6 @@ def rectangular_mm(
     B: np.ndarray,
     *,
     algorithm=None,
-    plan: bool = True,
 ) -> np.ndarray:
     """Corollary 1: multiply ``sqrt(n) x r`` by ``r x sqrt(n)``.
 
@@ -231,17 +213,17 @@ def rectangular_mm(
     :class:`~repro.matmul.strassen.BilinearAlgorithm` instead decomposes
     the product into ``t x t`` squares with ``t = min(sqrt(n), r)`` and
     runs the Strassen-like recursion of Theorem 1 on each square, as the
-    corollary's proof prescribes.  With ``plan=True`` all the square
-    subproducts' leaf calls join one program and are planned together.
+    corollary's proof prescribes.  All the square subproducts' leaf
+    calls join one program and are planned together.
     """
     A = np.asarray(A)
     B = np.asarray(B)
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
         raise ValueError(f"incompatible shapes {A.shape} @ {B.shape}")
     if algorithm is None:
-        return matmul(tcu, A, B, plan=plan)
+        return matmul(tcu, A, B)
 
-    from .strassen import default_cutoff, strassen_like_lazy, strassen_like_mm
+    from .strassen import default_cutoff, strassen_like_lazy
 
     p, q = A.shape
     _, r = B.shape
@@ -257,41 +239,26 @@ def rectangular_mm(
     Bp = pad_matrix(B, q_pad, r_pad)
     C = np.zeros((p_pad, r_pad), dtype=np.result_type(Ap.dtype, Bp.dtype))
 
-    if plan:
-        # All t x t subproducts are independent: build their recursions
-        # into one shared program so every leaf call is planned (and on
-        # parallel machines batched) together.
-        program = TensorProgram()
-        cutoff = default_cutoff(tcu, algorithm)
-        tasks = []
-        for bi in range(p_pad // t_pad):
-            for bj in range(r_pad // t_pad):
-                for bk in range(q_pad // t_pad):
-                    blockA = Ap[
-                        bi * t_pad : (bi + 1) * t_pad, bk * t_pad : (bk + 1) * t_pad
-                    ]
-                    blockB = Bp[
-                        bk * t_pad : (bk + 1) * t_pad, bj * t_pad : (bj + 1) * t_pad
-                    ]
-                    lazy = strassen_like_lazy(
-                        tcu, program, blockA, blockB, algorithm=algorithm, cutoff=cutoff
-                    )
-                    tasks.append((bi, bj, lazy))
-        run_program(program, tcu)
-        for bi, bj, lazy in tasks:
-            acc = C[bi * t_pad : (bi + 1) * t_pad, bj * t_pad : (bj + 1) * t_pad]
-            acc += lazy.result()
-            tcu.charge_cpu(t_pad * t_pad)
-        return C[:p, :r]
-
+    # All t x t subproducts are independent: build their recursions into
+    # one shared program so every leaf call is planned (and on parallel
+    # machines batched) together.
+    program = TensorProgram()
+    cutoff = default_cutoff(tcu, algorithm)
+    tasks = []
     for bi in range(p_pad // t_pad):
         for bj in range(r_pad // t_pad):
-            acc = C[bi * t_pad : (bi + 1) * t_pad, bj * t_pad : (bj + 1) * t_pad]
             for bk in range(q_pad // t_pad):
                 blockA = Ap[bi * t_pad : (bi + 1) * t_pad, bk * t_pad : (bk + 1) * t_pad]
                 blockB = Bp[bk * t_pad : (bk + 1) * t_pad, bj * t_pad : (bj + 1) * t_pad]
-                acc += strassen_like_mm(tcu, blockA, blockB, algorithm=algorithm, plan=False)
-                tcu.charge_cpu(t_pad * t_pad)
+                lazy = strassen_like_lazy(
+                    tcu, program, blockA, blockB, algorithm=algorithm, cutoff=cutoff
+                )
+                tasks.append((bi, bj, lazy))
+    run_program(program, tcu)
+    for bi, bj, lazy in tasks:
+        acc = C[bi * t_pad : (bi + 1) * t_pad, bj * t_pad : (bj + 1) * t_pad]
+        acc += lazy.result()
+        tcu.charge_cpu(t_pad * t_pad)
     return C[:p, :r]
 
 

@@ -28,7 +28,6 @@ import numpy as np
 
 from ..core.machine import TCUMachine
 from ..core.program import Lazy, TensorProgram, run_program
-from .dense import matmul as dense_matmul
 from .dense import matmul_lazy
 from .schedule import ceil_to_multiple, pad_matrix
 
@@ -217,7 +216,6 @@ def strassen_like_mm(
     *,
     algorithm: BilinearAlgorithm = STRASSEN_2X2,
     cutoff: int | None = None,
-    plan: bool = True,
 ) -> np.ndarray:
     """Theorem 1: recursive Strassen-like product with a TCU base case.
 
@@ -226,17 +224,15 @@ def strassen_like_mm(
     switches to the Theorem 2 blocked schedule once the side is at most
     ``cutoff`` (default: the paper's ``sqrt(m * n0)`` boundary).
 
-    With ``plan=True`` (default) the recursion *builds* all its leaf
-    Theorem 2 schedules into one :class:`TensorProgram` — the leaves'
-    operands are pure CPU combinations of the inputs, so every leaf call
-    is independent and lands in a single plan level, batched on parallel
-    machines — then executes the program once and assembles the result
-    bottom-up.  ``plan=False`` runs the classic eager recursion; the two
-    charge the ledger identically on a sequential machine.
+    The recursion *builds* all its leaf Theorem 2 schedules into one
+    :class:`TensorProgram` — the leaves' operands are pure CPU
+    combinations of the inputs, so every leaf call is independent and
+    lands in a single plan level, batched on parallel machines — then
+    executes the program once and assembles the result bottom-up.  On a
+    sequential machine it charges exactly what the classic eager
+    recursion charges.
     """
     A, B, cutoff = _validated(tcu, A, B, algorithm, cutoff)
-    if not plan:
-        return _recurse(tcu, A, B, algorithm, cutoff)
     program = TensorProgram()
     lazy = _recurse_lazy(tcu, program, A, B, algorithm, cutoff)
     run_program(program, tcu)
@@ -263,31 +259,6 @@ def strassen_like_lazy(
     return _recurse_lazy(tcu, program, A, B, algorithm, cutoff)
 
 
-def _recurse(
-    tcu: TCUMachine,
-    A: np.ndarray,
-    B: np.ndarray,
-    alg: BilinearAlgorithm,
-    cutoff: int,
-) -> np.ndarray:
-    side = A.shape[0]
-    if side <= cutoff:
-        return dense_matmul(tcu, A, B, plan=False)
-    b = alg.block
-    padded = ceil_to_multiple(side, b)
-    if padded != side:
-        tcu.charge_cpu(2 * padded * padded)
-        A = pad_matrix(A, padded, padded)
-        B = pad_matrix(B, padded, padded)
-    sub = padded // b
-    dtype = np.result_type(A.dtype, B.dtype)
-    prods = [
-        _recurse(tcu, left, right, alg, cutoff)
-        for left, right in _operand_pairs(tcu, A, B, alg, sub, dtype)
-    ]
-    return _assemble(tcu, alg, prods, padded, sub, dtype)[:side, :side]
-
-
 def _recurse_lazy(
     tcu: TCUMachine,
     program: TensorProgram,
@@ -302,7 +273,7 @@ def _recurse_lazy(
     they never depend on a tensor result, so every leaf ``mm`` node is
     dependency-free and the planner sees the whole recursion as one flat
     level of independent calls.  The returned :class:`Lazy` performs the
-    bottom-up ``C`` assembly (charged as in the eager path) once the
+    bottom-up ``C`` assembly (one charge for its terms) once the
     program has run.
     """
     side = A.shape[0]

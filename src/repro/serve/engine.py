@@ -35,10 +35,6 @@ equal times, matching the run-to-completion engine's tie-breaks):
   ``reload`` category (:meth:`~repro.core.program.ExecutionCursor.charge_reload`)
   — checkpoint/restore is never free.
 
-Request types whose :meth:`plan` returns ``None`` (legacy/opaque
-``serve`` implementations) execute atomically: correct, but never
-preempted.
-
 Three conservation properties pin the engine to the offline model (see
 :meth:`ServeResult.check_conservation` and the replay tests):
 
@@ -574,7 +570,6 @@ class _Run:
         "rows",
         "rtype",
         "exec_machine",
-        "atomic",
         "pending_fail",
         "last_span",
         "ready_at",
@@ -611,7 +606,6 @@ class _Run:
         self.rows: list[int] = []
         self.rtype = None
         self.exec_machine: TCUMachine | None = None
-        self.atomic = False
         self.pending_fail: str | None = None
         self.last_span = 0.0
         self.ready_at = 0.0
@@ -949,13 +943,10 @@ class ServingEngine:
                 factor, corrupt = injector.draw_level()
             span_base = ledger.clock
             with ledger.section(f"serve:{run.kind}"):
-                if run.cursor is not None:
-                    if stepwise:
-                        run.cursor.step()
-                    else:
-                        run.cursor.run()
+                if stepwise:
+                    run.cursor.step()
                 else:
-                    run.rtype.serve(run.exec_machine, run.rows)  # atomic
+                    run.cursor.run()
                 if factor > 1.0:
                     # straggler: the level really ran factor-x slower;
                     # the surplus is charged (cpu) but the level still
@@ -980,7 +971,6 @@ class ServingEngine:
             a degraded retry (a re-plan can never checkpoint-resume)."""
             run.exec_machine = exec_machine
             run.rows = rows
-            run.atomic = False
             run.cursor = None
             with ledger.section(f"serve:{run.kind}"):
                 if cache is not None:
@@ -988,9 +978,7 @@ class ServingEngine:
                     run.cursor = CompiledCursor(compiled, exec_machine)
                 else:
                     plan = run.rtype.plan(exec_machine, rows)
-                    if plan is None:
-                        run.atomic = True  # legacy serve(): no checkpoints
-                    elif plan.levels:
+                    if plan.levels:
                         run.cursor = ExecutionCursor(plan, exec_machine)
             if tracing and stepwise and run.cursor is not None:
                 attach_level_observer(run)
@@ -1078,7 +1066,7 @@ class ServingEngine:
                     )
                     if lookups:
                         g_cache.set((cache.hits - cache_hits_start) / lookups)
-            if run.cursor is not None or run.atomic:
+            if run.cursor is not None:
                 exec_unit(run)
             else:
                 set_boundary(run)  # empty plan: completes instantly
@@ -1144,7 +1132,7 @@ class ServingEngine:
                 # (or a failure on the very first level) has no resident
                 # state to re-load and pays only the re-run levels
                 charge_resume_reload(run)
-            if run.cursor is not None or run.atomic:
+            if run.cursor is not None:
                 exec_unit(run)
             else:
                 set_boundary(run)
@@ -1218,7 +1206,7 @@ class ServingEngine:
             run.faults += 1
             if math.isnan(run.first_failure):
                 run.first_failure = clock
-            level = -1 if run.cursor is None else run.cursor.next_level - 1
+            level = run.cursor.next_level - 1
             run.attempt_spans.append(run.attempt_span)
             attempt = len(run.attempt_spans)
             fault_events.append(FaultEvent(fkind, run.index, level, attempt, clock))
@@ -1250,11 +1238,7 @@ class ServingEngine:
                 )
                 if degrader.wants(attempt, pressure):
                     run.degrade_pending = True
-            if (
-                run.cursor is not None
-                and self.recovery == "checkpoint"
-                and not run.degrade_pending
-            ):
+            if self.recovery == "checkpoint" and not run.degrade_pending:
                 # only the failed level is lost; completed levels stand
                 add_wasted(run, run.last_span)
                 run.cursor.rewind(run.cursor.next_level - 1)
@@ -1262,8 +1246,7 @@ class ServingEngine:
                 # restart (or imminent re-plan): the whole attempt is
                 # lost, except its reloads, which sit in their own bucket
                 add_wasted(run, run.attempt_span - run.attempt_reload)
-                if run.cursor is not None:
-                    run.cursor.rewind(0)
+                run.cursor.rewind(0)
             run.attempt_span = 0.0
             run.attempt_reload = 0.0
             park(run, clock + delay)

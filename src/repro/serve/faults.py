@@ -69,9 +69,9 @@ class FaultEvent:
     """One injected fault, as the engine recorded it.
 
     ``kind`` is ``"transient"`` or ``"crash"``; ``level`` is the plan
-    level that was lost (``-1`` for an atomic batch); ``attempt`` is the
-    1-based attempt number that failed; ``clock`` is the engine time the
-    failure surfaced (the failed level's boundary).
+    level that was lost; ``attempt`` is the 1-based attempt number that
+    failed; ``clock`` is the engine time the failure surfaced (the
+    failed level's boundary).
     """
 
     kind: str
@@ -90,7 +90,7 @@ class FaultInjector:
     The engine consults the injector at exactly three points, all
     deterministic given the event order:
 
-    * :meth:`draw_level` — once per level (or per atomic batch) *before*
+    * :meth:`draw_level` — once per level *before*
       execution: returns ``(straggle_factor, transient_failure)``;
     * :meth:`next_crash` / :meth:`take_crash` — the crash renewal
       process, peeked against level boundaries and idle launch times and

@@ -14,11 +14,9 @@ amortises the invocation latency ``l`` across the batch — *and* the
 engine can execute the plan level by level through an
 :class:`~repro.core.program.ExecutionCursor`, checkpointing at any
 level boundary.  :meth:`RequestType.serve` remains as the one-shot
-convenience (plan + run to exhaustion); legacy types may override it
-directly and return ``None`` from :meth:`plan`, in which case the
-engine executes their batches atomically (no preemption).  Serving cost
-is priced by the same planner, executor and ledger as every offline
-experiment in the repo.
+convenience (plan + run to exhaustion).  Serving cost is priced by the
+same planner, executor and ledger as every offline experiment in the
+repo.
 
 Request types register by name (:func:`register_request_type`), the same
 registry idiom as :mod:`repro.core.scheduling`, so workloads, engines
@@ -80,7 +78,6 @@ from ..transform.stencil import (
     assemble_tiles,
     extract_windows,
     heat_equation_weights,
-    stencil_tcu,
     unrolled_weights,
     window_geometry,
 )
@@ -486,10 +483,6 @@ class RequestType:
     machine), never on data values: that is what makes a served run
     exactly replayable from its :class:`~repro.serve.engine.BatchRecord`
     stream and lets cost-only machines serve placeholder payloads.
-
-    Legacy types may instead override :meth:`serve` directly and leave
-    :meth:`plan` returning ``None``; the engine then executes their
-    batches atomically (correct, but not preemptible).
     """
 
     name = "abstract"
@@ -497,25 +490,21 @@ class RequestType:
 
     def plan(
         self, machine: TCUMachine, rows: Sequence[int], *, split: str | int = "auto"
-    ) -> Plan | None:
+    ) -> Plan:
         """Lower a batch of ``len(rows)`` requests to an executable plan.
 
         Build-time charges (concrete padding copies, Fourier-matrix
         loads) hit the machine's ledger immediately; everything else is
-        charged when the plan's levels execute.  Returns ``None`` for
-        types with no planned lowering.
+        charged when the plan's levels execute.
         """
-        return None
+        raise NotImplementedError(
+            f"request type {self.name!r} ({type(self).__name__}) does not implement plan()"
+        )
 
     def serve(self, machine: TCUMachine, rows: Sequence[int]) -> None:
         """Execute a batch of ``len(rows)`` requests, charging ``machine``
         (the one-shot path: plan, then run the plan to exhaustion)."""
-        plan = self.plan(machine, rows)
-        if plan is None:
-            raise NotImplementedError(
-                f"request type {self.name!r} defines neither plan() nor serve()"
-            )
-        execute_plan(plan, machine)
+        execute_plan(self.plan(machine, rows), machine)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -652,46 +641,23 @@ class StencilRequestType(RequestType):
     emits its own transform pipeline into the shared program
     (:func:`_emit_stencil`, charge-identical to
     :func:`~repro.transform.stencil.stencil_tcu`), making stencil
-    batches preemptible and plan-cacheable like every other kind.
+    batches preemptible and plan-cacheable like every other kind."""
 
-    ``legacy_atomic=True`` restores the pre-lowering behaviour —
-    :meth:`plan` returns ``None`` and the engine executes batches
-    atomically through :func:`stencil_tcu` (never preempted) — kept as
-    the registry's opaque-``serve`` example and as the charge-parity
-    oracle for the lowering."""
-
-    def __init__(
-        self,
-        name: str = "stencil",
-        steps: int = 2,
-        default_rows: int = 16,
-        legacy_atomic: bool = False,
-    ) -> None:
+    def __init__(self, name: str = "stencil", steps: int = 2, default_rows: int = 16) -> None:
         self.name = name
         self.steps = int(steps)
         self.default_rows = int(default_rows)
-        self.legacy_atomic = bool(legacy_atomic)
         self._kernel = heat_equation_weights()
 
     def plan(
         self, machine: TCUMachine, rows: Sequence[int], *, split: str | int = "auto"
-    ) -> Plan | None:
-        if self.legacy_atomic:
-            return None
+    ) -> Plan:
         program = TensorProgram()
         for side in rows:
             side = int(side)
             A = self._payload(machine, (side, side))
             _emit_stencil(program, machine, A, self._kernel, self.steps)
         return plan_program(program, machine, split=split)
-
-    def serve(self, machine: TCUMachine, rows: Sequence[int]) -> None:
-        if not self.legacy_atomic:
-            super().serve(machine, rows)
-            return
-        for side in rows:
-            grid = self._payload(machine, (int(side), int(side)))
-            stencil_tcu(machine, grid, self._kernel, self.steps)
 
 
 _REQUEST_TYPES: dict[str, RequestType] = {}

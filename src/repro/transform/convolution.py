@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.machine import TCUMachine, placeholder
+from ..core.program import check_split
 from .dft import batched_dft, batched_idft
 
 __all__ = [
@@ -40,22 +41,22 @@ def circular_convolve(
     a: np.ndarray,
     b: np.ndarray,
     *,
-    plan: bool = True,
     split: str | int = "auto",
 ) -> np.ndarray:
     """Standard circular convolution ``c[i] = sum_j a[j] b[(i-j) mod n]``."""
+    check_split(split)
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
         raise ValueError(
             f"circular_convolve expects equal-length vectors, got {a.shape}, {b.shape}"
         )
-    fa = batched_dft(tcu, a[None, :], plan=plan, split=split)
-    fb = batched_dft(tcu, b[None, :], plan=plan, split=split)
+    fa = batched_dft(tcu, a[None, :], split=split)
+    fb = batched_dft(tcu, b[None, :], split=split)
     cost_only = tcu.execute == "cost-only"
     prod = placeholder(fa.shape, np.complex128) if cost_only else fa * fb
     tcu.charge_cpu(a.size)
-    out = batched_idft(tcu, prod, plan=plan, split=split)[0]
+    out = batched_idft(tcu, prod, split=split)[0]
     if not (np.iscomplexobj(a) or np.iscomplexobj(b)):
         # real inputs give a real result (dtype preserved in cost-only
         # so downstream consumers see the same array kind)
@@ -64,45 +65,43 @@ def circular_convolve(
     return out
 
 
-def dft2(
-    tcu: TCUMachine, X: np.ndarray, *, plan: bool = True, split: str | int = "auto"
-) -> np.ndarray:
+def dft2(tcu: TCUMachine, X: np.ndarray, *, split: str | int = "auto") -> np.ndarray:
     """2-D DFT of a ``(batch, S, S)`` stack: row transforms then column
     transforms, each as one batched (tall) 1-D DFT."""
+    check_split(split)
     X = np.asarray(X)
     if X.ndim != 3 or X.shape[1] != X.shape[2]:
         raise ValueError(f"dft2 expects a (batch, S, S) stack, got {X.shape}")
     T, S, _ = X.shape
     if tcu.execute == "cost-only":
         # shape-only: two batched transform passes, no re-arrangements
-        batched_dft(tcu, placeholder((T * S, S), np.complex128), plan=plan, split=split)
-        batched_dft(tcu, placeholder((T * S, S), np.complex128), plan=plan, split=split)
+        batched_dft(tcu, placeholder((T * S, S), np.complex128), split=split)
+        batched_dft(tcu, placeholder((T * S, S), np.complex128), split=split)
         return placeholder((T, S, S), np.complex128)
     X = np.asarray(X, dtype=np.complex128)
     # axis re-arrangements are index arithmetic (fused in a RAM
     # implementation); the transform passes below carry the cost.
-    rows = batched_dft(tcu, X.reshape(T * S, S), plan=plan, split=split).reshape(T, S, S)
+    rows = batched_dft(tcu, X.reshape(T * S, S), split=split).reshape(T, S, S)
     cols = rows.transpose(0, 2, 1).reshape(T * S, S)
-    out = batched_dft(tcu, cols, plan=plan, split=split).reshape(T, S, S).transpose(0, 2, 1)
+    out = batched_dft(tcu, cols, split=split).reshape(T, S, S).transpose(0, 2, 1)
     return out
 
 
-def idft2(
-    tcu: TCUMachine, X: np.ndarray, *, plan: bool = True, split: str | int = "auto"
-) -> np.ndarray:
+def idft2(tcu: TCUMachine, X: np.ndarray, *, split: str | int = "auto") -> np.ndarray:
     """Inverse 2-D DFT of a ``(batch, S, S)`` stack."""
+    check_split(split)
     X = np.asarray(X)
     if X.ndim != 3 or X.shape[1] != X.shape[2]:
         raise ValueError(f"idft2 expects a (batch, S, S) stack, got {X.shape}")
     T, S, _ = X.shape
     if tcu.execute == "cost-only":
-        batched_idft(tcu, placeholder((T * S, S), np.complex128), plan=plan, split=split)
-        batched_idft(tcu, placeholder((T * S, S), np.complex128), plan=plan, split=split)
+        batched_idft(tcu, placeholder((T * S, S), np.complex128), split=split)
+        batched_idft(tcu, placeholder((T * S, S), np.complex128), split=split)
         return placeholder((T, S, S), np.complex128)
     X = np.asarray(X, dtype=np.complex128)
-    rows = batched_idft(tcu, X.reshape(T * S, S), plan=plan, split=split).reshape(T, S, S)
+    rows = batched_idft(tcu, X.reshape(T * S, S), split=split).reshape(T, S, S)
     cols = rows.transpose(0, 2, 1).reshape(T * S, S)
-    out = batched_idft(tcu, cols, plan=plan, split=split).reshape(T, S, S).transpose(0, 2, 1)
+    out = batched_idft(tcu, cols, split=split).reshape(T, S, S).transpose(0, 2, 1)
     return out
 
 
@@ -161,7 +160,6 @@ def batched_circular_convolve2d(
     tiles: np.ndarray,
     kernel: np.ndarray,
     *,
-    plan: bool = True,
     split: str | int = "auto",
 ) -> np.ndarray:
     """Correlate every ``S x S`` tile with a centred odd-side kernel.
@@ -178,6 +176,7 @@ def batched_circular_convolve2d(
     One forward 2-D DFT of the stack, one of the kernel, a pointwise
     product and one inverse transform — all batched.
     """
+    check_split(split)
     tiles = np.asarray(tiles)
     if tiles.ndim != 3 or tiles.shape[1] != tiles.shape[2]:
         raise ValueError(f"tiles must be (T, S, S), got {tiles.shape}")
@@ -186,14 +185,14 @@ def batched_circular_convolve2d(
     tcu.charge_cpu(2 * S * S)
 
     cost_only = tcu.execute == "cost-only"
-    f_tiles = dft2(tcu, tiles, plan=plan, split=split)
-    f_ker = dft2(tcu, reversed_ker[None, :, :], plan=plan, split=split)[0]
+    f_tiles = dft2(tcu, tiles, split=split)
+    f_ker = dft2(tcu, reversed_ker[None, :, :], split=split)[0]
     if cost_only:
         prod = placeholder(f_tiles.shape, np.complex128)
     else:
         prod = f_tiles * f_ker[None, :, :]
     tcu.charge_cpu(tiles.size)
-    out = idft2(tcu, prod, plan=plan, split=split)
+    out = idft2(tcu, prod, split=split)
     if not (np.iscomplexobj(tiles) or np.iscomplexobj(kernel)):
         # real inputs give a real result (dtype preserved in cost-only)
         out = placeholder(out.shape, np.float64) if cost_only else out.real

@@ -30,6 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..core.machine import TCUMachine, placeholder
+from ..core.program import check_split
 from ..matmul.dense import matmul
 
 __all__ = [
@@ -68,9 +69,7 @@ def dft_recursion_depth(n: int, m: int) -> int:
     return depth
 
 
-def batched_dft(
-    tcu: TCUMachine, X: np.ndarray, *, plan: bool = True, split: str | int = "auto"
-) -> np.ndarray:
+def batched_dft(tcu: TCUMachine, X: np.ndarray, *, split: str | int = "auto") -> np.ndarray:
     """DFT of every row of a ``(batch, size)`` complex matrix.
 
     Implements the Theorem 7 recursion; the batch dimension rides along
@@ -78,13 +77,13 @@ def batched_dft(
     costs ``O((B*n + l) log_m n)`` — not B times the latency.
 
     Each recursion level's product goes through the plan/execute layer
-    when ``plan`` is true (the default; levels are sequential because of
-    the twiddle pass, so the planner works within one level at a time);
-    ``plan=False`` is the eager escape hatch, threaded down to
-    :func:`repro.matmul.dense.matmul`; ``split`` is forwarded to the
-    planner at every level (``"auto"`` lets merged tall transforms
-    scale across parallel units, ``1`` pins the legacy schedule).
+    (levels are sequential because of the twiddle pass, so the planner
+    works within one level at a time); ``split`` is validated on entry
+    and forwarded to the planner at every level (``"auto"`` lets merged
+    tall transforms scale across parallel units, ``1`` pins the legacy
+    schedule).
     """
+    check_split(split)
     X = np.asarray(X)
     if X.ndim != 2:
         raise ValueError(f"batched_dft expects a 2-D (batch, size) array, got {X.shape}")
@@ -101,7 +100,7 @@ def batched_dft(
     if size <= s:
         W = dft_matrix(size)
         tcu.charge_cpu(size * size)  # constructing/loading the base Fourier matrix
-        return matmul(tcu, X, W, plan=plan, split=split)
+        return matmul(tcu, X, W, split=split)
     if size % s:
         raise ValueError(
             f"DFT size {size} is not sqrt(m)={s}-smooth; Theorem 7 requires "
@@ -121,13 +120,13 @@ def batched_dft(
         cols = X.reshape(B, n1, n2).transpose(0, 2, 1).reshape(B * n2, n1)
     tcu.charge_cpu(n1 * n1)
     # row b*n2+c holds DFT of column c
-    G = matmul(tcu, cols, dft_matrix(n1), plan=plan, split=split)
+    G = matmul(tcu, cols, dft_matrix(n1), split=split)
 
     # Twiddle factors: entry (r=p, c) of each n1 x n2 matrix gets
     # exp(-2*pi*i * p*c / size).
     tcu.charge_cpu(B * size)
     if cost_only:
-        batched_dft(tcu, placeholder((B * n1, n2), np.complex128), plan=plan, split=split)
+        batched_dft(tcu, placeholder((B * n1, n2), np.complex128), split=split)
         return placeholder((B, size), np.complex128)
     c_idx = np.tile(np.arange(n2), B)[:, None]
     p_idx = np.arange(n1)[None, :]
@@ -135,17 +134,16 @@ def batched_dft(
 
     # Row DFTs: rows of the n1 x n2 matrices, batch B*n1, size n2.
     rows = G.reshape(B, n2, n1).transpose(0, 2, 1).reshape(B * n1, n2)
-    F = batched_dft(tcu, rows, plan=plan, split=split)
+    F = batched_dft(tcu, rows, split=split)
 
     # Read out column-major: y[q*n1 + p] = F[p, q].
     out = F.reshape(B, n1, n2).transpose(0, 2, 1).reshape(B, size)
     return out
 
 
-def batched_idft(
-    tcu: TCUMachine, X: np.ndarray, *, plan: bool = True, split: str | int = "auto"
-) -> np.ndarray:
+def batched_idft(tcu: TCUMachine, X: np.ndarray, *, split: str | int = "auto") -> np.ndarray:
     """Inverse DFT of every row (conjugation trick; same cost bound)."""
+    check_split(split)
     X = np.asarray(X)
     if X.ndim != 2:
         raise ValueError(f"batched_idft expects a 2-D array, got {X.shape}")
@@ -155,25 +153,25 @@ def batched_idft(
     if size == 0:
         return np.zeros(X.shape, dtype=np.complex128)
     if tcu.execute == "cost-only":
-        batched_dft(tcu, placeholder(X.shape, np.complex128), plan=plan, split=split)
+        batched_dft(tcu, placeholder(X.shape, np.complex128), split=split)
         tcu.charge_cpu(X.size)
         return placeholder(X.shape, np.complex128)
-    out = np.conj(batched_dft(tcu, np.conj(X), plan=plan, split=split)) / size
+    out = np.conj(batched_dft(tcu, np.conj(X), split=split)) / size
     tcu.charge_cpu(X.size)
     return out
 
 
-def dft(tcu: TCUMachine, x: np.ndarray, *, plan: bool = True) -> np.ndarray:
+def dft(tcu: TCUMachine, x: np.ndarray) -> np.ndarray:
     """DFT of a single n-point vector in ``O((n + l) log_m n)`` model time."""
     x = np.asarray(x)
     if x.ndim != 1:
         raise ValueError(f"dft expects a 1-D vector, got shape {x.shape}")
-    return batched_dft(tcu, x[None, :], plan=plan)[0]
+    return batched_dft(tcu, x[None, :])[0]
 
 
-def idft(tcu: TCUMachine, y: np.ndarray, *, plan: bool = True) -> np.ndarray:
+def idft(tcu: TCUMachine, y: np.ndarray) -> np.ndarray:
     """Inverse DFT of a single vector."""
     y = np.asarray(y)
     if y.ndim != 1:
         raise ValueError(f"idft expects a 1-D vector, got shape {y.shape}")
-    return batched_idft(tcu, y[None, :], plan=plan)[0]
+    return batched_idft(tcu, y[None, :])[0]

@@ -31,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.machine import TCUMachine
+from ..core.program import check_split
 from .convolution import batched_circular_convolve2d, dft2, idft2
 
 __all__ = [
@@ -157,7 +158,6 @@ def _convolve_squares(
     P: np.ndarray,
     Q: np.ndarray,
     *,
-    plan: bool = True,
     split: str | int = "auto",
 ) -> np.ndarray:
     """Full linear 2-D convolution of two centred odd-side coefficient
@@ -188,9 +188,9 @@ def _convolve_squares(
     Pg[0, :p, :p] = P
     Qg[0, :q, :q] = Q
     tcu.charge_cpu(2 * S * S)
-    prod = dft2(tcu, Pg, plan=plan, split=split) * dft2(tcu, Qg, plan=plan, split=split)
+    prod = dft2(tcu, Pg, split=split) * dft2(tcu, Qg, split=split)
     tcu.charge_cpu(S * S)
-    out = idft2(tcu, prod, plan=plan, split=split)[0].real
+    out = idft2(tcu, prod, split=split)[0].real
     tcu.charge_cpu(S * S)
     return np.ascontiguousarray(out[:side, :side])
 
@@ -200,7 +200,6 @@ def unrolled_weights(
     weights: np.ndarray,
     k: int,
     *,
-    plan: bool = True,
     split: str | int = "auto",
 ) -> np.ndarray:
     """Lemma 2: the (2k+1) x (2k+1) unrolled weight matrix W = P^k.
@@ -210,9 +209,9 @@ def unrolled_weights(
     polynomial product is a TCU convolution of geometrically growing
     size — ``O(k^2 log_m k + l log k)`` model time.  The squarings are
     inherently sequential (each feeds the next), so the plan/execute
-    layer works within one convolution at a time; ``plan=False`` runs
-    every transform eagerly.
+    layer works within one convolution at a time.
     """
+    check_split(split)
     W = _check_kernel(weights)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -225,11 +224,11 @@ def unrolled_weights(
             result = (
                 base.copy()
                 if result is None
-                else _convolve_squares(tcu, result, base, plan=plan, split=split)
+                else _convolve_squares(tcu, result, base, split=split)
             )
         e >>= 1
         if e:
-            base = _convolve_squares(tcu, base, base, plan=plan, split=split)
+            base = _convolve_squares(tcu, base, base, split=split)
     assert result is not None
     expected = 2 * k + 1
     if result.shape[0] != expected:  # pragma: no cover - defensive
@@ -316,7 +315,6 @@ def stencil_tcu(
     k: int,
     *,
     precomputed_W: np.ndarray | None = None,
-    plan: bool = True,
     split: str | int = "auto",
 ) -> np.ndarray:
     """Theorem 8: evolve a linear stencil k sweeps in ``O(n log_m k + l log k)``.
@@ -333,15 +331,13 @@ def stencil_tcu(
     precomputed_W:
         Skip Lemma 2 and use this unrolled ``(2k+1) x (2k+1)`` kernel
         (the ablation benches use it to separate the two phases).
-    plan:
-        Route every transform product through the plan/execute layer
-        (default); ``False`` is the eager escape hatch, threaded down
-        through the convolution and DFT layers.
     split:
-        Planner split policy, threaded down the same path (``"auto"``
-        scales merged transform streams across parallel units; ``1``
-        pins the legacy one-call-per-group schedule).
+        Planner split policy, threaded down through the convolution and
+        DFT layers (``"auto"`` scales merged transform streams across
+        parallel units; ``1`` pins the legacy one-call-per-group
+        schedule).
     """
+    check_split(split)
     Wstep = _check_kernel(weights)
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
@@ -352,7 +348,7 @@ def stencil_tcu(
     if precomputed_W is not None:
         W = precomputed_W
     else:
-        W = unrolled_weights(tcu, Wstep, k, plan=plan, split=split)
+        W = unrolled_weights(tcu, Wstep, k, split=split)
     if W.shape != (2 * k + 1, 2 * k + 1):
         raise ValueError(
             f"unrolled kernel must be {(2*k+1, 2*k+1)}, got {W.shape}"
@@ -370,7 +366,7 @@ def stencil_tcu(
     tcu.charge_cpu(T * S * S)
 
     # One batched correlation of all windows against W (Lemma 1).
-    conv = batched_circular_convolve2d(tcu, windows, W, plan=plan, split=split)
+    conv = batched_circular_convolve2d(tcu, windows, W, split=split)
 
     out = assemble_tiles(conv, t, k, rb, cb)
     tcu.charge_cpu(rpad * cpad)

@@ -36,7 +36,9 @@ from repro.core.program import (
     plan_program,
 )
 from repro.serve import get_request_type
-from repro.transform.dft import batched_dft
+from repro.transform.convolution import dft2, idft2
+from repro.transform.dft import batched_dft, batched_idft
+from repro.transform.stencil import heat_equation_weights, unrolled_weights
 
 ELL = 32.0
 
@@ -295,6 +297,35 @@ class TestSplitKnob:
         with pytest.raises(ProgramError) as raised:
             batched_dft(machine, rng.random((2, 16)) + 0j, split="bogus")
         assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "kernel, args",
+        [
+            (unrolled_weights, (heat_equation_weights(), 2)),
+            (batched_dft, (np.zeros((2, 0), complex),)),
+            (batched_dft, (np.zeros((0, 16), complex),)),
+            (batched_idft, (np.zeros((2, 0), complex),)),
+            (dft2, (np.zeros((0, 4, 4)),)),
+            (idft2, (np.zeros((0, 4, 4)),)),
+        ],
+        ids=[
+            "unrolled_weights-small-squarings",
+            "batched_dft-no-columns",
+            "batched_dft-no-rows",
+            "batched_idft-no-columns",
+            "dft2-empty-stack",
+            "idft2-empty-stack",
+        ],
+    )
+    def test_invalid_split_rejected_where_no_product_runs(self, kernel, args):
+        """Every public kernel taking ``split`` checks it on entry, also
+        on inputs that never reach ``matmul`` or the planner: Lemma 2's
+        small squarings take the direct RAM convolution, and empty
+        transforms return before any product."""
+        machine = TCUMachine(m=16, ell=8.0)
+        with pytest.raises(ProgramError, match="split must be 'auto'"):
+            kernel(machine, *args, split="bogus")
+        assert machine.time == 0
 
     def test_explicit_split_forces_factor(self):
         machine = ParallelTCUMachine(m=16, ell=ELL, units=4)

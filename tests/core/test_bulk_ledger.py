@@ -69,38 +69,11 @@ def test_charge_tensor_bulk_validation():
         led.charge_tensor_bulk(np.array([[4, 4]]), 4, 0.0)  # not 1-D
 
 
-def test_bound_ledger_rejects_foreign_bulk_charge():
-    """The cache-poisoning guard: a ledger bound to a machine refuses
-    bulk charges carrying another machine's (sqrt_m, ell)."""
-    from repro.core.machine import TCUMachine
-
-    machine = TCUMachine(m=16, ell=8.0)
-    led = machine.ledger
-    led.charge_tensor_bulk(np.array([4, 8]), 4, 8.0)  # own parameters pass
-    with pytest.raises(LedgerError, match="different machine configuration"):
-        led.charge_tensor_bulk(np.array([8]), 8, 8.0)  # wrong sqrt_m
-    with pytest.raises(LedgerError, match="different machine configuration"):
-        led.charge_tensor_bulk(np.array([4]), 4, 16.0)  # wrong latency
-    # the failed charges left no trace
-    assert led.tensor_calls == 2
-
-
 def test_unbound_ledger_accepts_any_bulk_charge():
     led = CostLedger()
     led.charge_tensor_bulk(np.array([4]), 4, 8.0)
     led.charge_tensor_bulk(np.array([8]), 8, 16.0)
     assert led.tensor_calls == 2
-
-
-def test_bindings_accumulate_and_survive_reset():
-    led = CostLedger()
-    led.bind_machine(4, 8.0)
-    led.bind_machine(8, 16.0)
-    led.charge_tensor_bulk(np.array([4]), 4, 8.0)
-    led.charge_tensor_bulk(np.array([8]), 8, 16.0)
-    led.reset()
-    with pytest.raises(LedgerError):
-        led.charge_tensor_bulk(np.array([4]), 4, 99.0)
 
 
 def test_record_bulk_matches_record():

@@ -113,16 +113,18 @@ def test_quantized_cost_only_charges_without_observing():
 
 
 def test_overflow_checked_machines_keep_checking_on_the_fused_path():
+    from eager_oracles import per_call_matmul
+
     from repro.core.words import OverflowError_
     from repro.matmul.dense import matmul
 
     big = np.full((16, 16), 120, dtype=np.int64)
     tcu = TCUMachine(m=4, kappa=8, check_overflow=True)
     with pytest.raises(OverflowError_):
-        matmul(tcu, big, big, plan=True)
+        matmul(tcu, big, big)
     eager = TCUMachine(m=4, kappa=8, check_overflow=True)
     with pytest.raises(OverflowError_):
-        matmul(eager, big, big, plan=False)
+        per_call_matmul(eager, big, big)
 
 
 def test_dft_cost_only_keeps_placeholders_lazy():

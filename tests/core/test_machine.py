@@ -1,9 +1,13 @@
 """Unit tests for the (m, l)-TCU machine primitive."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
-from repro import TCUMachine, TensorShapeError, WeakTCUMachine
+from repro import ParallelTCUMachine, TCUMachine, TensorShapeError, WeakTCUMachine
+from repro.core.presets import PRESETS
+from repro.core.quantize import QuantizedTCUMachine
 from repro.core.words import OverflowError_
 
 
@@ -35,6 +39,36 @@ class TestConstruction:
         child = machine.fork()
         assert (child.m, child.ell, child.kappa, child.max_rows) == (16, 7.0, 32, 64)
         assert child.time == 0
+
+
+FORK_CASES = {
+    "serial": lambda: TCUMachine(m=16, ell=8.0, max_rows=32, complex_cost_factor=4),
+    "weak": lambda: WeakTCUMachine(m=16, ell=8.0),
+    "systolic": lambda: TCUMachine(m=16, ell=8.0, backend="systolic"),
+    "overflow-checked": lambda: TCUMachine(m=16, ell=8.0, check_overflow=True),
+    "parallel": lambda: ParallelTCUMachine(m=16, ell=8.0, units=3, scheduler="greedy"),
+    **{
+        f"quantized-{fmt}": partial(QuantizedTCUMachine, m=16, ell=8.0, precision=fmt)
+        for fmt in ("fp16", "bf16", "int8")
+    },
+    **{f"preset-{name}": spec.create for name, spec in PRESETS.items()},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FORK_CASES))
+def test_fork_keeps_every_cost_and_value_parameter(kind):
+    """A fork is the same machine with a fresh ledger: equal fingerprint
+    (so a plan compiled on it replays on the original) and equal
+    tensor-unit outputs, quantised formats included."""
+    machine = FORK_CASES[kind]()
+    child = machine.fork()
+    assert type(child) is type(machine)
+    assert child.config_key() == machine.config_key()
+    assert child.ledger is not machine.ledger
+    rng = np.random.default_rng(7)
+    A, B = rng.random((2, machine.sqrt_m, machine.sqrt_m))
+    assert np.array_equal(child.mm(A, B), machine.mm(A, B))
+    assert child.ledger.snapshot() == machine.ledger.snapshot()
 
 
 class TestMMInterface:

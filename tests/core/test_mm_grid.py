@@ -153,6 +153,22 @@ def test_integer_overflow_checked_on_the_stack():
         tcu.mm_grid(big, np.full((2, 2), 120, dtype=np.int64))
 
 
+def test_overflow_error_names_the_first_offending_call():
+    """A stacked grid reports the same offending call the ``mm`` loop
+    stops at, not the worst value anywhere in the stack."""
+    from repro.core.words import OverflowError_
+
+    A = np.ones((3, 2, 2), dtype=np.int64)
+    B = np.ones((3, 2, 2), dtype=np.int64)
+    B[1, 0, 0] = -3  # call 1: minimum accumulator -2
+    B[2, 0, 0] = -9  # call 2: minimum accumulator -8
+    with pytest.raises(OverflowError_) as grid:
+        TCUMachine(m=4, kappa=8, check_overflow=True).mm_grid(A, B)
+    with pytest.raises(OverflowError_) as loop:
+        loop_reference(TCUMachine(m=4, kappa=8, check_overflow=True), A, B)
+    assert str(grid.value) == str(loop.value) == "negative accumulator value -2"
+
+
 def test_fork_preserves_execute_mode():
     tcu = TCUMachine(m=16, execute="cost-only")
     assert tcu.fork().execute == "cost-only"

@@ -1,5 +1,6 @@
 """Plan cache core gates: compile-once/replay-forever bit-identity,
-LRU bookkeeping, and the ledger-binding poisoning guard.
+LRU bookkeeping, and the fingerprint check that refuses a replay onto a
+machine the plan was not compiled for.
 
 The cache's contract is *bitwise*: a :class:`CompiledCursor` replay must
 be indistinguishable — snapshot, clock, per-shape trace totals, unit-id
@@ -272,12 +273,12 @@ class TestPoisoningGuard:
 
     def test_raw_level_replay_is_guarded_too(self):
         """Parallel plans bypass charge_tensor_bulk's formula path; the
-        raw counter replay must hit the same binding check."""
+        fingerprint check refuses them before any level replays."""
         donor = ParallelTCUMachine(m=16, ell=ELL, units=3)
         compiled = compile_plan(get_request_type("matmul"), donor, [8, 8, 8])
         victim = ParallelTCUMachine(m=16, ell=9.0, units=3)
-        cursor = CompiledCursor(compiled, victim)
         with pytest.raises(LedgerError, match="different machine configuration"):
+            cursor = CompiledCursor(compiled, victim)
             while not cursor.done:
                 cursor.step()
 
@@ -332,22 +333,32 @@ class TestConfigKeyCompleteness:
         keys = {base.config_key()} | {m.config_key() for m in variants}
         assert len(keys) == len(variants) + 1
 
-    def test_cross_unit_count_replay_charges_the_donor_schedule(self):
-        """The ledger-binding guard keys on ``(sqrt_m, l)`` only — it
-        *cannot* detect a unit-count mismatch, because a frozen plan
-        carries its own unit assignment and charge columns.  A p=2 plan
-        replayed on a p=4 machine silently charges the p=2 makespan:
-        this is precisely why ``config_key()`` (and hence the cache key)
-        must include ``units`` — the key is the sole line of defence."""
-        donor = ParallelTCUMachine(m=16, ell=ELL, units=2)
-        compiled = compile_plan(get_request_type("dft"), donor, [512])
-        CompiledCursor(compiled, donor).run()
-
-        victim = ParallelTCUMachine(m=16, ell=ELL, units=4)
-        CompiledCursor(compiled, victim).run()
-        # the mis-routed replay reproduces the *donor's* charges, not
-        # what a p=4 plan would cost — a real hazard were the key wrong
-        assert victim.ledger.snapshot() == donor.ledger.snapshot()
-        native = ParallelTCUMachine(m=16, ell=ELL, units=4)
-        CompiledCursor(compile_plan(get_request_type("dft"), native, [512]), native).run()
-        assert native.ledger.total_time < victim.ledger.total_time
+    @pytest.mark.parametrize(
+        "victim",
+        [
+            dict(units=4),
+            dict(units=3, scheduler="round-robin"),
+        ],
+        ids=["units", "scheduler"],
+    )
+    def test_replay_refuses_other_unit_count_or_scheduler(self, victim):
+        """``(sqrt_m, l)`` alone cannot tell these machines apart: a
+        frozen plan carries its donor's unit assignment and makespans,
+        so a p=3 plan replayed on a p=4 machine would charge the p=3
+        schedule.  The plan's stored ``config_key`` refuses the replay,
+        naming both keys, before anything is charged."""
+        donor = ParallelTCUMachine(m=16, ell=ELL, units=3, execute="cost-only")
+        compiled = compile_plan(get_request_type("dft"), donor, [4])
+        assert compiled.config_key == donor.config_key()
+        machine = ParallelTCUMachine(m=16, ell=ELL, execute="cost-only", **victim)
+        with pytest.raises(LedgerError, match="different machine configuration") as err:
+            CompiledCursor(compiled, machine)
+        assert str(donor.config_key()) in str(err.value)
+        assert str(machine.config_key()) in str(err.value)
+        assert machine.ledger.tensor_calls == 0 and machine.ledger.total_time == 0.0
+        # a plan compiled for the victim itself replays as a live run does
+        native = compile_plan(get_request_type("dft"), machine, [4])
+        CompiledCursor(native, machine).run()
+        live = ParallelTCUMachine(m=16, ell=ELL, execute="cost-only", **victim)
+        get_request_type("dft").serve(live, [4])
+        assert machine.ledger.snapshot() == live.ledger.snapshot()

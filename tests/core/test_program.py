@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from eager_oracles import eager_strassen, per_call_matmul, per_segment_closure
 
 from repro import TCUMachine, TensorProgram, matmul, matmul_lazy, run_program
 from repro.core.machine import TensorShapeError, placeholder
@@ -225,15 +226,15 @@ class TestParallelExecution:
 
 class TestPlannedVersusEager:
     """The acceptance bar: planned execution is cost-equivalent or
-    cheaper than eager, with identical numerics."""
+    cheaper than the eager per-call oracles, with identical numerics."""
 
     def test_theorem2_matmul_cost_equivalent(self, rng):
         A = rng.random((24, 20))
         B = rng.random((20, 12))
         eager = TCUMachine(m=16, ell=9.0)
         planned = TCUMachine(m=16, ell=9.0)
-        Ce = matmul(eager, A, B, plan=False)
-        Cp = matmul(planned, A, B, plan=True)
+        Ce = per_call_matmul(eager, A, B)
+        Cp = matmul(planned, A, B)
         assert np.allclose(Ce, Cp)
         assert planned.time <= eager.time
         assert planned.ledger.snapshot() == eager.ledger.snapshot()
@@ -243,8 +244,8 @@ class TestPlannedVersusEager:
         B = rng.random((24, 24))
         eager = TCUMachine(m=16, ell=9.0)
         planned = TCUMachine(m=16, ell=9.0)
-        Ce = strassen_like_mm(eager, A, B, plan=False)
-        Cp = strassen_like_mm(planned, A, B, plan=True)
+        Ce = eager_strassen(eager, A, B)
+        Cp = strassen_like_mm(planned, A, B)
         assert np.allclose(Ce, Cp)
         assert planned.ledger.snapshot() == eager.ledger.snapshot()
 
@@ -256,7 +257,7 @@ class TestPlannedVersusEager:
         streams = [rng.random((16, 4)) for _ in range(8)]
         eager = TCUMachine(m=16, ell=ell)
         for X in streams:
-            matmul(eager, X, W, plan=False)
+            per_call_matmul(eager, X, W)
         planned = TCUMachine(m=16, ell=ell)
         prog = TensorProgram()
         outs = [matmul_lazy(planned, prog, X, W) for X in streams]
@@ -273,8 +274,8 @@ class TestPlannedVersusEager:
         np.fill_diagonal(A, 0)
         eager = TCUMachine(m=16, ell=50.0)
         planned = TCUMachine(m=16, ell=50.0)
-        Ce = transitive_closure(eager, A, plan=False)
-        Cp = transitive_closure(planned, A, plan=True)
+        Ce = per_segment_closure(eager, A)
+        Cp = transitive_closure(planned, A)
         assert np.array_equal(Ce, Cp)
         assert planned.ledger.latency_time < eager.ledger.latency_time
         assert planned.time < eager.time
@@ -288,8 +289,8 @@ class TestPlannedVersusEager:
         np.fill_diagonal(A, 0)
         eager = TCUMachine(m=16, ell=7.0)
         planned = TCUMachine(m=16, ell=7.0)
-        transitive_closure(eager, A, plan=False)
-        transitive_closure(planned, A, plan=True)
+        per_segment_closure(eager, A)
+        transitive_closure(planned, A)
         sim_e = simulate_ledger_io(eager.ledger, weak=True)
         sim_p = simulate_ledger_io(planned.ledger, weak=True)
         assert sim_p.tensor_ios == sim_e.tensor_ios
@@ -302,7 +303,7 @@ class TestPlannedVersusEager:
         streams = [rng.random((8, 4)) for _ in range(5)]
         eager = TCUMachine(m=16, ell=7.0, max_rows=10)
         for X in streams:
-            matmul(eager, X, W, plan=False)
+            per_call_matmul(eager, X, W)
         planned = TCUMachine(m=16, ell=7.0, max_rows=10)
         prog = TensorProgram()
         outs = [matmul_lazy(planned, prog, X, W) for X in streams]
@@ -339,8 +340,8 @@ class TestPlannedVersusEager:
         B = (rng.random((16, 16)) + 1j * rng.random((16, 16))).astype(complex)
         eager = ParallelTCUMachine(m=16, ell=5.0, units=4, complex_cost_factor=4)
         planned = ParallelTCUMachine(m=16, ell=5.0, units=4, complex_cost_factor=4)
-        Ce = matmul(eager, A, B, plan=False)
-        Cp = matmul(planned, A, B, plan=True)
+        Ce = per_call_matmul(eager, A, B)
+        Cp = matmul(planned, A, B)
         assert np.allclose(Ce, Cp)
         assert planned.ledger.tensor_calls == eager.ledger.tensor_calls
         assert planned.ledger.call_shape_totals() == eager.ledger.call_shape_totals()
@@ -358,7 +359,7 @@ class TestPlannedVersusEager:
         A = rng.random((40, 8))
         B = rng.random((8, 8))
         eager = ParallelTCUMachine(m=64, ell=3.0, units=4, max_rows=16)
-        Ce = matmul(eager, A, B, plan=False)
+        Ce = per_call_matmul(eager, A, B)
 
         legacy = ParallelTCUMachine(m=64, ell=3.0, units=4, max_rows=16)
         prog = TensorProgram()
@@ -384,8 +385,8 @@ class TestPlannedVersusEager:
         B = rng.random((16, 16))
         eager = ParallelTCUMachine(m=16, ell=3.0, units=4, max_rows=20)
         planned = ParallelTCUMachine(m=16, ell=3.0, units=4, max_rows=20)
-        Ce = matmul(eager, A, B, plan=False)
-        Cp = matmul(planned, A, B, plan=True)
+        Ce = per_call_matmul(eager, A, B)
+        Cp = matmul(planned, A, B)
         assert np.allclose(Ce, Cp)
         assert planned.ledger.tensor_calls == eager.ledger.tensor_calls
         assert planned.ledger.call_shape_totals() == eager.ledger.call_shape_totals()
@@ -397,7 +398,7 @@ class TestPlannedVersusEager:
         streams = [rng.random((8, 4)) for _ in range(6)]
         eager = TCUMachine(m=16, ell=3.0)
         for X in streams:
-            matmul(eager, X, W, plan=False)
+            per_call_matmul(eager, X, W)
         planned = TCUMachine(m=16, ell=3.0)
         prog = TensorProgram()
         for X in streams:

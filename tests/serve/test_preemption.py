@@ -188,30 +188,7 @@ class TestPreemptResumeChargeParity:
         assert by_index  # sanity
 
 
-class TestAtomicKindsNeverPreempt:
-    def test_legacy_atomic_stencil_batches_run_to_completion(self):
-        """A legacy_atomic stencil type has no planned lowering (plan()
-        is None): its batches execute atomically even under a
-        preemptive engine."""
-        from repro.serve.workload import StencilRequestType, register_request_type
-
-        register_request_type(
-            StencilRequestType(name="stencil-atomic", legacy_atomic=True)
-        )
-        bulk = PoissonWorkload(
-            rate=2e-5, total=6, kind="stencil-atomic", rows=16, seed=1, priority=0
-        )
-        hot = PoissonWorkload(
-            rate=4e-4, total=40, kind="matmul", rows=8, seed=2, priority=2
-        )
-        machine = TCUMachine(m=16, ell=ELL)
-        result = preempting_engine(machine).serve(MixedWorkload(bulk, hot))
-        result.check_conservation()
-        for batch in result.batches:
-            if batch.kind == "stencil-atomic":
-                assert batch.preemptions == 0
-                assert batch.completion == batch.launch + batch.service
-
+class TestStencilPreemption:
     def test_default_stencil_is_now_preemptible(self):
         """The default stencil kind lowers through the IR: under a
         preemptive engine a hot stream can checkpoint its batches."""

@@ -335,36 +335,39 @@ class TestPlanLowering:
             plan = get_request_type(kind).plan(machine, rows)
             assert len(plan.levels) >= floor, kind
 
-    def test_stencil_plans_and_matches_legacy_atomic_charges(self):
-        # the default stencil kind now lowers through the program IR;
-        # the legacy_atomic escape hatch keeps the old opaque serve()
-        # and is the charge-parity oracle for the lowering
+    def test_stencil_plan_matches_stencil_tcu_charges(self):
+        # the stencil kind lowers through the program IR; running
+        # stencil_tcu once per grid is the charge-parity oracle
+        from repro.core.program import ExecutionCursor
         from repro.serve.workload import StencilRequestType
+        from repro.transform.stencil import heat_equation_weights, stencil_tcu
 
-        legacy = StencilRequestType(name="stencil-atomic-test", legacy_atomic=True)
-        assert legacy.plan(TCUMachine(m=16, ell=8.0), [8]) is None
+        rtype = StencilRequestType(name="stencil-parity-test")
         for rows in ([8], [8, 12, 8]):
             planned_m = TCUMachine(m=16, ell=8.0)
-            legacy_m = TCUMachine(m=16, ell=8.0)
-            plan = get_request_type("stencil").plan(planned_m, rows)
-            assert plan is not None and len(plan.levels) >= 4
-            from repro.core.program import ExecutionCursor
-
+            direct_m = TCUMachine(m=16, ell=8.0)
+            plan = rtype.plan(planned_m, rows)
+            assert len(plan.levels) >= 4
             ExecutionCursor(plan, planned_m).run()
-            legacy.serve(legacy_m, rows)
-            assert planned_m.ledger.snapshot() == legacy_m.ledger.snapshot(), rows
+            for side in rows:
+                grid = np.zeros((side, side))
+                stencil_tcu(direct_m, grid, heat_equation_weights(), rtype.steps)
+            assert planned_m.ledger.snapshot() == direct_m.ledger.snapshot(), rows
             assert (
                 planned_m.ledger.call_shape_totals()
-                == legacy_m.ledger.call_shape_totals()
+                == direct_m.ledger.call_shape_totals()
             ), rows
 
-    def test_legacy_type_without_serve_or_plan_fails_loudly(self):
+    def test_type_without_plan_fails_loudly(self):
         class Hollow(RequestType):
             name = "hollow"
 
         machine = TCUMachine(m=16, ell=8.0)
-        with pytest.raises(NotImplementedError, match="neither plan"):
+        message = r"'hollow' \(Hollow\) does not implement plan"
+        with pytest.raises(NotImplementedError, match=message):
             Hollow().serve(machine, [4])
+        with pytest.raises(NotImplementedError, match="Hollow"):
+            Hollow().plan(machine, [4])
 
 
 _NAN, _INF = math.nan, math.inf

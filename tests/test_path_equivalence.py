@@ -1,17 +1,17 @@
-"""Execution-path equivalence: eager, planned-unfused, planned-fused and
+"""Execution-path equivalence: planned-unfused, planned-fused and
 cost-only runs of every algorithm must charge bit-identical ledger
 totals, call counts, per-shape traces and section times.
 
 Two invariants are pinned down, matching the planner's documented
 semantics:
 
-* within one planning mode, the executor variant never changes a
-  charge: ``fused=True`` == ``fused=False`` == ``execute="cost-only"``;
-* the eager (``plan=False``) path equals the planned path whenever the
-  planner has nothing to merge (a lone Theorem 2 product, Strassen,
-  DFT); the closure's planned path intentionally merges two segment
-  calls per pivot column (fewer latencies), and there cost-only must
-  track whichever mode it runs in.
+* the executor variant never changes a charge: ``fused=True`` ==
+  ``fused=False`` == ``execute="cost-only"``;
+* the eager per-call schedule (the oracles of ``eager_oracles``) equals
+  the planned path whenever the planner has nothing to merge (a lone
+  Theorem 2 product, Strassen, DFT); the closure's planned path
+  intentionally merges two segment calls per pivot column (fewer
+  latencies), and there cost-only must track the numeric run.
 
 All machine parameters that alter the charge structure are swept:
 latency, complex-cost factors, hardware row bounds and sections.
@@ -19,6 +19,7 @@ latency, complex-cost factors, hardware row bounds and sections.
 
 import numpy as np
 import pytest
+from eager_oracles import eager_batched_dft, eager_strassen, per_call_matmul
 
 from repro.core.ledger import CostLedger
 from repro.core.machine import TCUMachine, placeholder
@@ -63,18 +64,38 @@ def test_dense_paths_agree(kind, shape):
         A = A + 1j * rng.random((p, q))
     eager = make(kind)
     with eager.section("mm"):
-        C_eager = matmul(eager, A, B, plan=False)
+        C_eager = per_call_matmul(eager, A, B)
     fused = make(kind)
     with fused.section("mm"):
-        C_fused = matmul(fused, A, B, plan=True)
+        C_fused = matmul(fused, A, B)
     cost = make(kind, execute="cost-only")
     with cost.section("mm"):
-        C_cost = matmul(cost, A, B, plan=True)
+        C_cost = matmul(cost, A, B)
     assert np.allclose(C_eager, A @ B) and np.allclose(C_fused, A @ B)
     assert C_cost.shape == (p, r)
     fp = ledger_fingerprint(eager, ["mm"])
     assert ledger_fingerprint(fused, ["mm"]) == fp
     assert ledger_fingerprint(cost, ["mm"]) == fp
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_exec_path_bench_shapes_match_the_per_call_oracle(n):
+    """The shapes ``bench_exec_paths`` and ``run_all.exec_path_comparison``
+    time (m = 256, l = 32): the fused and cost-only products charge the
+    per-call schedule's ledger, which those benches no longer run."""
+    rng = np.random.default_rng(n)
+    A = rng.random((n, n))
+    B = rng.random((n, n))
+    eager = TCUMachine(m=256, ell=32.0)
+    C_eager = per_call_matmul(eager, A, B)
+    fused = TCUMachine(m=256, ell=32.0)
+    C_fused = matmul(fused, A, B)
+    cost = TCUMachine(m=256, ell=32.0, execute="cost-only")
+    matmul(cost, A, B)
+    assert np.allclose(C_fused, C_eager)
+    fp = ledger_fingerprint(eager)
+    assert ledger_fingerprint(fused) == fp
+    assert ledger_fingerprint(cost) == fp
 
 
 @pytest.mark.parametrize("kind", ["base", "split-stream"])
@@ -83,7 +104,7 @@ def test_dense_unfused_program_agrees(kind):
     A = rng.random((48, 32))
     B = rng.random((32, 48))
     reference = make(kind)
-    matmul(reference, A, B, plan=False)
+    per_call_matmul(reference, A, B)
 
     for fused in (True, False):
         tcu = make(kind)
@@ -100,11 +121,11 @@ def test_strassen_paths_agree(kind):
     A = rng.random((40, 40))
     B = rng.random((40, 40))
     eager = make(kind)
-    C_eager = strassen_like_mm(eager, A, B, plan=False)
+    C_eager = eager_strassen(eager, A, B)
     fused = make(kind)
-    C_fused = strassen_like_mm(fused, A, B, plan=True)
+    C_fused = strassen_like_mm(fused, A, B)
     cost = make(kind, execute="cost-only")
-    C_cost = strassen_like_mm(cost, A, B, plan=True)
+    C_cost = strassen_like_mm(cost, A, B)
     assert np.allclose(C_eager, A @ B) and np.allclose(C_fused, A @ B)
     assert C_cost.shape == (40, 40)
     fp = ledger_fingerprint(eager)
@@ -117,11 +138,11 @@ def test_dft_paths_agree(kind):
     rng = np.random.default_rng(9)
     X = rng.random((4, 64)) + 1j * rng.random((4, 64))
     eager = make(kind)
-    F_eager = batched_dft(eager, X, plan=False)
+    F_eager = eager_batched_dft(eager, X)
     fused = make(kind)
-    F_fused = batched_dft(fused, X, plan=True)
+    F_fused = batched_dft(fused, X)
     cost = make(kind, execute="cost-only")
-    F_cost = batched_dft(cost, X, plan=True)
+    F_cost = batched_dft(cost, X)
     assert np.allclose(F_eager, np.fft.fft(X))
     assert np.allclose(F_fused, np.fft.fft(X))
     assert F_cost.shape == X.shape
@@ -130,16 +151,15 @@ def test_dft_paths_agree(kind):
     assert ledger_fingerprint(cost) == fp
 
 
-@pytest.mark.parametrize("plan", [True, False])
-def test_closure_cost_only_tracks_its_mode(plan):
+def test_closure_cost_only_tracks_numeric():
     rng = np.random.default_rng(3)
     n = 37
     adj = (rng.random((n, n)) < 0.1).astype(np.int64)
     np.fill_diagonal(adj, 0)
     numeric = TCUMachine(m=16, ell=50.0)
-    closure = transitive_closure(numeric, adj, plan=plan)
+    closure = transitive_closure(numeric, adj)
     cost = TCUMachine(m=16, ell=50.0, execute="cost-only")
-    transitive_closure(cost, adj, plan=plan)
+    transitive_closure(cost, adj)
     assert ledger_fingerprint(cost) == ledger_fingerprint(numeric)
     # reachability sanity on the numeric result
     assert np.array_equal(closure, closure | (closure @ closure > 0))
@@ -153,7 +173,7 @@ def test_closure_fused_matches_unfused_executor(monkeypatch):
     adj = (rng.random((n, n)) < 0.15).astype(np.int64)
     np.fill_diagonal(adj, 0)
     fused = TCUMachine(m=16, ell=25.0)
-    R_fused = transitive_closure(fused, adj, plan=True)
+    R_fused = transitive_closure(fused, adj)
 
     orig = run_program
     monkeypatch.setattr(
@@ -162,7 +182,7 @@ def test_closure_fused_matches_unfused_executor(monkeypatch):
         lambda program, machine, **kw: orig(program, machine, fused=False, **kw),
     )
     unfused = TCUMachine(m=16, ell=25.0)
-    R_unfused = transitive_closure(unfused, adj, plan=True)
+    R_unfused = transitive_closure(unfused, adj)
     assert np.array_equal(R_fused, R_unfused)
     assert ledger_fingerprint(fused) == ledger_fingerprint(unfused)
 
