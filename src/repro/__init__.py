@@ -37,7 +37,6 @@ from .core import (
     TPU_V1,
     VOLTA_TC,
     BatchStats,
-    CompiledCursor,
     CompiledPlan,
     CostLedger,
     ExecutionCursor,
@@ -135,7 +134,6 @@ __all__ = [
     "MixedWorkload",
     "ClassMetrics",
     "ExecutionCursor",
-    "CompiledCursor",
     "CompiledPlan",
     "PlanCache",
     "compile_plan",

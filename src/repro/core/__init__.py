@@ -27,7 +27,6 @@ from .scheduling import (
 )
 from .plan_cache import CompiledPlan, LevelCharges, PlanCache, compile_plan
 from .program import (
-    CompiledCursor,
     ExecutionCursor,
     Lazy,
     Plan,
@@ -64,7 +63,6 @@ __all__ = [
     "ProgramError",
     "Lazy",
     "ExecutionCursor",
-    "CompiledCursor",
     "CompiledPlan",
     "LevelCharges",
     "PlanCache",

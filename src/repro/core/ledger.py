@@ -465,15 +465,49 @@ class CostLedger:
             self.on_charge("tensor", total)
         return total
 
+    def charge_tensor_totals(
+        self,
+        tensor_time: float,
+        latency_time: float,
+        ns: np.ndarray,
+        sqrt_m: int,
+        times: np.ndarray,
+        latency: float | np.ndarray,
+        units: np.ndarray | None = None,
+        *,
+        span: float | None = None,
+    ) -> float:
+        """Charge ``ns.size`` tensor calls whose totals were computed
+        elsewhere: a parallel batch's makespan
+        (:meth:`~repro.core.parallel.ParallelTCUMachine.mm_batch`) or a
+        compiled plan's frozen level
+        (:class:`~repro.core.plan_cache.CompiledPlan`).
+
+        The throughput and latency columns advance by ``tensor_time`` and
+        ``latency_time``, one addend each; open sections and ``on_charge``
+        see ``span`` (default: their sum); the trace gets the calls'
+        per-call columns verbatim.  Returns the span.
+        """
+        if not (0.0 <= tensor_time < math.inf and 0.0 <= latency_time < math.inf):
+            raise LedgerError(
+                f"tensor totals must be finite and >= 0, got {tensor_time!r}, {latency_time!r}"
+            )
+        total = tensor_time + latency_time if span is None else span
+        self.tensor_time += tensor_time
+        self.latency_time += latency_time
+        self.tensor_calls += int(ns.size)
+        self._bump_sections(total)
+        self.record_calls_bulk(ns, sqrt_m, times, latency, units=units)
+        if self.on_charge is not None:
+            self.on_charge("tensor", total)
+        return total
+
     def record_call(
         self, n: int, sqrt_m: int, time: float, latency: float, unit: int = -1
     ) -> None:
         """Trace one call under the active mode (no counters touched).
 
-        Used internally by :meth:`charge_tensor` and by batch executors
-        (e.g. :meth:`~repro.core.parallel.ParallelTCUMachine.mm_batch`)
-        that account makespans themselves but still want the per-call
-        trace kept consistent.
+        Used internally by :meth:`charge_tensor`.
         """
         if self.trace_calls is True:
             section = self._section_stack[-1] if self._section_stack else ""
@@ -494,7 +528,7 @@ class CostLedger:
     ) -> None:
         """Bulk trace append under the active mode (no counters touched):
         the vectorised counterpart of :meth:`record_call`, used by
-        :meth:`charge_tensor_bulk` and the parallel batch executor.
+        :meth:`charge_tensor_bulk` and :meth:`charge_tensor_totals`.
         ``latency`` is a shared scalar or a per-call column; ``units``
         optionally records per-call unit assignments (ignored by the
         aggregate histogram, which is keyed on shape alone)."""

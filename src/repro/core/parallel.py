@@ -296,15 +296,14 @@ class ParallelTCUMachine(TCUMachine):
         # replay match a serial run exactly.  Captured CPU work stays
         # serial (one CPU).
         scale = makespan / serial if serial else 0.0
-        self.ledger.tensor_time += serial_throughput * scale
-        self.ledger.latency_time += serial_latency * scale
-        self.ledger.tensor_calls += hardware_calls
-        self.ledger._bump_sections(makespan)
         if rows_per_call is None:
             row_units = schedule.assignment
         else:
             row_units = np.repeat(schedule.assignment, rows_per_call)
-        self.ledger.record_calls_bulk(row_ns, s, row_times, row_lats, units=row_units)
+        self.ledger.charge_tensor_totals(
+            serial_throughput * scale, serial_latency * scale,
+            row_ns, s, row_times, row_lats, row_units, span=makespan,
+        )
         if cpu_total:
             self.ledger.charge_cpu(cpu_total)
 

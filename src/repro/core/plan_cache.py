@@ -10,26 +10,39 @@ configuration)``.  This module exploits that replayability:
 
 * :func:`compile_plan` executes a request type's plan **once** against a
   scratch ledger on a forked probe machine and freezes what it charged
-  into a :class:`CompiledPlan` — per-level columnar charge records
-  (row counts, per-call times, latency spans, unit ids — the
-  ``charge_tensor_bulk`` / ``record_calls_bulk`` column format) plus the
-  per-level ``resident_words`` an :class:`~repro.core.program.ExecutionCursor`
-  would need to price a preempted resume.
-* :class:`~repro.core.program.CompiledCursor` replays a frozen plan
-  level-at-a-time with one bulk ledger charge per level — bit-identical
-  counters, clock, snapshot, trace shape totals and preemption/reload
-  behaviour to live execution (see the cursor's docstring for the exact
-  bit-identity conditions).
+  into a :class:`CompiledPlan` — the build charges, then one record per
+  level of from-zero counter deltas and trace columns (row counts,
+  per-call times, latencies, unit ids) — plus the per-level
+  ``resident_words`` a cursor needs to price a preempted resume.
+* A :class:`CompiledPlan` is a level source for the one
+  :class:`~repro.core.program.ExecutionCursor`, like a live
+  :class:`~repro.core.program.Plan`: the cursor charges the build
+  charges when it is made, replays one record per step, and prices
+  rewinds and reloads exactly as it does for a live plan.
 * :class:`PlanCache` memoises compiled plans under
   ``(kind, rows tuple, machine.config_key())`` with LRU eviction, so the
   serving hot path never re-plans a shape it has seen.
 
+Replay adds each captured delta to the ledger as one addend per counter,
+where live execution adds a level's charges one by one.  The two sums
+are bit-identical when each counter's live addends within one record
+are a single float (a parallel level runs one ``mm_batch`` makespan) or
+all integer-valued (float addition of integers below 2**53 is exact,
+which covers every serial charge with integer ``ell`` and so every
+shipped preset).  The build charges are one record too, and there the
+condition fails once: a stencil plan compiled on a
+:class:`~repro.core.parallel.ParallelTCUMachine` builds its kernel
+transform with four fractional ``mm_batch`` makespans, which replay as
+one summed addend, so a cached stencil run's clock can differ from a
+live one in the last bit.  The host-time benchmark's ``serve_parallel``
+reference records the cached arithmetic.
+
 Compilation runs on a **fork** of the target machine (fresh ledger), so
 probing never pollutes the live clock.  A compiled plan carries the
-``config_key()`` of the machine it was compiled for, and
-:class:`~repro.core.program.CompiledCursor` refuses to replay it onto a
-machine with any other key (:class:`~repro.core.ledger.LedgerError`)
-instead of silently charging the donor machine's schedule.
+``config_key()`` of the machine it was compiled for and refuses to
+start a cursor on a machine with any other key
+(:class:`~repro.core.ledger.LedgerError`) instead of silently charging
+the donor machine's schedule.
 """
 
 from __future__ import annotations
@@ -41,7 +54,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .ledger import CostLedger
+from .ledger import CostLedger, LedgerError
 from .machine import TCUMachine
 from .program import ExecutionCursor, Plan, PlanStats
 
@@ -57,36 +70,45 @@ class Plannable(Protocol):
 
 @dataclass(frozen=True, eq=False)
 class LevelCharges:
-    """The frozen ledger charges of one executed plan level.
-
-    ``simple`` marks levels whose charges are exactly what one public
-    :meth:`~repro.core.ledger.CostLedger.charge_tensor_bulk` with the
-    machine's own ``(sqrt_m, ell)`` would produce (uniform latency,
-    serial unit ids, per-call times on the ``n*sqrt_m + l`` formula) —
-    those replay through the validated public path.  Everything else
-    (parallel makespan-scaled levels, whose counters carry one scaled
-    addend each) replays its captured counter deltas and trace columns
-    verbatim, mirroring ``mm_batch``'s own accounting.
-    """
+    """The frozen ledger charges of one executed plan level (or of a
+    plan's build, or of a whole coalesced plan): the counter deltas it
+    charged from zero and the trace columns of its tensor calls."""
 
     tensor_time: float
     latency_time: float
     cpu_time: float
-    tensor_calls: int
     ns: np.ndarray
     times: np.ndarray
     lats: np.ndarray
     units: np.ndarray
-    simple: bool
 
     @property
     def total_time(self) -> float:
         return self.tensor_time + self.latency_time + self.cpu_time
 
+    def charge(self, machine: TCUMachine) -> None:
+        """Replay the record onto ``machine``'s ledger: one addend per
+        counter, the trace columns verbatim."""
+        ledger = machine.ledger
+        if self.ns.size:
+            ledger.charge_tensor_totals(
+                self.tensor_time, self.latency_time,
+                self.ns, machine.sqrt_m, self.times, self.lats, self.units,
+            )
+        if self.cpu_time:
+            ledger.charge_cpu(self.cpu_time)
+
 
 @dataclass(frozen=True, eq=False)
 class CompiledPlan:
     """A plan frozen to its ledger effects, ready for columnar replay.
+
+    A level source for :class:`~repro.core.program.ExecutionCursor`,
+    with the same interface as a live :class:`~repro.core.program.Plan`.
+    Replay equals live execution bit for bit when each record's live
+    addends per counter are one float or all integer-valued; a stencil
+    plan's build on a parallel machine is the known exception (see the
+    module docstring).
 
     Attributes
     ----------
@@ -95,28 +117,23 @@ class CompiledPlan:
         compiled for (informational; the cache key carries them too).
     config_key:
         The compiling machine's :meth:`~repro.core.machine.TCUMachine.config_key`;
-        a cursor refuses to replay the plan onto a machine whose key
-        differs.
-    sqrt_m / ell:
-        The probe machine's call parameters, which every replayed bulk
-        charge uses.
+        :meth:`start` refuses any machine whose key differs.
     prelude:
         Charges the request type's ``plan()`` emitted while *building*
-        the program (eager padding copies, Fourier-matrix loads).  The
-        live engine pays these at launch, before the first level, so
-        replay applies them together with level 0.
+        the program (eager padding copies, Fourier-matrix loads).  A
+        cursor pays them when it is made, where a live plan paid them
+        while it was built, and never again.
     levels:
         One :class:`LevelCharges` per plan level, in execution order.
     reload_words:
         ``reload_words[d]`` is the resident-block word count a cursor
         suspended before level ``d`` must re-load on resume — read from
-        the plan's suffix table (:meth:`~repro.core.program.Plan.resident_words`),
-        the one live :meth:`ExecutionCursor.resident_words` reads.
+        the plan's suffix table (:meth:`~repro.core.program.Plan.resident_words`).
     coalesced:
-        When every level is ``simple`` and all deltas are integer-valued
-        floats (so float addition re-associates exactly), the whole
-        plan — prelude included — collapsed into one record; a
-        run-to-exhaustion replay then costs a single bulk charge.
+        When every level's tensor, latency and CPU deltas are
+        integer-valued floats (so float addition re-associates
+        exactly), all levels collapsed into one record, which a
+        never-stepped cursor's ``run()`` pays as a single charge.
         ``None`` when per-level replay is required for bit-identity.
     stats:
         The live plan's :class:`~repro.core.program.PlanStats`.
@@ -125,85 +142,72 @@ class CompiledPlan:
     kind: str
     rows: tuple[int, ...]
     config_key: tuple
-    sqrt_m: int
-    ell: float
-    prelude: LevelCharges | None
+    prelude: LevelCharges
     levels: tuple[LevelCharges, ...]
     reload_words: tuple[int, ...]
     coalesced: LevelCharges | None
     stats: PlanStats
 
-    @property
-    def total_levels(self) -> int:
-        return len(self.levels)
+    def start(self, machine: TCUMachine) -> None:
+        """Check ``machine``'s fingerprint, then charge the build charges."""
+        key = machine.config_key()
+        if key != self.config_key:
+            raise LedgerError(
+                f"plan compiled for {self.config_key} cannot replay on {key}; "
+                "replaying a plan compiled for a different machine configuration?"
+            )
+        self.prelude.charge(machine)
+
+    def run_level(self, level: int, machine: TCUMachine, fused: bool = True) -> None:
+        """Replay level ``level``'s frozen charges onto ``machine``."""
+        self.levels[level].charge(machine)
+
+    def resident_words(self, from_level: int = 0) -> int:
+        if from_level >= len(self.reload_words):
+            return 0
+        return self.reload_words[from_level]
 
 
-def _capture(scratch: CostLedger, sqrt_m: int, ell: float) -> LevelCharges:
+def _capture(scratch: CostLedger) -> LevelCharges:
     """Freeze a zeroed scratch ledger's accumulated charges.
 
     The scratch starts from zero for every level, so counter values ARE
     the exact per-level float deltas live execution adds to a running
-    ledger.  The ``simple`` classification is verified against the bulk
-    formula bit-for-bit, never assumed.
+    ledger.
     """
-    ns_v, _, times_v, lats_v = scratch.calls.as_arrays()
-    ns = np.array(ns_v, dtype=np.int64, copy=True)
-    times = np.array(times_v, dtype=np.float64, copy=True)
-    lats = np.array(lats_v, dtype=np.float64, copy=True)
-    units = np.array(scratch.calls.unit_ids(), dtype=np.int64, copy=True)
-    k = scratch.tensor_calls
-    simple = (
-        k == int(ns.size)
-        and bool(np.all(units == -1))
-        and bool(np.all(lats == float(ell)))
-        and bool(np.array_equal(times, ns * float(sqrt_m) + float(ell)))
-        and scratch.tensor_time == float(int(ns.sum()) * sqrt_m)
-        and scratch.latency_time == float(ell) * k
-    )
+    ns, _, times, lats = scratch.calls.as_arrays()
     return LevelCharges(
         tensor_time=scratch.tensor_time,
         latency_time=scratch.latency_time,
         cpu_time=scratch.cpu_time,
-        tensor_calls=k,
-        ns=ns,
-        times=times,
-        lats=lats,
-        units=units,
-        simple=simple,
+        ns=np.array(ns, dtype=np.int64, copy=True),
+        times=np.array(times, dtype=np.float64, copy=True),
+        lats=np.array(lats, dtype=np.float64, copy=True),
+        units=np.array(scratch.calls.unit_ids(), dtype=np.int64, copy=True),
     )
 
 
-def _coalesce(
-    prelude: LevelCharges | None,
-    levels: tuple[LevelCharges, ...],
-    ell: float,
-) -> LevelCharges | None:
-    """Collapse a whole plan into one charge record when exact.
+def _coalesce(levels: tuple[LevelCharges, ...]) -> LevelCharges | None:
+    """Collapse a whole plan's levels into one charge record when exact.
 
-    Valid only when every part replays through the public bulk path
-    (``simple``) and every per-level float delta is integer-valued, so
+    Valid only when every per-level float delta is integer-valued, so
     ``base + (d1 + d2 + ...)`` bit-equals ``((base + d1) + d2) + ...``
-    — integer-valued doubles below 2**53 add associatively.  Fractional
-    ``ell`` (no shipped preset has one) falls back to per-level replay.
+    — integer-valued doubles below 2**53 add associatively.
     """
-    parts = ([] if prelude is None else [prelude]) + list(levels)
-    if not parts or not all(p.simple for p in parts):
-        return None
-    calls = sum(p.tensor_calls for p in parts)
-    if calls and not float(ell).is_integer():
-        return None
-    if not all(float(p.cpu_time).is_integer() for p in parts):
+    if not levels or not all(
+        float(x).is_integer()
+        for lv in levels
+        for x in (lv.tensor_time, lv.latency_time, lv.cpu_time)
+    ):
         return None
     return LevelCharges(
-        tensor_time=sum(p.tensor_time for p in parts),
-        latency_time=sum(p.latency_time for p in parts),
-        cpu_time=sum(p.cpu_time for p in parts),
-        tensor_calls=calls,
-        ns=np.concatenate([p.ns for p in parts]) if calls else np.empty(0, np.int64),
-        times=np.concatenate([p.times for p in parts]) if calls else np.empty(0),
-        lats=np.concatenate([p.lats for p in parts]) if calls else np.empty(0),
-        units=np.concatenate([p.units for p in parts]) if calls else np.empty(0, np.int64),
-        simple=True,
+        tensor_time=sum(lv.tensor_time for lv in levels),
+        latency_time=sum(lv.latency_time for lv in levels),
+        cpu_time=sum(lv.cpu_time for lv in levels),
+        ns=np.concatenate([lv.ns for lv in levels]),
+        times=np.concatenate([lv.times for lv in levels]),
+        lats=np.concatenate([lv.lats for lv in levels]),
+        units=np.concatenate([lv.units for lv in levels]),
     )
 
 
@@ -218,39 +222,26 @@ def compile_plan(rtype: Plannable, machine: TCUMachine, rows: Sequence[int]) -> 
     rows = [int(r) for r in rows]
     probe = machine.fork()
     scratch = CostLedger(trace_calls=True)
-    s, ell = probe.sqrt_m, probe.ell
     probe.ledger = scratch
     plan = rtype.plan(probe, rows)
-    prelude: LevelCharges | None = _capture(scratch, s, ell)
+    prelude = _capture(scratch)
 
     levels: list[LevelCharges] = []
-    reloads: list[int] = []
     cursor = ExecutionCursor(plan, probe)
     while not cursor.done:
-        reloads.append(plan.resident_words(cursor.next_level))
         scratch.reset()
         cursor.step()
-        levels.append(_capture(scratch, s, ell))
-    if not levels:
-        # a plan with no levels still owes its build charges; keep one
-        # empty level so a cursor has a step to apply them on
-        scratch.reset()
-        levels.append(_capture(scratch, s, ell))
-        reloads.append(0)
+        levels.append(_capture(scratch))
 
-    if prelude.tensor_calls == 0 and prelude.total_time == 0.0:
-        prelude = None
     level_tuple = tuple(levels)
     return CompiledPlan(
         kind=getattr(rtype, "name", type(rtype).__name__),
         rows=tuple(rows),
         config_key=probe.config_key(),
-        sqrt_m=s,
-        ell=ell,
         prelude=prelude,
         levels=level_tuple,
-        reload_words=tuple(reloads),
-        coalesced=_coalesce(prelude, level_tuple, ell),
+        reload_words=tuple(plan.resident_words(d) for d in range(len(levels))),
+        coalesced=_coalesce(level_tuple),
         stats=plan.stats,
     )
 

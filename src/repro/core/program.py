@@ -73,14 +73,16 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import TypeAlias
+from typing import TYPE_CHECKING, ClassVar, TypeAlias
 
 import numpy as np
 
-from .ledger import LedgerError
 from .machine import TCUMachine, TensorShapeError, placeholder
 from .parallel import ParallelTCUMachine
 from .scheduling import schedule_batch
+
+if TYPE_CHECKING:
+    from .plan_cache import CompiledPlan
 
 __all__ = [
     "TensorOp",
@@ -92,7 +94,6 @@ __all__ = [
     "ProgramError",
     "Lazy",
     "ExecutionCursor",
-    "CompiledCursor",
     "check_split",
     "modelled_call_cost",
     "plan_program",
@@ -604,6 +605,9 @@ class Plan:
     ``stats.tensor_calls_planned`` keeps counting *logical* merged
     calls; splitting expands a group into sibling chunk calls only at
     dispatch.
+
+    A plan is one of the two level sources an :class:`ExecutionCursor`
+    steps; the other is :class:`~repro.core.plan_cache.CompiledPlan`.
     """
 
     levels: list[tuple[CallGroups, list[TensorOp]]]
@@ -613,6 +617,19 @@ class Plan:
     _suffix_words: tuple[int, ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    # a live plan executes level by level; it has no one-charge record
+    coalesced: ClassVar[None] = None
+
+    def start(self, machine: TCUMachine) -> None:
+        """Charge what a cursor owes before level 0: nothing, because
+        building the plan already charged its build work."""
+
+    def run_level(self, level: int, machine: TCUMachine, fused: bool = True) -> None:
+        """Execute level ``level`` on ``machine``: its merged call
+        groups, then its CPU-side ops."""
+        groups, others = self.levels[level]
+        splits = None if self.splits is None else self.splits[level]
+        _execute_level(groups, others, machine, fused, splits)
 
     def resident_words(self, from_level: int = 0) -> int:
         """Words of distinct resident blocks that levels at/after
@@ -1566,15 +1583,26 @@ def _execute_level(
 
 
 class ExecutionCursor:
-    """A resumable executor: one planned level per :meth:`step`.
+    """A resumable executor: one plan level per :meth:`step`.
 
     The cursor is the seam preemptive schedulers need: a plan's levels
     are its natural checkpoint boundaries (every level's inputs are op
     values already materialised by earlier levels), so an online engine
     can run a level, look at the clock, and decide to keep going or to
-    suspend.  All charging goes through the machine's ordinary
-    primitives — running a cursor to exhaustion is *bit-identical* to
-    :func:`execute_plan`, which is now a thin wrapper over it.
+    suspend.  :func:`execute_plan` is a thin wrapper that runs one to
+    exhaustion.
+
+    The cursor steps a *level source*: a live :class:`Plan`, whose
+    levels execute their ops through the machine's ordinary primitives,
+    or a :class:`~repro.core.plan_cache.CompiledPlan`, whose levels
+    replay the charges frozen when it was compiled.  Both expose the
+    same interface — ``levels``, ``start(machine)`` (charged when the
+    cursor is made), ``run_level(level, machine, fused)``,
+    ``resident_words(level)`` and ``coalesced`` — so stepping, rewinding
+    and reload pricing exist once.  A compiled plan refuses a machine
+    whose :meth:`~repro.core.machine.TCUMachine.config_key` differs from
+    the one it was compiled for, raising
+    :class:`~repro.core.ledger.LedgerError` before anything is charged.
 
     Suspending costs nothing at the boundary itself (op values stay in
     memory), but *resuming* must re-load the remaining levels' resident
@@ -1595,13 +1623,16 @@ class ExecutionCursor:
         bit-identical with or without it.
     """
 
-    def __init__(self, plan: Plan, machine: TCUMachine, *, fused: bool = True) -> None:
+    def __init__(
+        self, plan: Plan | CompiledPlan, machine: TCUMachine, *, fused: bool = True
+    ) -> None:
         self.plan = plan
         self.machine = machine
         self.fused = fused
         self.next_level = 0
         self.level_times: list[float] = []
         self.observer: Callable[[int, float], None] | None = None
+        plan.start(machine)
 
     @property
     def total_levels(self) -> int:
@@ -1619,14 +1650,8 @@ class ExecutionCursor:
         """Execute the next level; returns the model time it charged."""
         if self.done:
             raise ProgramError("cursor is exhausted; no levels left to execute")
-        groups, others = self.plan.levels[self.next_level]
-        splits = (
-            self.plan.splits[self.next_level]
-            if self.plan.splits is not None
-            else None
-        )
         with self.machine.ledger.stopwatch() as span:
-            _execute_level(groups, others, self.machine, self.fused, splits)
+            self.plan.run_level(self.next_level, self.machine, self.fused)
         self.next_level += 1
         self.level_times.append(span.elapsed)
         if self.observer is not None:
@@ -1634,7 +1659,22 @@ class ExecutionCursor:
         return span.elapsed
 
     def run(self) -> None:
-        """Execute every remaining level (run to exhaustion)."""
+        """Execute every remaining level (run to exhaustion).
+
+        A cursor that has never stepped pays its source's ``coalesced``
+        record, when it has one, as a single charge reported as level 0
+        (see :class:`~repro.core.plan_cache.CompiledPlan`); otherwise
+        this is the plain step loop.
+        """
+        whole = self.plan.coalesced
+        if whole is not None and not self.level_times:
+            with self.machine.ledger.stopwatch() as span:
+                whole.charge(self.machine)
+            self.next_level = self.total_levels
+            self.level_times.append(span.elapsed)
+            if self.observer is not None:
+                self.observer(0, span.elapsed)
+            return
         while not self.done:
             self.step()
 
@@ -1646,9 +1686,10 @@ class ExecutionCursor:
         crash), the scheduler rewinds to the failed level — or to 0 for
         restart-from-scratch recovery — and steps again.  Rewinding is
         free (op values of completed levels persist in host memory; a
-        checkpoint resume additionally pays :meth:`charge_reload`), and
-        re-executed levels append to :attr:`level_times` again: the
-        history records every step taken, not just the surviving ones.
+        checkpoint resume additionally pays :meth:`charge_reload`; build
+        charges are never re-paid), and re-executed levels append to
+        :attr:`level_times` again: the history records every step taken,
+        not just the surviving ones.
         """
         to_level = int(to_level)
         if not 0 <= to_level <= self.next_level:
@@ -1668,7 +1709,7 @@ class ExecutionCursor:
         planner's own resident identity (:func:`_resident_key`), so a
         block shared by many calls is counted once — exactly the set a
         resume must re-load.  Read from the plan's suffix table
-        (:meth:`Plan.resident_words`).
+        (:meth:`Plan.resident_words`), which a compiled plan freezes.
         """
         start = self.next_level if from_level is None else from_level
         return self.plan.resident_words(start)
@@ -1684,155 +1725,8 @@ class ExecutionCursor:
         return self.machine.ledger.charge_reload(self.resident_words())
 
 
-class CompiledCursor:
-    """Replays a frozen :class:`~repro.core.plan_cache.CompiledPlan`.
-
-    The drop-in twin of :class:`ExecutionCursor` for the serving hot
-    path: same interface (``step`` / ``run`` / ``done`` / ``next_level``
-    / ``remaining_levels`` / ``level_times`` / ``charge_reload``), but
-    each step applies the level's *pre-computed* charges as one bulk
-    ledger operation instead of walking ops — no program build, no
-    planner, no per-op dispatch.  Values are never produced, so compiled
-    replay is only offered on cost-only machines, where live execution
-    produces placeholders anyway.
-
-    Bit-identity to live execution holds for the ledger's counters,
-    clock, snapshot, per-shape trace totals and unit-id trace whenever
-    each counter's live per-level addends are either a single float (the
-    parallel makespan path) or all integer-valued (every serial charge
-    with integer ``ell`` — all shipped presets); both conditions make
-    float addition re-associate exactly.  The compile step verifies the
-    per-level deltas against the bulk formula rather than assuming them.
-
-    ``plan()``-build charges the live engine pays at launch (the
-    compiled plan's ``prelude``) are applied together with level 0, so a
-    cursor resumed at a later level never re-pays them.
-
-    A plan replays only onto a machine whose
-    :meth:`~repro.core.machine.TCUMachine.config_key` equals the one it
-    was compiled under: any other machine raises
-    :class:`~repro.core.ledger.LedgerError` before anything is charged.
-    """
-
-    def __init__(self, compiled, machine: TCUMachine) -> None:
-        key = machine.config_key()
-        if key != compiled.config_key:
-            raise LedgerError(
-                f"plan compiled for {compiled.config_key} cannot replay on {key}; "
-                "replaying a plan compiled for a different machine configuration?"
-            )
-        self.compiled = compiled
-        self.machine = machine
-        self.next_level = 0
-        self.level_times: list[float] = []
-        # same telemetry seam as ExecutionCursor.observer; the coalesced
-        # run() path reports its single bulk span as level 0
-        self.observer: Callable[[int, float], None] | None = None
-        # the prelude (plan()-build charges) is paid exactly once per
-        # cursor, on the first step ever taken — a fault-recovery
-        # rewind back to level 0 must not re-pay it, mirroring the live
-        # path where the already-built plan is simply re-executed
-        self._prelude_paid = False
-
-    @property
-    def total_levels(self) -> int:
-        return len(self.compiled.levels)
-
-    @property
-    def remaining_levels(self) -> int:
-        return len(self.compiled.levels) - self.next_level
-
-    @property
-    def done(self) -> bool:
-        return self.next_level >= len(self.compiled.levels)
-
-    def _apply(self, charges) -> None:
-        led = self.machine.ledger
-        s = self.compiled.sqrt_m
-        ell = self.compiled.ell
-        if charges.simple:
-            if charges.ns.size:
-                led.charge_tensor_bulk(charges.ns, s, ell)
-        else:
-            # a makespan-scaled parallel level: its counters carry one
-            # non-formula addend each, so replay the captured deltas and
-            # trace columns verbatim (mm_batch's own accounting)
-            led.tensor_time += charges.tensor_time
-            led.latency_time += charges.latency_time
-            led.tensor_calls += charges.tensor_calls
-            led._bump_sections(charges.tensor_time + charges.latency_time)
-            led.record_calls_bulk(
-                charges.ns, s, charges.times, charges.lats, units=charges.units
-            )
-        if charges.cpu_time:
-            led.charge_cpu(charges.cpu_time)
-
-    def step(self) -> float:
-        """Replay the next level's charges; returns the model time."""
-        if self.done:
-            raise ProgramError("cursor is exhausted; no levels left to execute")
-        with self.machine.ledger.stopwatch() as span:
-            if not self._prelude_paid:
-                if self.compiled.prelude is not None:
-                    self._apply(self.compiled.prelude)
-                self._prelude_paid = True
-            self._apply(self.compiled.levels[self.next_level])
-        self.next_level += 1
-        self.level_times.append(span.elapsed)
-        if self.observer is not None:
-            self.observer(self.next_level - 1, span.elapsed)
-        return span.elapsed
-
-    def run(self) -> None:
-        """Replay every remaining level.
-
-        A fresh cursor whose plan coalesces (see
-        :class:`~repro.core.plan_cache.CompiledPlan`) pays the whole
-        plan — prelude included — as a single bulk charge; otherwise
-        this is the plain step loop.
-        """
-        if (
-            self.next_level == 0
-            and not self._prelude_paid
-            and self.compiled.coalesced is not None
-        ):
-            with self.machine.ledger.stopwatch() as span:
-                self._apply(self.compiled.coalesced)
-            self.next_level = self.total_levels
-            self._prelude_paid = True
-            self.level_times.append(span.elapsed)
-            if self.observer is not None:
-                self.observer(0, span.elapsed)
-            return
-        while not self.done:
-            self.step()
-
-    def rewind(self, to_level: int) -> None:
-        """Roll the replay back so levels at/after ``to_level`` re-apply.
-
-        The frozen counterpart of :meth:`ExecutionCursor.rewind` — the
-        prelude stays paid (rewinding models re-execution of an
-        already-built plan, not a rebuild), so a restart recovery
-        charges exactly the re-run levels on both cursor kinds.
-        """
-        to_level = int(to_level)
-        if not 0 <= to_level <= self.next_level:
-            raise ProgramError(
-                f"cannot rewind to level {to_level}: cursor has executed "
-                f"{self.next_level} of {self.total_levels} levels"
-            )
-        self.next_level = to_level
-
-    def resident_words(self, from_level: int | None = None) -> int:
-        """The frozen counterpart of :meth:`ExecutionCursor.resident_words`."""
-        start = self.next_level if from_level is None else from_level
-        if start >= len(self.compiled.reload_words):
-            return 0
-        return self.compiled.reload_words[start]
-
-    def charge_reload(self) -> float:
-        """Charge the resume cost of a suspended cursor and return it."""
-        return self.machine.ledger.charge_reload(self.resident_words())
+# kept for hostbench/layers.py, which looks the cursor up under this name
+CompiledCursor = ExecutionCursor
 
 
 def run_grid(total: TensorOp, machine: TCUMachine) -> np.ndarray:

@@ -81,7 +81,7 @@ import numpy as np
 from ..core.ledger import CostLedger
 from ..core.machine import TCUMachine
 from ..core.plan_cache import PlanCache
-from ..core.program import CompiledCursor, ExecutionCursor
+from ..core.program import ExecutionCursor
 from ..obs.tracer import Tracer
 from .admission import AdmissionPolicy, get_admission
 from .batcher import BatchPolicy, get_batcher, priority_release
@@ -545,6 +545,9 @@ class ServeResult:
 class _Run:
     """An in-flight batch: its requests, cursor and clock bookkeeping.
 
+    ``cursor`` is set by the engine's ``build_cursor`` at launch (and
+    again at a degraded retry), before anything reads it.
+
     ``seg_clock``/``seg_base`` anchor the current execution segment on
     the engine and ledger clocks; ``boundary`` is the absolute engine
     time of the last executed level's completion.  A batch's completion
@@ -593,7 +596,6 @@ class _Run:
         self.kind = kind
         self.priority = priority
         self.requests = requests
-        self.cursor: ExecutionCursor | CompiledCursor | None = None
         self.launch = launch
         self.seg_clock = launch
         self.seg_base = 0.0
@@ -655,8 +657,7 @@ class ServingEngine:
         ``"checkpoint"`` (default) resumes a failed cursor from its
         last completed level, paying the ledgered reload and wasting
         only the failed level; ``"restart"`` rewinds to level 0 and
-        wastes the whole attempt.  Atomic (plan-less) batches always
-        restart — there is no checkpoint to resume.
+        wastes the whole attempt.
     degrade:
         A :class:`~repro.serve.faults.Degrader`, or ``None`` (default).
         When set, a batch that keeps failing (or whose deadline the
@@ -688,10 +689,14 @@ class ServingEngine:
         only event granularity changes).
 
     With caching active, each batch's ``(kind, rows)`` is compiled once
-    into a frozen charge tensor and replayed thereafter as one bulk
-    ledger operation per level (or one per *batch* when the whole plan
-    coalesces) — bit-identical charges, clock and preemption behaviour
-    to live execution, at a fraction of the Python cost.
+    into a :class:`~repro.core.plan_cache.CompiledPlan` and replayed
+    thereafter through the same cursor as a live plan, one ledger charge
+    per level (or one per *batch* when the whole plan coalesces), at a
+    fraction of the Python cost.  Charges, clock and preemption
+    behaviour are bit-identical to live execution under the condition
+    :mod:`repro.core.plan_cache` states, which every serial machine with
+    integer ``ell`` meets; a stencil plan's build on a parallel machine
+    is the one known exception.
     """
 
     def __init__(
@@ -767,7 +772,7 @@ class ServingEngine:
         # an inactive injector must not perturb the event kernel at all:
         # stepwise execution is forced only when faults can actually
         # fire (or a tracer explicitly asks for per-level spans —
-        # stepwise replay is charge-identical, see CompiledCursor)
+        # stepping a cursor charges what running it does)
         stepwise = self.preempt or fault_active or (tracing and tr.detail == "level")
         queues: dict[tuple[int, str], deque[Request]] = {}
         injected: list[tuple[float, int, Request]] = []
@@ -971,16 +976,14 @@ class ServingEngine:
             a degraded retry (a re-plan can never checkpoint-resume)."""
             run.exec_machine = exec_machine
             run.rows = rows
-            run.cursor = None
             with ledger.section(f"serve:{run.kind}"):
-                if cache is not None:
-                    compiled = cache.get_or_compile(run.rtype, exec_machine, rows)
-                    run.cursor = CompiledCursor(compiled, exec_machine)
-                else:
-                    plan = run.rtype.plan(exec_machine, rows)
-                    if plan.levels:
-                        run.cursor = ExecutionCursor(plan, exec_machine)
-            if tracing and stepwise and run.cursor is not None:
+                plan = (
+                    cache.get_or_compile(run.rtype, exec_machine, rows)
+                    if cache is not None
+                    else run.rtype.plan(exec_machine, rows)
+                )
+                run.cursor = ExecutionCursor(plan, exec_machine)
+            if tracing and stepwise and not run.cursor.done:
                 attach_level_observer(run)
 
         def attach_level_observer(run: _Run) -> None:
@@ -1066,7 +1069,7 @@ class ServingEngine:
                     )
                     if lookups:
                         g_cache.set((cache.hits - cache_hits_start) / lookups)
-            if run.cursor is not None:
+            if not run.cursor.done:
                 exec_unit(run)
             else:
                 set_boundary(run)  # empty plan: completes instantly
@@ -1122,17 +1125,13 @@ class ServingEngine:
                     tr.instant(
                         f"degrade:{run.degraded}", ts=clock, batch=run.index
                     )
-            elif (
-                self.recovery == "checkpoint"
-                and run.cursor is not None
-                and run.cursor.next_level > 0
-            ):
+            elif self.recovery == "checkpoint" and run.cursor.next_level > 0:
                 # resuming mid-plan re-loads the remaining resident
                 # blocks, exactly as a preemption resume does; a restart
                 # (or a failure on the very first level) has no resident
                 # state to re-load and pays only the re-run levels
                 charge_resume_reload(run)
-            if run.cursor is not None:
+            if not run.cursor.done:
                 exec_unit(run)
             else:
                 set_boundary(run)
@@ -1338,7 +1337,7 @@ class ServingEngine:
                         # the just-executed unit was lost: account, rewind,
                         # and (budget permitting) schedule the retry
                         fail(run)
-                    elif run.cursor is None or run.cursor.done:
+                    elif run.cursor.done:
                         complete(run)
                     else:
                         contender = None

@@ -3,10 +3,10 @@
 The planner's ``split="auto"`` decisions must match the exact scheduling
 oracle on brute-forceable instances, split numerics must be bit-identical
 to the unsplit product, charges must be execution-mode independent
-(cost-only == numeric), preemption on a split ``CompiledCursor`` must be
-invisible, and ``split=1`` must keep the legacy (PR 9) schedule
-bit-exact — pinned with golden ledger values across the five standard
-machine configs.
+(cost-only == numeric), preemption on a cursor over a split compiled
+plan must be invisible, and ``split=1`` must keep the legacy unsplit
+schedule bit-exact — pinned with golden ledger values across the five
+standard machine configs.
 """
 
 import itertools
@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro import (
-    CompiledCursor,
     ParallelTCUMachine,
     TCUMachine,
     TensorProgram,
@@ -235,10 +234,10 @@ class TestCompiledSplitPlans:
 
         ran = ParallelTCUMachine(m=16, ell=ELL, units=3)
         compiled = compile_plan(get_request_type("dft"), ran, [512])
-        CompiledCursor(compiled, ran).run()
+        ExecutionCursor(compiled, ran).run()
 
         stepped = ParallelTCUMachine(m=16, ell=ELL, units=3)
-        cursor = CompiledCursor(compile_plan(get_request_type("dft"), stepped, [512]), stepped)
+        cursor = ExecutionCursor(compile_plan(get_request_type("dft"), stepped, [512]), stepped)
         while not cursor.done:
             cursor.step()
         assert stepped.ledger.snapshot() == ran.ledger.snapshot()
@@ -249,7 +248,7 @@ class TestCompiledSplitPlans:
         live_m = ParallelTCUMachine(m=16, ell=ELL, units=3)
         live = ExecutionCursor(rtype.plan(live_m, [512]), live_m)
         replay_m = ParallelTCUMachine(m=16, ell=ELL, units=3)
-        replay = CompiledCursor(compile_plan(rtype, replay_m, [512]), replay_m)
+        replay = ExecutionCursor(compile_plan(rtype, replay_m, [512]), replay_m)
 
         live.step()
         replay.step()
@@ -265,7 +264,7 @@ class TestCompiledSplitPlans:
         live_m = ParallelTCUMachine(m=16, ell=ELL, units=3)
         get_request_type("dft").serve(live_m, [512])
         replay_m = ParallelTCUMachine(m=16, ell=ELL, units=3)
-        CompiledCursor(
+        ExecutionCursor(
             compile_plan(get_request_type("dft"), replay_m, [512]), replay_m
         ).run()
         assert replay_m.ledger.snapshot() == live_m.ledger.snapshot()

@@ -69,6 +69,38 @@ def test_charge_tensor_bulk_validation():
         led.charge_tensor_bulk(np.array([[4, 4]]), 4, 0.0)  # not 1-D
 
 
+def test_charge_tensor_totals_adds_the_given_totals():
+    """Precomputed totals (a parallel makespan, a replayed level) land
+    as one addend per counter; sections and ``on_charge`` see the span
+    and the trace keeps the per-call columns verbatim."""
+    led = CostLedger()
+    seen = []
+    led.on_charge = lambda category, amount: seen.append((category, amount))
+    with led.section("batch"):
+        span = led.charge_tensor_totals(
+            10.5, 3.5, np.array([4, 8]), 4, np.array([20.0, 36.0]),
+            np.array([2.0, 4.0]), np.array([0, 1]), span=13.0,
+        )
+    assert span == 13.0 and seen == [("tensor", 13.0)]
+    assert (led.tensor_time, led.latency_time, led.tensor_calls) == (10.5, 3.5, 2)
+    assert led.section_time("batch") == 13.0
+    assert [(c.n, c.time, c.latency, c.unit) for c in led.calls] == [
+        (4, 20.0, 2.0, 0),
+        (8, 36.0, 4.0, 1),
+    ]
+    # without a span, sections see the two totals' sum
+    assert led.charge_tensor_totals(1.0, 2.0, np.array([4]), 4, np.array([3.0]), 2.0) == 3.0
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+def test_charge_tensor_totals_validation(bad):
+    led = CostLedger()
+    for totals in ((bad, 0.0), (0.0, bad)):
+        with pytest.raises(LedgerError, match="finite"):
+            led.charge_tensor_totals(*totals, np.array([4]), 4, np.array([4.0]), 0.0)
+    assert led.tensor_calls == 0 and len(led.calls) == 0
+
+
 def test_unbound_ledger_accepts_any_bulk_charge():
     led = CostLedger()
     led.charge_tensor_bulk(np.array([4]), 4, 8.0)

@@ -2,8 +2,8 @@
 LRU bookkeeping, and the fingerprint check that refuses a replay onto a
 machine the plan was not compiled for.
 
-The cache's contract is *bitwise*: a :class:`CompiledCursor` replay must
-be indistinguishable — snapshot, clock, per-shape trace totals, unit-id
+The cache's contract is *bitwise*: an :class:`ExecutionCursor` replaying
+a compiled plan must be indistinguishable — snapshot, clock, per-shape trace totals, unit-id
 columns, per-level boundaries, reload pricing — from live plan
 execution on every machine configuration, or the serving engine could
 not route through it unconditionally.
@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro import (
-    CompiledCursor,
     ParallelTCUMachine,
     PlanCache,
     TCUMachine,
@@ -52,7 +51,7 @@ def live_machine_after(config, kind, rows):
 def replay_machine_after(config, kind, rows, *, stepped=False):
     machine = MACHINE_CONFIGS[config]()
     compiled = compile_plan(get_request_type(kind), machine, rows)
-    cursor = CompiledCursor(compiled, machine)
+    cursor = ExecutionCursor(compiled, machine)
     if stepped:
         while not cursor.done:
             cursor.step()
@@ -81,11 +80,15 @@ class TestReplayBitIdentity:
         assert stepped.ledger.snapshot() == ran.ledger.snapshot()
         assert stepped.ledger.call_shape_totals() == ran.ledger.call_shape_totals()
 
-    def test_level_boundaries_and_reload_pricing_match_live(self):
+    @pytest.mark.parametrize(
+        "kind,rows", [("mlp", [8, 8]), ("dft", [4]), ("stencil", [8])]
+    )
+    def test_level_boundaries_and_reload_pricing_match_live(self, kind, rows):
         """Per-level elapsed times and resident-word reload prices are
         what the live cursor would report at every boundary — the
-        preemption machinery sees no difference."""
-        kind, rows = "mlp", [8, 8]
+        preemption machinery sees no difference.  The dft and stencil
+        plans charge build work (Fourier matrices, the kernel side),
+        which must stay out of level 0."""
         rtype = get_request_type(kind)
         live_m = TCUMachine(m=16, ell=ELL, max_rows=16)
         plan = rtype.plan(live_m, rows)
@@ -93,21 +96,16 @@ class TestReplayBitIdentity:
 
         replay_m = TCUMachine(m=16, ell=ELL, max_rows=16)
         compiled = compile_plan(rtype, replay_m, rows)
-        replay = CompiledCursor(compiled, replay_m)
+        replay = ExecutionCursor(compiled, replay_m)
 
+        # the cursor pays the build charges when it is made, where the
+        # live plan paid them while it was built
+        assert replay_m.ledger.snapshot() == live_m.ledger.snapshot()
+        assert (kind == "mlp") == (live_m.ledger.total_time == 0.0)
         assert replay.total_levels == live.total_levels
-        level = 0
         while not live.done:
             assert replay.resident_words() == live.resident_words()
-            live_dt = live.step()
-            replay_dt = replay.step()
-            if level == 0:
-                # the compiled cursor folds the plan-build prelude into
-                # level 0; live paid it before the walk began
-                assert replay_dt >= live_dt
-            else:
-                assert replay_dt == live_dt
-            level += 1
+            assert replay.step() == live.step()
         assert replay.done
         assert live_m.ledger.snapshot() == replay_m.ledger.snapshot()
 
@@ -117,7 +115,7 @@ class TestReplayBitIdentity:
         machine_b = TCUMachine(m=16, ell=ELL)
         compiled = compile_plan(rtype, machine_a, [1024])
         live = ExecutionCursor(rtype.plan(machine_a, [1024]), machine_a)
-        replay = CompiledCursor(compiled, machine_b)
+        replay = ExecutionCursor(compiled, machine_b)
         live.step()
         replay.step()
         assert replay.resident_words() == live.resident_words()
@@ -129,7 +127,7 @@ class TestReplayBitIdentity:
     def test_exhausted_cursor_raises(self):
         machine = TCUMachine(m=16, ell=ELL, execute="cost-only")
         compiled = compile_plan(get_request_type("matmul"), machine, [8])
-        cursor = CompiledCursor(compiled, machine)
+        cursor = ExecutionCursor(compiled, machine)
         cursor.run()
         with pytest.raises(ProgramError, match="exhausted"):
             cursor.step()
@@ -141,22 +139,70 @@ class TestReplayBitIdentity:
         assert machine.ledger.snapshot() == before
 
 
+def integral_deltas(level):
+    return all(
+        float(x).is_integer()
+        for x in (level.tensor_time, level.latency_time, level.cpu_time)
+    )
+
+
 class TestCompiledPlanShape:
     def test_serial_integer_ell_plan_coalesces(self):
         machine = TCUMachine(m=16, ell=ELL, execute="cost-only")
         compiled = compile_plan(get_request_type("matmul"), machine, [8, 8])
         assert compiled.coalesced is not None
-        assert compiled.coalesced.simple
-        assert compiled.coalesced.total_time == pytest.approx(
-            (compiled.prelude.total_time if compiled.prelude else 0.0)
-            + sum(level.total_time for level in compiled.levels)
+        # the build charges are paid when a cursor is made, never here
+        assert compiled.coalesced.total_time == sum(
+            level.total_time for level in compiled.levels
         )
 
-    def test_parallel_plan_does_not_coalesce(self):
+    def test_integer_delta_parallel_plan_coalesces(self):
+        """Coalescing is decided on exactness alone: a makespan-scaled
+        parallel plan whose every delta is integer-valued coalesces."""
         machine = ParallelTCUMachine(m=16, ell=ELL, units=3)
         compiled = compile_plan(get_request_type("matmul"), machine, [8, 8, 8])
+        assert any((level.units >= 0).any() for level in compiled.levels)
+        assert all(integral_deltas(level) for level in compiled.levels)
+        assert compiled.coalesced is not None
+        assert compiled.coalesced.tensor_time == sum(
+            level.tensor_time for level in compiled.levels
+        )
+        assert np.array_equal(
+            compiled.coalesced.units,
+            np.concatenate([level.units for level in compiled.levels]),
+        )
+
+    def test_fractional_parallel_plan_does_not_coalesce(self):
+        machine = ParallelTCUMachine(m=16, ell=ELL, units=3)
+        compiled = compile_plan(get_request_type("dft"), machine, [512])
+        assert not all(integral_deltas(level) for level in compiled.levels)
         assert compiled.coalesced is None
-        assert any(not level.simple for level in compiled.levels)
+
+    @pytest.mark.parametrize("config", ["serial-cost-only", "parallel-3"])
+    def test_coalesced_replay_equals_stepped_replay(self, config):
+        compiled = compile_plan(
+            get_request_type("matmul"), MACHINE_CONFIGS[config](), [8, 8, 8]
+        )
+        assert compiled.coalesced is not None and len(compiled.levels) > 1
+        ledgers, times = [], []
+        for stepped in (False, True):
+            machine = MACHINE_CONFIGS[config]()
+            cursor = ExecutionCursor(compiled, machine)
+            with machine.ledger.section("batch"):
+                if stepped:
+                    while not cursor.done:
+                        cursor.step()
+                else:
+                    cursor.run()
+            ledgers.append(machine.ledger)
+            times.append(cursor.level_times)
+        ran, stepped = ledgers
+        assert ran.snapshot() == stepped.snapshot()
+        assert ran.section_time("batch") == stepped.section_time("batch")
+        assert ran.call_shape_totals() == stepped.call_shape_totals()
+        assert np.array_equal(ran.calls.unit_ids(), stepped.calls.unit_ids())
+        # the coalesced run is one charge, reported as level 0
+        assert times[0] == [sum(times[1])]
 
     @pytest.mark.parametrize("config", sorted(MACHINE_CONFIGS))
     @pytest.mark.parametrize("kind,rows", KINDS)
@@ -184,14 +230,14 @@ class TestCompiledPlanShape:
             assert cursor.resident_words(level) == rescan(level)
         compiled = compile_plan(get_request_type(kind), machine, rows)
         assert list(compiled.reload_words) == [
-            rescan(level) for level in range(compiled.total_levels)
+            rescan(level) for level in range(len(compiled.levels))
         ]
 
     def test_reload_words_mirror_live_cursor(self):
         machine = TCUMachine(m=16, ell=ELL, execute="cost-only")
         rtype = get_request_type("mlp")
         compiled = compile_plan(rtype, machine, [8])
-        assert len(compiled.reload_words) == compiled.total_levels
+        assert len(compiled.reload_words) == len(compiled.levels)
         live = ExecutionCursor(rtype.plan(machine.fork(), [8]), machine.fork())
         assert compiled.reload_words[0] == live.resident_words()
 
@@ -262,14 +308,14 @@ class TestPoisoningGuard:
         compiled = compile_plan(get_request_type("matmul"), donor, [8])
         victim = TCUMachine(m=16, ell=7.0, execute="cost-only")
         with pytest.raises(LedgerError, match="different machine configuration"):
-            CompiledCursor(compiled, victim).run()
+            ExecutionCursor(compiled, victim).run()
 
     def test_replay_on_other_sqrt_m_machine_raises(self):
         donor = TCUMachine(m=16, ell=ELL, execute="cost-only")
         compiled = compile_plan(get_request_type("matmul"), donor, [8])
         victim = TCUMachine(m=64, ell=ELL, execute="cost-only")
         with pytest.raises(LedgerError, match="different machine configuration"):
-            CompiledCursor(compiled, victim).run()
+            ExecutionCursor(compiled, victim).run()
 
     def test_raw_level_replay_is_guarded_too(self):
         """Parallel plans bypass charge_tensor_bulk's formula path; the
@@ -278,7 +324,7 @@ class TestPoisoningGuard:
         compiled = compile_plan(get_request_type("matmul"), donor, [8, 8, 8])
         victim = ParallelTCUMachine(m=16, ell=9.0, units=3)
         with pytest.raises(LedgerError, match="different machine configuration"):
-            cursor = CompiledCursor(compiled, victim)
+            cursor = ExecutionCursor(compiled, victim)
             while not cursor.done:
                 cursor.step()
 
@@ -287,7 +333,7 @@ class TestPoisoningGuard:
         compiled = compile_plan(get_request_type("matmul"), donor, [8])
         victim = TCUMachine(m=16, ell=7.0, execute="cost-only")
         with pytest.raises(LedgerError):
-            CompiledCursor(compiled, victim).run()
+            ExecutionCursor(compiled, victim).run()
         assert victim.ledger.tensor_calls == 0
 
 
@@ -352,13 +398,13 @@ class TestConfigKeyCompleteness:
         assert compiled.config_key == donor.config_key()
         machine = ParallelTCUMachine(m=16, ell=ELL, execute="cost-only", **victim)
         with pytest.raises(LedgerError, match="different machine configuration") as err:
-            CompiledCursor(compiled, machine)
+            ExecutionCursor(compiled, machine)
         assert str(donor.config_key()) in str(err.value)
         assert str(machine.config_key()) in str(err.value)
         assert machine.ledger.tensor_calls == 0 and machine.ledger.total_time == 0.0
         # a plan compiled for the victim itself replays as a live run does
         native = compile_plan(get_request_type("dft"), machine, [4])
-        CompiledCursor(native, machine).run()
+        ExecutionCursor(native, machine).run()
         live = ParallelTCUMachine(m=16, ell=ELL, execute="cost-only", **victim)
         get_request_type("dft").serve(live, [4])
         assert machine.ledger.snapshot() == live.ledger.snapshot()

@@ -187,6 +187,31 @@ def test_engine_releases_hook_after_serve():
     assert tensor > 0.0
 
 
+@pytest.mark.parametrize("cached", [True, False], ids=["cached", "live"])
+@pytest.mark.parametrize(
+    "make_machine",
+    [
+        lambda: TCUMachine(m=16, ell=ELL, execute="cost-only"),
+        lambda: ParallelTCUMachine(m=16, ell=ELL, units=3, execute="cost-only"),
+    ],
+    ids=["serial", "parallel"],
+)
+def test_ledger_hook_sees_every_tensor_charge(make_machine, cached):
+    """``on_charge`` fires for makespan charges too: a parallel batch and
+    a replayed level pay through the same ledger entry as a serial call,
+    so the mirrored counter tracks the ledger's tensor columns."""
+    tr = Tracer()
+    machine = make_machine()
+    ServingEngine(
+        machine, "continuous", tracer=tr, plan_cache=None if cached else False
+    ).serve(PoissonWorkload(rate=1e-4, total=40, kind="dft", rows=(1, 2, 4), seed=1))
+    led = machine.ledger
+    assert led.tensor_time > 0.0
+    assert tr.registry.get("ledger_tensor_time").value == pytest.approx(
+        led.tensor_time + led.latency_time, rel=1e-12
+    )
+
+
 def test_monitors_fire_into_trace():
     tr = Tracer(
         monitors=[
