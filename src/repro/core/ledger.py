@@ -48,7 +48,9 @@ import math
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterator
+from collections import deque
+from collections.abc import Callable, Iterator, Sequence
+from itertools import starmap
 
 import numpy as np
 
@@ -501,6 +503,50 @@ class CostLedger:
         if self.on_charge is not None:
             self.on_charge("tensor", total)
         return total
+
+    def charge_levels(
+        self,
+        tensor: Sequence[float],
+        latency: Sequence[float],
+        cpu: Sequence[float],
+        charges: Sequence[tuple[str, float]],
+        calls: int,
+    ) -> None:
+        """Charge a compiled plan's levels in one pass.
+
+        ``tensor[i]``, ``latency[i]`` and ``cpu[i]`` are level ``i``'s
+        from-zero counter deltas (zero where it charges nothing of a
+        kind), ``charges`` is the levels' ``on_charge`` sequence — a
+        level's tensor span, when it has calls, then its CPU delta, when
+        it has CPU work — and ``calls`` their tensor call count.  The
+        counters, open sections and ``on_charge`` see exactly what
+        charging the levels one by one through
+        :meth:`charge_tensor_totals` and :meth:`charge_cpu` gives them:
+        each adds its addends left to right (adding a zero leaves a
+        non-negative float unchanged).  The trace is left to the caller,
+        which appends all the levels' calls in one
+        :meth:`record_calls_bulk`.  The deltas must already be checked
+        finite and non-negative.
+        """
+        tensor_time, latency_time, cpu_time = self.tensor_time, self.latency_time, self.cpu_time
+        for amount in tensor:
+            tensor_time += amount
+        for amount in latency:
+            latency_time += amount
+        for amount in cpu:
+            cpu_time += amount
+        self.tensor_time, self.latency_time, self.cpu_time = tensor_time, latency_time, cpu_time
+        self.tensor_calls += calls
+        totals = self._section_totals
+        for name in self._section_stack:
+            total = totals.get(name, 0.0)
+            for _, amount in charges:
+                total += amount
+            totals[name] = total
+        if self.on_charge is not None:
+            # consume the calls at C speed: a deep plan feeds the hook
+            # once per level and category, as stepping it would
+            deque(starmap(self.on_charge, charges), maxlen=0)
 
     def record_call(
         self, n: int, sqrt_m: int, time: float, latency: float, unit: int = -1

@@ -185,22 +185,53 @@ class TCUMachine:
             raise TensorShapeError(
                 f"left operand must have n >= sqrt(m)={s} rows, got {n}"
             )
+        if self.execute == "cost-only":
+            dtype = np.result_type(A.dtype, B.dtype)
+            self.charge_mm(n, dtype)
+            return placeholder((n, s), dtype)
         if self.max_rows is not None and n > self.max_rows:
             return self._mm_split(A, B)
         return self._mm_single(A, B)
 
-    def _mm_single(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        n = A.shape[0]
+    def charge_mm(self, n: int, dtype) -> None:
+        """Charge one :meth:`mm` call on an ``n``-row stream of ``dtype``
+        from its shape alone: the charges ``mm`` issues, in its order.
+
+        Under a hardware row bound a longer stream is split as
+        :meth:`_mm_split` splits it: each chunk is one call, a short
+        final chunk first pays its padding copy (``sqrt(m) x sqrt(m)``
+        words), and the reassembled output (``n x sqrt(m)`` words) is
+        charged last.  Cost-only ``mm`` charges through here, and so do
+        the shape-only level pricer and batch entries
+        (:func:`repro.core.program.price_level`).
+        """
+        bound = self.max_rows
+        if bound is None or n <= bound:
+            self._charge_call(n, dtype)
+            return
         s = self.sqrt_m
-        is_complex = np.iscomplexobj(A) or np.iscomplexobj(B)
+        for start in range(0, n, bound):
+            rows = min(bound, n - start)
+            if rows < s:
+                self.ledger.charge_cpu(s * s)
+                rows = s
+            self._charge_call(rows, dtype)
+        self.ledger.charge_cpu(n * s)
+
+    def _charge_call(self, n: int, dtype) -> None:
+        """One hardware call's charges: the complex cost factor's real
+        calls, then the two extra real additions of ``n x sqrt(m)``
+        partial products a 4-product complex multiply needs."""
+        s = self.sqrt_m
+        is_complex = np.issubdtype(np.dtype(dtype), np.complexfloating)
         calls = self.complex_cost_factor if is_complex else 1
         for _ in range(calls):
             self.ledger.charge_tensor(n, s, self.ell)
         if is_complex and calls >= 4:
-            # two extra real additions of n x sqrt(m) partial products
             self.ledger.charge_cpu(2 * n * s)
-        if self.execute == "cost-only":
-            return placeholder((n, s), np.result_type(A.dtype, B.dtype))
+
+    def _mm_single(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        self._charge_call(A.shape[0], np.result_type(A.dtype, B.dtype))
         if self.backend == "systolic":
             C = self._systolic_mm(A, B)
         else:
@@ -234,8 +265,6 @@ class TCUMachine:
                 pieces.append(self._mm_single(chunk, B))
         if len(pieces) > 1:
             self.ledger.charge_cpu(n * s)
-        if self.execute == "cost-only":
-            return placeholder((n, s), np.result_type(A.dtype, B.dtype))
         return np.vstack(pieces)
 
     @property
@@ -261,8 +290,14 @@ class TCUMachine:
         :func:`repro.matmul.dense.matmul`) that compute the same grid by
         other numeric means.  Applies the complex-cost factor exactly as
         the scalar :meth:`mm` does, including the two extra real
-        additions per 4-product complex call.
+        additions per 4-product complex call.  Streams longer than
+        ``max_rows`` are split by the hardware, so each of the ``k``
+        calls is then charged as :meth:`charge_mm` charges it.
         """
+        if self.max_rows is not None and n > self.max_rows:
+            for _ in range(k):
+                self.charge_mm(n, dtype)
+            return
         s = self.sqrt_m
         is_complex = np.issubdtype(np.dtype(dtype), np.complexfloating)
         factor = self.complex_cost_factor if is_complex else 1
@@ -328,28 +363,23 @@ class TCUMachine:
         if k == 0:
             return np.zeros(out_shape, dtype=dtype)
 
-        # Cost-only charging never depends on the numeric kernel, so only
-        # a hardware row bound (whose splits change the charge structure)
-        # forces the per-element path there; numeric execution also falls
-        # back for non-fusable kernels (systolic, quantised, ...).
-        splits = self.max_rows is not None and n > self.max_rows
-        if splits or (self.execute != "cost-only" and not self.fusable):
+        # cost-only charging never depends on the numeric kernel
+        if self.execute == "cost-only":
+            self.charge_mm_grid(n, k, dtype)
+            return placeholder(out_shape, dtype)
+        if (self.max_rows is not None and n > self.max_rows) or not self.fusable:
             # element-by-element through the scalar primitive: identical
             # charges (including per-chunk stream splits) and semantics
+            # for streams the row bound splits and non-fusable kernels
+            # (systolic, quantised, ...)
             Ab = np.broadcast_to(A, lead + (n, s))
             Bb = np.broadcast_to(B, lead + (s, s))
-            if self.execute == "cost-only":
-                for idx in np.ndindex(*lead):
-                    self.mm(Ab[idx], Bb[idx])
-                return placeholder(out_shape, dtype)
             out = np.empty(out_shape, dtype=dtype)
             for idx in np.ndindex(*lead):
                 out[idx] = self.mm(Ab[idx], Bb[idx])
             return out
 
         self.charge_mm_grid(n, k, dtype)
-        if self.execute == "cost-only":
-            return placeholder(out_shape, dtype)
         if B.ndim >= 3 and B.shape[-3] > 1 and (A.ndim == 2 or A.shape[-3] == 1):
             # shared streams, each against its own row of kb resident
             # blocks: one GEMM per stream against the horizontally
@@ -449,25 +479,33 @@ class WeakTCUMachine(TCUMachine):
     restriction so that violation is an error rather than silent.
     """
 
-    def mm(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        A = np.asarray(A)
-        if A.ndim == 2 and A.shape[0] != self.sqrt_m:
+    def _square_only(self, n: int, what: str) -> None:
+        if n != self.sqrt_m:
             raise TensorShapeError(
                 "weak TCU model multiplies only sqrt(m) x sqrt(m) matrices; "
-                f"got a left operand with {A.shape[0]} rows "
-                f"(sqrt(m)={self.sqrt_m}); split the stream explicitly"
+                f"got {what} with {n} rows (sqrt(m)={self.sqrt_m}); "
+                "split the stream explicitly"
             )
+
+    def mm(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        A = np.asarray(A)
+        if A.ndim == 2:
+            self._square_only(A.shape[0], "a left operand")
         return super().mm(A, B)
 
     def mm_grid(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         A = np.asarray(A)
-        if A.ndim >= 2 and A.shape[-2] != self.sqrt_m:
-            raise TensorShapeError(
-                "weak TCU model multiplies only sqrt(m) x sqrt(m) matrices; "
-                f"got grid left operands with {A.shape[-2]} rows "
-                f"(sqrt(m)={self.sqrt_m}); split the streams explicitly"
-            )
+        if A.ndim >= 2:
+            self._square_only(A.shape[-2], "grid left operands")
         return super().mm_grid(A, B)
+
+    def charge_mm(self, n: int, dtype) -> None:
+        self._square_only(n, "a left operand")
+        super().charge_mm(n, dtype)
+
+    def charge_mm_grid(self, n: int, k: int, dtype) -> None:
+        self._square_only(n, "grid left operands")
+        super().charge_mm_grid(n, k, dtype)
 
     def mm_tall(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """The Section 5 simulation of a tall call: split ``A`` into

@@ -20,7 +20,9 @@ Two invariants pin the batch semantics to the scalar model:
   vectorised fast path; every other configuration routes each call
   through the machine's own primitive against a scratch ledger, so the
   numerics stay bit-correct and the measured costs *are* the serial
-  costs.
+  costs.  Cost-only batches are charged from their shapes alone
+  (:meth:`ParallelTCUMachine.charge_mm_batch`), each non-plain call
+  through the shape-only :meth:`~repro.core.machine.TCUMachine.charge_mm`.
 * **Trace = hardware work, clock = wall time.**  The call trace records
   every hardware call at its true cost with a ``unit_id`` (so per-shape
   totals and the Theorem 12 I/O replay are identical to a serial run),
@@ -48,6 +50,7 @@ The obvious consequences the benches measure:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,12 +120,10 @@ def _stack_lead(A: np.ndarray, B: np.ndarray) -> tuple[int, ...]:
     return lead
 
 
-def _stacked(outs: list[np.ndarray], lead: tuple[int, ...], cost_only: bool) -> np.ndarray:
+def _stacked(outs: list[np.ndarray], lead: tuple[int, ...]) -> np.ndarray:
     """Per-call products of a stacked pair, in C order, as one
-    ``lead + (n, sqrt(m))`` array (a placeholder when cost-only)."""
+    ``lead + (n, sqrt(m))`` array."""
     first = outs[0]
-    if cost_only:
-        return placeholder(lead + first.shape, first.dtype)
     out = np.empty(lead + first.shape, dtype=first.dtype)
     out.reshape((-1,) + first.shape)[:] = outs
     return out
@@ -200,6 +201,7 @@ class ParallelTCUMachine(TCUMachine):
         pairs = [(np.asarray(A), np.asarray(B)) for A, B in pairs]
         ns = np.empty(len(pairs), dtype=np.int64)
         leads: list[tuple[int, ...]] = []
+        pair_dtypes: list[np.dtype] = []
         for i, (A, B) in enumerate(pairs):
             if A.ndim < 2 or A.shape[-1] != s or B.shape[-2:] != (s, s):
                 raise TensorShapeError(
@@ -212,16 +214,57 @@ class ParallelTCUMachine(TCUMachine):
                 )
             ns[i] = A.shape[-2]
             leads.append(_stack_lead(A, B) if A.ndim > 2 or B.ndim > 2 else ())
+            pair_dtypes.append(np.result_type(A.dtype, B.dtype))
+        dtypes = pair_dtypes
         if any(leads):
-            ns = np.repeat(ns, [math.prod(lead) for lead in leads])
-        k = int(ns.size)
+            counts = [math.prod(lead) for lead in leads]
+            ns = np.repeat(ns, counts)
+            dtypes = [dt for dt, c in zip(pair_dtypes, counts, strict=True) for _ in range(c)]
 
-        # Fast path: machines whose calls are plain n*sqrt(m) + l numpy
-        # products.  Anything that changes per-call cost or numerics —
-        # hardware row bounds, complex cost factors, overflow checks,
-        # the systolic backend, subclass overrides — is measured and
-        # executed through the machine's own scalar primitive below.
-        plain = (
+        if self.execute == "cost-only":
+            self.charge_mm_batch(ns, dtypes, sched_policy)
+            return [
+                placeholder(lead + (A.shape[-2], s), dt)
+                for (A, _), lead, dt in zip(pairs, leads, pair_dtypes, strict=True)
+            ]
+        if self._plain(dtypes):
+            self.charge_mm_batch(ns, dtypes, sched_policy)
+            return [A @ B for A, B in pairs]
+
+        # Route every call through the machine's own primitive: the
+        # results are bit-identical to a serial run, and the measured
+        # charges are the true serial costs.
+        calls: list[tuple[np.ndarray, np.ndarray]] = []
+        for (A, B), lead in zip(pairs, leads, strict=True):
+            if not lead:
+                calls.append((A, B))
+                continue
+            Ab = np.broadcast_to(A, lead + A.shape[-2:])
+            Bb = np.broadcast_to(B, lead + (s, s))
+            calls.extend((Ab[idx], Bb[idx]) for idx in np.ndindex(*lead))
+        outs: list[np.ndarray] = []
+        self._charge_measured(
+            (outs.append(self.mm(A, B)) for A, B in calls), len(calls), sched_policy
+        )
+        results: list[np.ndarray] = []
+        index = 0
+        for lead in leads:
+            if not lead:
+                results.append(outs[index])
+                index += 1
+                continue
+            count = math.prod(lead)
+            results.append(_stacked(outs[index : index + count], lead))
+            index += count
+        return results
+
+    def _plain(self, dtypes: Sequence[np.dtype]) -> bool:
+        """Whether a batch's calls of these dtypes are plain
+        ``n*sqrt(m) + l`` numpy products.  Anything that changes per-call
+        cost or numerics — hardware row bounds, complex cost factors,
+        overflow checks, the systolic backend, subclass overrides — is
+        measured call by call instead."""
+        return (
             self.fusable
             and self.max_rows is None
             and not self.check_overflow
@@ -229,72 +272,102 @@ class ParallelTCUMachine(TCUMachine):
                 # at factor 1 complex calls price and execute exactly
                 # like real ones, so the fast path stays valid
                 self.complex_cost_factor == 1
-                or not any(np.iscomplexobj(A) or np.iscomplexobj(B) for A, B in pairs)
+                or not any(np.issubdtype(dt, np.complexfloating) for dt in set(dtypes))
             )
         )
-        results: list[np.ndarray] | None = None
-        row_lats: float | np.ndarray
-        if plain:
-            costs = ns * float(s) + self.ell
-            serial_throughput = float(int(ns.sum()) * s)
-            serial_latency = self.ell * k
-            hardware_calls = k
-            row_ns, row_times = ns, costs
-            row_lats = self.ell
-            rows_per_call = None
-            cpu_total = 0.0
-        else:
-            # Route every call through the machine's own primitive with
-            # charges captured on a scratch ledger: the per-call deltas
-            # are the true serial costs (chunk latencies, complex
-            # factors, subclass semantics included) and the results are
-            # bit-identical to a serial run.
-            scratch = CostLedger(trace_calls=True)
-            saved = self.ledger
-            self.ledger = scratch
-            results = []
-            cost_only = self.execute == "cost-only"
-            costs = np.empty(k)
-            call_rows = np.empty(k + 1, dtype=np.int64)
-            call_rows[0] = 0
-            prev = 0.0
-            i = 0
-            try:
-                for (A, B), lead in zip(pairs, leads, strict=True):
-                    if not lead:
-                        calls = [(A, B)]
-                    else:
-                        Ab = np.broadcast_to(A, lead + A.shape[-2:])
-                        Bb = np.broadcast_to(B, lead + (s, s))
-                        calls = [(Ab[idx], Bb[idx]) for idx in np.ndindex(*lead)]
-                    outs = []
-                    for A1, B1 in calls:
-                        outs.append(self.mm(A1, B1))
-                        cum = scratch.tensor_time + scratch.latency_time
-                        costs[i] = cum - prev
-                        prev = cum
-                        call_rows[i + 1] = len(scratch.calls)
-                        i += 1
-                    results.append(outs[0] if not lead else _stacked(outs, lead, cost_only))
-            finally:
-                self.ledger = saved
-            serial_throughput = scratch.tensor_time
-            serial_latency = scratch.latency_time
-            hardware_calls = scratch.tensor_calls
-            row_ns, _, row_times, row_lats = scratch.calls.as_arrays()
-            rows_per_call = np.diff(call_rows)
-            cpu_total = scratch.cpu_time
 
-        schedule = schedule_batch(costs, self.units, sched_policy)
+    def charge_mm_batch(
+        self,
+        ns: np.ndarray,
+        dtypes: Sequence[np.dtype],
+        policy: SchedulerPolicy | None = None,
+    ) -> float:
+        """Charge a batch of independent calls from their shapes alone:
+        call ``i`` streams ``ns[i]`` rows of ``dtypes[i]``.  Returns the
+        makespan.
+
+        The charges :meth:`mm_batch` issues for such calls: per-call
+        costs from the plain formula, or — on row-bounded, complex-cost
+        or non-plain machines — each call's :meth:`charge_mm` measured
+        on a scratch ledger; one schedule by ``policy`` (default: the
+        machine's); the clock advanced by the makespan, split between
+        the throughput and latency columns in proportion; captured CPU
+        work charged serially after it.  Sets :attr:`last_batch` and
+        :attr:`last_schedule` as ``mm_batch`` does.  Cost-only
+        ``mm_batch`` charges through here, and so does the shape-only
+        level pricer (:func:`repro.core.program.price_level`).
+        """
+        policy = self.scheduler if policy is None else policy
+        s = self.sqrt_m
+        ns = np.asarray(ns, dtype=np.int64)
+        k = int(ns.size)
+        if k and int(ns.min()) < s:
+            raise TensorShapeError(
+                f"batch left operand has {int(ns.min())} rows < sqrt(m)={s}"
+            )
+        if not self._plain(dtypes):
+            return self._charge_measured(
+                (self.charge_mm(n, dt) for n, dt in zip(ns.tolist(), dtypes, strict=True)),
+                k,
+                policy,
+            )
+        costs = ns * float(s) + self.ell
+        return self._charge_schedule(
+            costs, float(int(ns.sum()) * s), self.ell * k, k,
+            ns, costs, self.ell, None, 0.0, policy,
+        )
+
+    def _charge_measured(self, calls: Iterator[None], k: int, policy: SchedulerPolicy) -> float:
+        """Charge a batch whose ``k`` calls are issued one by one by
+        ``next(calls)`` against a scratch ledger: the per-call deltas
+        are the true serial costs (chunk latencies, complex factors,
+        subclass semantics included)."""
+        scratch = CostLedger(trace_calls=True)
+        saved = self.ledger
+        self.ledger = scratch
+        costs = np.empty(k)
+        call_rows = np.zeros(k + 1, dtype=np.int64)
+        prev = 0.0
+        try:
+            for i, _ in enumerate(calls):
+                cum = scratch.tensor_time + scratch.latency_time
+                costs[i] = cum - prev
+                prev = cum
+                call_rows[i + 1] = len(scratch.calls)
+        finally:
+            self.ledger = saved
+        row_ns, _, row_times, row_lats = scratch.calls.as_arrays()
+        return self._charge_schedule(
+            costs, scratch.tensor_time, scratch.latency_time, scratch.tensor_calls,
+            row_ns, row_times, row_lats, np.diff(call_rows), scratch.cpu_time, policy,
+        )
+
+    def _charge_schedule(
+        self,
+        costs: np.ndarray,
+        serial_throughput: float,
+        serial_latency: float,
+        hardware_calls: int,
+        row_ns: np.ndarray,
+        row_times: np.ndarray,
+        row_lats: float | np.ndarray,
+        rows_per_call: np.ndarray | None,
+        cpu_total: float,
+        policy: SchedulerPolicy,
+    ) -> float:
+        """Schedule a batch's per-call ``costs`` and charge it.
+
+        The ledger clock advances by the makespan, split between the
+        throughput and latency columns in the same proportion as the
+        serial costs; the trace keeps every hardware call (``row_*``;
+        ``rows_per_call`` hardware rows per logical call, or one each)
+        at its true cost with its unit id, so per-shape totals and the
+        Theorem 12 replay match a serial run exactly.  Captured CPU work
+        stays serial (one CPU).
+        """
+        schedule = schedule_batch(costs, self.units, policy)
         makespan = schedule.makespan
         serial = serial_throughput + serial_latency
-
-        # The ledger clock advances by the makespan, split between the
-        # throughput and latency columns in the same proportion as the
-        # serial costs; the trace keeps every hardware call at its true
-        # cost with its unit id, so per-shape totals and the Theorem 12
-        # replay match a serial run exactly.  Captured CPU work stays
-        # serial (one CPU).
         scale = makespan / serial if serial else 0.0
         if rows_per_call is None:
             row_units = schedule.assignment
@@ -302,14 +375,14 @@ class ParallelTCUMachine(TCUMachine):
             row_units = np.repeat(schedule.assignment, rows_per_call)
         self.ledger.charge_tensor_totals(
             serial_throughput * scale, serial_latency * scale,
-            row_ns, s, row_times, row_lats, row_units, span=makespan,
+            row_ns, self.sqrt_m, row_times, row_lats, row_units, span=makespan,
         )
         if cpu_total:
             self.ledger.charge_cpu(cpu_total)
 
         self.last_schedule = schedule
         self.last_batch = BatchStats(
-            calls=k,
+            calls=int(costs.size),
             serial_time=serial,
             makespan=makespan,
             units_used=schedule.units_used,
@@ -319,14 +392,7 @@ class ParallelTCUMachine(TCUMachine):
             utilization=schedule.utilization,
             gap_bound=schedule.gap_bound,
         )
-        if results is not None:
-            return results
-        if self.execute == "cost-only":
-            return [
-                placeholder(lead + (A.shape[-2], s), np.result_type(A.dtype, B.dtype))
-                for (A, B), lead in zip(pairs, leads, strict=True)
-            ]
-        return [A @ B for A, B in pairs]
+        return makespan
 
     def config_key(self) -> tuple:
         """Extends the base fingerprint with the unit count and the

@@ -1,4 +1,4 @@
-"""Compiled plans: freeze a plan's ledger charges once, replay them forever.
+"""Compiled plans: price a plan's ledger charges once, replay them forever.
 
 The paper's central observation (Section 3) is that a tensor call's cost
 is a pure function of its shape and the machine parameters — values
@@ -8,37 +8,43 @@ has already seen: the program lowering, the planner and the level walk
 are all deterministic given ``(request kind, batch row counts, machine
 configuration)``.  This module exploits that replayability:
 
-* :func:`compile_plan` executes a request type's plan **once** against a
-  scratch ledger on a forked probe machine and freezes what it charged
-  into a :class:`CompiledPlan` — the build charges, then one record per
-  level of from-zero counter deltas and trace columns (row counts,
-  per-call times, latencies, unit ids) — plus the per-level
-  ``resident_words`` a cursor needs to price a preempted resume.
+* :func:`compile_plan` builds a request type's plan **once** on a forked
+  probe machine and prices every level from its shapes
+  (:func:`~repro.core.program.price_level`) against a scratch ledger —
+  no cursor, no stepping, no op values — freezing what it charges into
+  a :class:`CompiledPlan`: the build charges, then one record per level
+  of from-zero counter deltas, the span its tensor work advances the
+  clock by, and its trace columns (row counts, per-call times,
+  latencies, unit ids), plus the per-level ``resident_words`` a cursor
+  needs to price a preempted resume.
 * A :class:`CompiledPlan` is a level source for the one
   :class:`~repro.core.program.ExecutionCursor`, like a live
   :class:`~repro.core.program.Plan`: the cursor charges the build
-  charges when it is made, replays one record per step, and prices
-  rewinds and reloads exactly as it does for a live plan.
+  charges when it is made, replays one record per step — or every
+  remaining level in one pass on ``run()`` — and prices rewinds and
+  reloads exactly as it does for a live plan.
 * :class:`PlanCache` memoises compiled plans under
   ``(kind, rows tuple, machine.config_key())`` with LRU eviction, so the
   serving hot path never re-plans a shape it has seen.
 
-Replay adds each captured delta to the ledger as one addend per counter,
-where live execution adds a level's charges one by one.  The two sums
-are bit-identical when each counter's live addends within one record
-are a single float (a parallel level runs one ``mm_batch`` makespan) or
-all integer-valued (float addition of integers below 2**53 is exact,
-which covers every serial charge with integer ``ell`` and so every
-shipped preset).  The build charges are one record too, and there the
-condition fails once: a stencil plan compiled on a
-:class:`~repro.core.parallel.ParallelTCUMachine` builds its kernel
-transform with four fractional ``mm_batch`` makespans, which replay as
-one summed addend, so a cached stencil run's clock can differ from a
-live one in the last bit.  The host-time benchmark's ``serve_parallel``
-reference records the cached arithmetic.
+Replay adds each level's captured deltas to the ledger as one addend
+per counter, where live execution adds a level's charges one by one,
+and advances open sections by the level's recorded span: a parallel
+level's makespan, as ``mm_batch`` charges it, or else its tensor plus
+latency delta.  The two sums are bit-identical when each counter's live
+addends within one record are a single float (a parallel level runs one
+``mm_batch`` makespan) or all integer-valued (float addition of
+integers below 2**53 is exact, which covers every serial charge with
+integer ``ell`` and so every shipped preset).  The build charges are
+one record too, and there the condition fails once: a stencil plan
+compiled on a :class:`~repro.core.parallel.ParallelTCUMachine` builds
+its kernel transform with four fractional ``mm_batch`` makespans, which
+replay as one summed addend, so a cached stencil run's clock can differ
+from a live one in the last bit.  The host-time benchmark's
+``serve_parallel`` reference records the cached arithmetic.
 
 Compilation runs on a **fork** of the target machine (fresh ledger), so
-probing never pollutes the live clock.  A compiled plan carries the
+pricing never pollutes the live clock.  A compiled plan carries the
 ``config_key()`` of the machine it was compiled for and refuses to
 start a cursor on a machine with any other key
 (:class:`~repro.core.ledger.LedgerError`) instead of silently charging
@@ -47,6 +53,7 @@ the donor machine's schedule.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -54,9 +61,9 @@ from typing import Protocol
 
 import numpy as np
 
-from .ledger import CostLedger, LedgerError
+from .ledger import CallTrace, CostLedger, LedgerError
 from .machine import TCUMachine
-from .program import ExecutionCursor, Plan, PlanStats
+from .program import Plan, PlanStats, price_level
 
 __all__ = ["LevelCharges", "CompiledPlan", "PlanCache", "Plannable", "compile_plan"]
 
@@ -70,13 +77,15 @@ class Plannable(Protocol):
 
 @dataclass(frozen=True, eq=False)
 class LevelCharges:
-    """The frozen ledger charges of one executed plan level (or of a
-    plan's build, or of a whole coalesced plan): the counter deltas it
-    charged from zero and the trace columns of its tensor calls."""
+    """The frozen ledger charges of one plan level (or of a plan's
+    build): the counter deltas it charges from zero, the span its tensor
+    calls advance open sections and ``on_charge`` by, and the trace
+    columns of those calls."""
 
     tensor_time: float
     latency_time: float
     cpu_time: float
+    span: float
     ns: np.ndarray
     times: np.ndarray
     lats: np.ndarray
@@ -88,12 +97,14 @@ class LevelCharges:
 
     def charge(self, machine: TCUMachine) -> None:
         """Replay the record onto ``machine``'s ledger: one addend per
-        counter, the trace columns verbatim."""
+        counter, the span to open sections, the trace columns
+        verbatim."""
         ledger = machine.ledger
         if self.ns.size:
             ledger.charge_tensor_totals(
                 self.tensor_time, self.latency_time,
                 self.ns, machine.sqrt_m, self.times, self.lats, self.units,
+                span=self.span,
             )
         if self.cpu_time:
             ledger.charge_cpu(self.cpu_time)
@@ -124,19 +135,30 @@ class CompiledPlan:
         cursor pays them when it is made, where a live plan paid them
         while it was built, and never again.
     levels:
-        One :class:`LevelCharges` per plan level, in execution order.
+        One :class:`LevelCharges` per plan level, in execution order,
+        priced from the level's shapes; each holds slices of
+        :attr:`calls`.
     reload_words:
         ``reload_words[d]`` is the resident-block word count a cursor
         suspended before level ``d`` must re-load on resume — read from
         the plan's suffix table (:meth:`~repro.core.program.Plan.resident_words`).
-    coalesced:
-        When every level's tensor, latency and CPU deltas are
-        integer-valued floats (so float addition re-associates
-        exactly), all levels collapsed into one record, which a
-        never-stepped cursor's ``run()`` pays as a single charge.
-        ``None`` when per-level replay is required for bit-identity.
     stats:
         The live plan's :class:`~repro.core.program.PlanStats`.
+    calls:
+        The plan's trace columns ``(ns, times, lats, units)``: every
+        level's calls in order, held once.
+    offsets:
+        Level ``d``'s calls are rows ``offsets[d]:offsets[d + 1]`` of
+        :attr:`calls`.
+    deltas:
+        The levels' tensor, latency and CPU deltas as three per-level
+        columns, for the one-pass replay (:meth:`run_levels`).
+    charges / charge_offsets:
+        The ``on_charge`` sequence of stepping every level — a level's
+        ``("tensor", span)`` when it has calls, then its ``("cpu",
+        cpu_time)`` when it has CPU work — whose level ``d`` starts at
+        ``charges[charge_offsets[d]]``; open sections add the same
+        amounts in the one-pass replay.
     """
 
     kind: str
@@ -145,8 +167,12 @@ class CompiledPlan:
     prelude: LevelCharges
     levels: tuple[LevelCharges, ...]
     reload_words: tuple[int, ...]
-    coalesced: LevelCharges | None
     stats: PlanStats
+    calls: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    offsets: tuple[int, ...]
+    deltas: tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]
+    charges: tuple[tuple[str, float], ...]
+    charge_offsets: tuple[int, ...]
 
     def start(self, machine: TCUMachine) -> None:
         """Check ``machine``'s fingerprint, then charge the build charges."""
@@ -162,6 +188,35 @@ class CompiledPlan:
         """Replay level ``level``'s frozen charges onto ``machine``."""
         self.levels[level].charge(machine)
 
+    def run_levels(self, start: int, machine: TCUMachine) -> None:
+        """Replay levels ``start..`` onto ``machine`` in one pass.
+
+        The ledger sees what :meth:`run_level` on each level in turn
+        gives it (:meth:`~repro.core.ledger.CostLedger.charge_levels`),
+        and the trace gets every remaining call in one append — on an
+        aggregating ledger, one per level, so its bucket sums add level
+        by level as stepping adds them.
+        """
+        ledger = machine.ledger
+        lo = self.offsets[start]
+        tensor, latency, cpu = self.deltas
+        ledger.charge_levels(
+            tensor[start:], latency[start:], cpu[start:],
+            self.charges[self.charge_offsets[start]:], self.offsets[-1] - lo,
+        )
+        if ledger.trace_calls is True:
+            if lo < self.offsets[-1]:
+                ns, times, lats, units = self.calls
+                ledger.record_calls_bulk(
+                    ns[lo:], machine.sqrt_m, times[lo:], lats[lo:], units[lo:]
+                )
+        elif ledger.trace_calls == "aggregate":
+            for lv in self.levels[start:]:
+                if lv.ns.size:
+                    ledger.record_calls_bulk(
+                        lv.ns, machine.sqrt_m, lv.times, lv.lats, lv.units
+                    )
+
     def resident_words(self, from_level: int = 0) -> int:
         if from_level >= len(self.reload_words):
             return 0
@@ -169,17 +224,14 @@ class CompiledPlan:
 
 
 def _capture(scratch: CostLedger) -> LevelCharges:
-    """Freeze a zeroed scratch ledger's accumulated charges.
-
-    The scratch starts from zero for every level, so counter values ARE
-    the exact per-level float deltas live execution adds to a running
-    ledger.
-    """
+    """Freeze a zeroed scratch ledger's accumulated charges — the exact
+    from-zero deltas charging them adds to a running ledger."""
     ns, _, times, lats = scratch.calls.as_arrays()
     return LevelCharges(
         tensor_time=scratch.tensor_time,
         latency_time=scratch.latency_time,
         cpu_time=scratch.cpu_time,
+        span=scratch.tensor_time + scratch.latency_time,
         ns=np.array(ns, dtype=np.int64, copy=True),
         times=np.array(times, dtype=np.float64, copy=True),
         lats=np.array(lats, dtype=np.float64, copy=True),
@@ -187,37 +239,22 @@ def _capture(scratch: CostLedger) -> LevelCharges:
     )
 
 
-def _coalesce(levels: tuple[LevelCharges, ...]) -> LevelCharges | None:
-    """Collapse a whole plan's levels into one charge record when exact.
-
-    Valid only when every per-level float delta is integer-valued, so
-    ``base + (d1 + d2 + ...)`` bit-equals ``((base + d1) + d2) + ...``
-    — integer-valued doubles below 2**53 add associatively.
-    """
-    if not levels or not all(
-        float(x).is_integer()
-        for lv in levels
-        for x in (lv.tensor_time, lv.latency_time, lv.cpu_time)
-    ):
-        return None
-    return LevelCharges(
-        tensor_time=sum(lv.tensor_time for lv in levels),
-        latency_time=sum(lv.latency_time for lv in levels),
-        cpu_time=sum(lv.cpu_time for lv in levels),
-        ns=np.concatenate([lv.ns for lv in levels]),
-        times=np.concatenate([lv.times for lv in levels]),
-        lats=np.concatenate([lv.lats for lv in levels]),
-        units=np.concatenate([lv.units for lv in levels]),
-    )
-
-
 def compile_plan(rtype: Plannable, machine: TCUMachine, rows: Sequence[int]) -> CompiledPlan:
-    """Execute ``rtype``'s plan for ``rows`` once and freeze its charges.
+    """Build ``rtype``'s plan for ``rows`` once and price its charges.
 
-    Runs on ``machine.fork()`` with a fresh full-trace scratch ledger —
-    the live ledger is never touched — resetting the scratch before
-    every level so each captured record is the exact from-zero delta
-    that level charges.
+    Builds on ``machine.fork()`` with a fresh full-trace scratch ledger
+    — the live ledger is never touched — and freezes the build charges;
+    then prices each level from its shapes
+    (:func:`~repro.core.program.price_level`) on a zeroed ledger that
+    appends to one plan-wide trace, so each record's deltas are the
+    exact from-zero amounts that level charges.  Nothing is executed and
+    no op gets a value.  Raises :class:`~repro.core.ledger.LedgerError`
+    if a level's charges are not finite and non-negative.
+
+    On a numeric machine the records follow cost-only execution: they
+    equal the numeric run's deltas when its charges are integer-valued,
+    and a level's trace rows may be ordered differently (the numeric
+    executor batches shared streams first; per-shape totals agree).
     """
     rows = [int(r) for r in rows]
     probe = machine.fork()
@@ -226,23 +263,58 @@ def compile_plan(rtype: Plannable, machine: TCUMachine, rows: Sequence[int]) -> 
     plan = rtype.plan(probe, rows)
     prelude = _capture(scratch)
 
-    levels: list[LevelCharges] = []
-    cursor = ExecutionCursor(plan, probe)
-    while not cursor.done:
-        scratch.reset()
-        cursor.step()
-        levels.append(_capture(scratch))
+    trace = CallTrace()
+    deltas: list[tuple[float, float, float, float]] = []
+    offsets = [0]
+    charges: list[tuple[str, float]] = []
+    charge_offsets = [0]
+    for d, (groups, others) in enumerate(plan.levels):
+        ledger = probe.ledger = CostLedger(calls=trace)
+        span = price_level(groups, others, probe, None if plan.splits is None else plan.splits[d])
+        tensor, latency, cpu = ledger.tensor_time, ledger.latency_time, ledger.cpu_time
+        if span is None:
+            span = tensor + latency
+        if not all(0.0 <= x < math.inf for x in (tensor, latency, cpu, span)):
+            raise LedgerError(
+                f"level {d} charges must be finite and >= 0, got "
+                f"{tensor!r}, {latency!r}, {cpu!r}, span {span!r}"
+            )
+        deltas.append((tensor, latency, cpu, span))
+        offsets.append(len(trace))
+        if offsets[-1] > offsets[-2]:
+            charges.append(("tensor", span))
+        if cpu:
+            charges.append(("cpu", cpu))
+        charge_offsets.append(len(charges))
 
-    level_tuple = tuple(levels)
+    ns, _, times, lats = trace.as_arrays()
+    calls = (
+        np.array(ns, dtype=np.int64, copy=True),
+        np.array(times, dtype=np.float64, copy=True),
+        np.array(lats, dtype=np.float64, copy=True),
+        np.array(trace.unit_ids(), dtype=np.int64, copy=True),
+    )
+    levels = tuple(
+        LevelCharges(tensor, latency, cpu, span, *(col[lo:hi] for col in calls))
+        for (tensor, latency, cpu, span), lo, hi in zip(
+            deltas, offsets[:-1], offsets[1:], strict=True
+        )
+    )
     return CompiledPlan(
         kind=getattr(rtype, "name", type(rtype).__name__),
         rows=tuple(rows),
         config_key=probe.config_key(),
         prelude=prelude,
-        levels=level_tuple,
+        levels=levels,
         reload_words=tuple(plan.resident_words(d) for d in range(len(levels))),
-        coalesced=_coalesce(level_tuple),
         stats=plan.stats,
+        calls=calls,
+        offsets=tuple(offsets),
+        deltas=(
+            tuple(d[0] for d in deltas), tuple(d[1] for d in deltas), tuple(d[2] for d in deltas)
+        ),
+        charges=tuple(charges),
+        charge_offsets=tuple(charge_offsets),
     )
 
 

@@ -71,9 +71,10 @@ latency instead of five::
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, ClassVar, TypeAlias
+from typing import TYPE_CHECKING, TypeAlias
 
 import numpy as np
 
@@ -97,6 +98,7 @@ __all__ = [
     "check_split",
     "modelled_call_cost",
     "plan_program",
+    "price_level",
     "execute_plan",
     "run_grid",
     "run_program",
@@ -617,8 +619,6 @@ class Plan:
     _suffix_words: tuple[int, ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    # a live plan executes level by level; it has no one-charge record
-    coalesced: ClassVar[None] = None
 
     def start(self, machine: TCUMachine) -> None:
         """Charge what a cursor owes before level 0: nothing, because
@@ -876,6 +876,8 @@ def _level_makespan(
     (the exact oracle's job-count limit), which the chooser treats as
     infeasible.
     """
+    if not len(groups):
+        return 0.0
     units = int(getattr(machine, "units", 1))
     costs = _level_cost_vector(groups, splits, machine)
     if units <= 1:
@@ -904,9 +906,12 @@ def _exact_sums(tables: list[tuple[tuple[float, ...], ...]], shapes: list[int]) 
 
 def _choose_level_splits(
     groups: list[list[TensorOp]], machine: TCUMachine
-) -> list[int]:
+) -> tuple[list[int], float]:
     """Pick the split factor per merge group minimising the level's
-    modelled makespan (ties break toward fewer calls).
+    modelled makespan (ties break toward fewer calls); returns the
+    splits and their makespan, which equals :func:`_level_makespan` of
+    them bit for bit, so the planner never schedules a chosen level
+    twice.
 
     Small candidate spaces are searched exhaustively — there the chosen
     configuration *is* the optimum over row-balanced splits under the
@@ -929,11 +934,11 @@ def _choose_level_splits(
     units = int(getattr(machine, "units", 1))
     best = [1] * len(groups)
     if units <= 1 or not len(groups):
-        return best
+        return best, _level_makespan(groups, best, machine)
     group_shapes = _group_shapes(groups)
     caps = [_rows_cap(rows, machine, units) for rows, _ in group_shapes]
     if all(cap == 1 for cap in caps):
-        return best
+        return best, _level_makespan(groups, best, machine)
 
     # tables[shapes[i]][f - 1] holds the chunk costs of group i split f ways
     shape_ids: dict[tuple[int, np.dtype], int] = {}
@@ -968,12 +973,12 @@ def _choose_level_splits(
 
     best_span = price(best)
     if best_span <= 0.0:
-        return best
+        return best, best_span
     # a perfectly balanced unsplit schedule is already optimal:
     # splitting only adds latency, and serial/p lower-bounds every split
     serial = float(cost_vector(best).sum())
     if best_span == serial / units:
-        return best
+        return best, best_span
     best_chunks = len(best)
 
     def better(span: float, chunks: int) -> bool:
@@ -992,7 +997,7 @@ def _choose_level_splits(
             span = price(splits)
             if better(span, sum(splits)):
                 best, best_span, best_chunks = splits, span, sum(splits)
-        return best
+        return best, best_span
     # a move's makespan keyed by (moves accepted so far, moved group's
     # slot, old factor, new factor): every accept strictly improves, so
     # the count names the current best and the key names the trial
@@ -1019,7 +1024,7 @@ def _choose_level_splits(
                     changed = True
         if not changed:
             break
-    return best
+    return best, best_span
 
 
 def check_split(split: str | int) -> None:
@@ -1189,16 +1194,18 @@ def plan_program(
     modelled: list[float] = []
     for level_groups, _ in levels:
         if split == "auto":
-            chosen = _choose_level_splits(level_groups, machine)
-        elif split == 1 or units <= 1:
-            chosen = [1] * len(level_groups)
+            chosen, span = _choose_level_splits(level_groups, machine)
         else:
-            chosen = [
-                min(int(split), _rows_cap(rows, machine, units))
-                for rows, _ in level_groups.shapes()
-            ]
+            if split == 1 or units <= 1:
+                chosen = [1] * len(level_groups)
+            else:
+                chosen = [
+                    min(int(split), _rows_cap(rows, machine, units))
+                    for rows, _ in level_groups.shapes()
+                ]
+            span = _level_makespan(level_groups, chosen, machine)
         splits.append(chosen)
-        modelled.append(_level_makespan(level_groups, chosen, machine))
+        modelled.append(span)
 
     stats = PlanStats(
         ops=nodes,
@@ -1269,10 +1276,10 @@ def _stack(arrays: list[np.ndarray]) -> np.ndarray:
 def _dispatch_parallel(
     groups: CallGroups,
     machine: ParallelTCUMachine,
-    cost_only: bool,
     splits: Sequence[int] | None = None,
 ) -> None:
-    """One level on a parallel machine: always a single scheduled batch.
+    """One numeric level on a parallel machine: always a single
+    scheduled batch.
 
     :meth:`~repro.core.parallel.ParallelTCUMachine.mm_batch` obtains
     true per-call costs from the machine itself (max-rows chunking,
@@ -1310,23 +1317,15 @@ def _dispatch_parallel(
             factors = splits[index : index + kq * kr]
             index += kq * kr
             if max(factors) == 1:
-                if cost_only:
-                    A = placeholder((1, kq, p, s), part.dtype)
-                    B = placeholder((kr, kq, s, s), part.dtype)
-                else:
-                    A = _grid_strips(part)[None]
-                    B = part.b.reshape(kq, s, kr, s).transpose(2, 0, 1, 3)
+                A = _grid_strips(part)[None]
+                B = part.b.reshape(kq, s, kr, s).transpose(2, 0, 1, 3)
                 pairs.append((A, B))
                 issued.append((part, None))
                 continue
             members = list(zip(([c] for c in _grid_calls(part)), factors, strict=True))
         for g, pieces in members:
-            if cost_only:
-                A = placeholder((_group_rows(g), s), g[0].dtype)
-                B = placeholder((s, s), g[0].dtype)
-            else:
-                A = _group_operands(g)
-                B = _resolve(g[0].b)
+            A = _group_operands(g)
+            B = _resolve(g[0].b)
             if pieces == 1:
                 pairs.append((A, B))
             else:
@@ -1338,18 +1337,12 @@ def _dispatch_parallel(
     index = 0
     for target, pieces in issued:
         if pieces is None:
-            out = results[index]
+            target.value = results[index].swapaxes(0, 1)
             index += 1
-            if cost_only:
-                target.value = placeholder(target.shape, target.dtype)
-            else:
-                target.value = out.swapaxes(0, 1)
             continue
         outs = results[index : index + pieces]
         index += pieces
-        if cost_only:
-            _scatter_placeholders(target)
-        elif pieces == 1:
+        if pieces == 1:
             _scatter_group(target, outs[0])
         else:
             _scatter_group(target, np.vstack(outs))  # repro-lint: disable=LED001 -- reassembling sibling chunk outputs is the inverse of the uncharged merge gather (row bookkeeping)
@@ -1372,24 +1365,22 @@ def _grid_per_call(grid: TensorOp, machine: TCUMachine) -> None:
 
 
 def _run_grids(grids: list[TensorOp], machine: TCUMachine) -> None:
-    """Whole grids on a sequential machine: one stacked
+    """Whole grids on a sequential numeric machine: one stacked
     :meth:`TCUMachine.mm_grid` per grid shape.
 
     Each strip is stacked once and broadcast against its row of blocks
     (never repeated), so ``mm_grid`` runs one GEMM per strip against
     its concatenated block row — the numerics the per-call emission's
     shared-stream grids had.  Charges are one bulk append per bucket.
-    Numeric machines whose calls cannot be stacked (non-fusable
-    kernels, streams the row bound splits) issue each call through
-    ``mm`` instead.
+    Machines whose calls cannot be stacked (non-fusable kernels,
+    streams the row bound splits) issue each call through ``mm``
+    instead.
     """
     s = machine.sqrt_m
-    cost_only = machine.execute == "cost-only"
     buckets: dict[tuple, list[TensorOp]] = {}
     for grid in grids:
-        if not cost_only and (
-            not machine.fusable
-            or (machine.max_rows is not None and grid.shape[2] > machine.max_rows)
+        if not machine.fusable or (
+            machine.max_rows is not None and grid.shape[2] > machine.max_rows
         ):
             _grid_per_call(grid, machine)
             continue
@@ -1397,14 +1388,6 @@ def _run_grids(grids: list[TensorOp], machine: TCUMachine) -> None:
     for (shape, _), bucket in buckets.items():
         kq, kr, p, _ = shape
         k = len(bucket)
-        dtype = bucket[0].dtype
-        if cost_only:
-            machine.mm_grid(
-                placeholder((k, kq, 1, p, s), dtype), placeholder((k, kq, kr, s, s), dtype)
-            )
-            for grid in bucket:
-                grid.value = placeholder(grid.shape, dtype)
-            continue
         strips = _stack([_grid_strips(grid) for grid in bucket])
         rows = _stack([grid.b.reshape(kq, s, kr * s) for grid in bucket])
         out = machine.mm_grid(strips[:, :, None], rows.reshape(k, kq, s, kr, s).swapaxes(2, 3))
@@ -1424,8 +1407,8 @@ def _strip_sum(op: TensorOp) -> np.ndarray:
 
 
 def _dispatch_grid(groups: CallGroups, machine: TCUMachine) -> None:
-    """One level on a sequential machine, fused: whole grids through
-    :func:`_run_grids`, then the merge groups bucketed into
+    """One numeric level on a sequential machine, fused: whole grids
+    through :func:`_run_grids`, then the merge groups bucketed into
     :meth:`TCUMachine.mm_grid` calls.
 
     Merge groups sharing a left operand buffer (e.g. one stream against
@@ -1436,36 +1419,14 @@ def _dispatch_grid(groups: CallGroups, machine: TCUMachine) -> None:
     exactly; trace rows may land in a different order within the level
     (the per-shape totals are unchanged).
     """
-    s = machine.sqrt_m
     parts = _parts(groups)
     grids = [part for part in parts if not isinstance(part, list)]
     if grids:
         _run_grids(grids, machine)
-    merged = [part for part in parts if isinstance(part, list)]
-    if machine.execute == "cost-only":
-        buckets: dict[tuple, list[list]] = {}
-        for g in merged:
-            n_g = _group_rows(g)
-            if machine.max_rows is not None and n_g > machine.max_rows:
-                # the hardware would split this stream: scalar call so
-                # the per-chunk charges match the eager path
-                dt = np.dtype(g[0].dtype)
-                machine.mm(placeholder((n_g, s), dt), placeholder((s, s), dt))
-                _scatter_placeholders(g)
-                continue
-            buckets.setdefault((n_g, np.dtype(g[0].dtype).str), []).append(g)
-        for (n_g, _), bucket in buckets.items():
-            dt = np.dtype(bucket[0][0].dtype)
-            machine.mm_grid(
-                placeholder((len(bucket), n_g, s), dt),
-                placeholder((len(bucket), s, s), dt),
-            )
-            for g in bucket:
-                _scatter_placeholders(g)
-        return
-
     by_a: dict[tuple, list[tuple[list, np.ndarray, np.ndarray]]] = {}
-    for g in merged:
+    for g in parts:
+        if not isinstance(g, list):
+            continue
         A = _group_operands(g)
         B = _resolve(g[0].b)
         if not machine.fusable or (
@@ -1501,6 +1462,126 @@ def _dispatch_grid(groups: CallGroups, machine: TCUMachine) -> None:
             _scatter_group(g, C)
 
 
+# ----------------------------------------------------------------------
+# pricing: a level's cost-only charges from its shapes
+# ----------------------------------------------------------------------
+def _batch_level(
+    groups: CallGroups, machine: TCUMachine, splits: Sequence[int] | None
+) -> bool:
+    """Whether a level dispatches as one scheduled batch: more than one
+    call group, or any split chunk, on a parallel machine."""
+    return isinstance(machine, ParallelTCUMachine) and (
+        len(groups) > 1 or (splits is not None and any(f > 1 for f in splits))
+    )
+
+
+def _batch_calls(
+    groups: CallGroups, splits: Sequence[int] | None
+) -> tuple[np.ndarray, list[np.dtype]]:
+    """Row counts and dtypes of the calls a batch level issues, in
+    :func:`_dispatch_parallel` order: a group split ``f`` ways as its
+    :func:`_split_bounds` chunks, a grid as its ``kq * kr`` calls."""
+    ns: list[int] = []
+    dtypes: list[np.dtype] = []
+    factors = iter(splits) if splits is not None else itertools.repeat(1)
+    for part in _parts(groups):
+        if isinstance(part, list):
+            streams = [_group_rows(part)]
+            dtype = np.dtype(part[0].dtype)
+        else:
+            kq, kr, p, _ = part.shape
+            streams = [p] * (kq * kr)
+            dtype = np.dtype(part.dtype)
+        for rows in streams:
+            pieces = next(factors)
+            if pieces == 1:
+                ns.append(rows)
+            else:
+                ns.extend(hi - lo for lo, hi in _split_bounds(rows, pieces))
+        dtypes.extend([dtype] * (len(ns) - len(dtypes)))
+    return np.asarray(ns, dtype=np.int64), dtypes
+
+
+def _price_sequential(groups: CallGroups, machine: TCUMachine) -> None:
+    """A sequential level's charges, in the fused executor's order:
+    whole grids one :meth:`~TCUMachine.charge_mm_grid` per grid shape,
+    then merge groups — a stream the row bound splits where ``mm``
+    charges it, the rest one ``charge_mm_grid`` per ``(rows, dtype)``
+    bucket — buckets in first-appearance order."""
+    parts = _parts(groups)
+    grids: dict[tuple, list] = {}
+    for part in parts:
+        if not isinstance(part, list):
+            kq, kr, p, _ = part.shape
+            dtype = np.dtype(part.dtype)
+            grids.setdefault((part.shape, dtype.str), [p, 0, dtype])[1] += kq * kr
+    for n, k, dtype in grids.values():
+        machine.charge_mm_grid(n, k, dtype)
+    bound = machine.max_rows
+    streams: dict[tuple, list] = {}
+    for part in parts:
+        if isinstance(part, list):
+            n = _group_rows(part)
+            dtype = np.dtype(part[0].dtype)
+            if bound is not None and n > bound:
+                machine.charge_mm(n, dtype)
+                continue
+            streams.setdefault((n, dtype.str), [n, 0, dtype])[1] += 1
+    for n, k, dtype in streams.values():
+        machine.charge_mm_grid(n, k, dtype)
+
+
+def _price_others(others: list[TensorOp], machine: TCUMachine) -> None:
+    """A level's CPU-side charges, in op order: an add one unit per word
+    per term, a copy one per word, an apply its declared ``cpu``, a
+    strip sum one per word per partial; views are free."""
+    for op in others:
+        kind = op.kind
+        if kind == "add":
+            machine.charge_cpu(math.prod(op.shape) * len(op.terms))
+        elif kind == "copy":
+            machine.charge_cpu(math.prod(op.shape))
+        elif kind == "apply":
+            if op.cpu:
+                machine.charge_cpu(op.cpu)
+        elif kind == "stripsum":
+            machine.charge_cpu(math.prod(op.a.shape))
+        elif kind != "view":  # pragma: no cover - defensive
+            raise ProgramError(f"unknown op kind {kind!r}")
+
+
+def price_level(
+    groups: CallGroups,
+    others: list[TensorOp],
+    machine: TCUMachine,
+    splits: Sequence[int] | None = None,
+) -> float | None:
+    """Charge one planned level to ``machine`` from its shapes alone.
+
+    The paper prices every tensor call from its shape (§3), so a level's
+    cost-only charges follow from its call groups, ``splits`` and CPU
+    ops: a batch level (:func:`_batch_level`) is one
+    :meth:`~repro.core.parallel.ParallelTCUMachine.charge_mm_batch` of
+    the calls :func:`_dispatch_parallel` issues; a sequential level is
+    :func:`_price_sequential`; then each CPU op's charge in op order.
+    No operand is built and no op gets a value.  Returns the batch's
+    makespan — the span its tensor work advances the clock by — on a
+    batch level, else ``None``.
+
+    Cost-only execution of a fused or batch level is this pricer plus
+    placeholder values, and :func:`~repro.core.plan_cache.compile_plan`
+    runs it on a scratch ledger per level.
+    """
+    span = None
+    if len(groups):
+        if _batch_level(groups, machine, splits):
+            span = machine.charge_mm_batch(*_batch_calls(groups, splits))
+        else:
+            _price_sequential(groups, machine)
+    _price_others(others, machine)
+    return span
+
+
 def _execute_level(
     groups: CallGroups,
     others: list[TensorOp],
@@ -1509,35 +1590,44 @@ def _execute_level(
     splits: Sequence[int] | None = None,
 ) -> None:
     """Execute one planned level: its merged call groups, then its
-    CPU-side ops — the unit of work :class:`ExecutionCursor` steps by."""
+    CPU-side ops — the unit of work :class:`ExecutionCursor` steps by.
+
+    On a cost-only machine a fused or batch level is priced from its
+    shapes (:func:`price_level`) and every op gets a placeholder value;
+    ``fused=False`` keeps its per-call reference path there too.
+    """
     cost_only = machine.execute == "cost-only"
-    if len(groups):
-        if isinstance(machine, ParallelTCUMachine) and (
-            len(groups) > 1
-            or (splits is not None and any(f > 1 for f in splits))
-        ):
-            _dispatch_parallel(groups, machine, cost_only, splits)
-        elif fused:
-            _dispatch_grid(groups, machine)
-        else:
-            for g in _parts(groups):
-                if not isinstance(g, list):
-                    _grid_per_call(g, machine)
-                    continue
-                out = machine.mm(_group_operands(g), _resolve(g[0].b))
-                if cost_only:
-                    _scatter_placeholders(g)
-                else:
-                    _scatter_group(g, out)
-    for op in others:
-        words = 1
-        for dim in op.shape:
-            words *= dim
-        if op.kind == "add":
-            if cost_only:
-                machine.charge_cpu(words * len(op.terms))
-                op.value = placeholder(op.shape, op.dtype)
+    batch = _batch_level(groups, machine, splits)
+    if cost_only and (fused or batch):
+        price_level(groups, others, machine, splits)
+        for part in _parts(groups):
+            if isinstance(part, list):
+                _scatter_placeholders(part)
+            else:
+                part.value = placeholder(part.shape, part.dtype)
+    elif batch:
+        _dispatch_parallel(groups, machine, splits)
+    elif fused:
+        _dispatch_grid(groups, machine)
+    else:
+        for g in _parts(groups):
+            if not isinstance(g, list):
+                _grid_per_call(g, machine)
                 continue
+            out = machine.mm(_group_operands(g), _resolve(g[0].b))
+            if cost_only:
+                _scatter_placeholders(g)
+            else:
+                _scatter_group(g, out)
+        if cost_only:
+            _price_others(others, machine)
+    if cost_only:
+        for op in others:
+            op.value = placeholder(op.shape, op.dtype)
+        return
+    for op in others:
+        if op.kind == "add":
+            words = math.prod(op.shape)
             out = np.zeros(op.shape, dtype=op.dtype)
             for coef, src in op.terms:
                 val = _resolve(src)
@@ -1550,19 +1640,12 @@ def _execute_level(
                 machine.charge_cpu(words)
             op.value = out
         elif op.kind == "copy":
-            if cost_only:
-                machine.charge_cpu(words)
-                op.value = placeholder(op.shape, op.dtype)
-                continue
             val = _resolve(op.a)
             op.value = np.array(val, copy=True)
             machine.charge_cpu(op.value.size)
         elif op.kind == "apply":
             if op.cpu:
                 machine.charge_cpu(op.cpu)
-            if cost_only:
-                op.value = placeholder(op.shape, op.dtype)
-                continue
             op.value = op.fn(*[_resolve(src) for _, src in op.terms])
             if op.value.shape != op.shape:  # declared shape is a contract
                 raise ProgramError(
@@ -1570,14 +1653,10 @@ def _execute_level(
                     f"produced {op.value.shape}"
                 )
         elif op.kind == "view":
-            if cost_only:
-                op.value = placeholder(op.shape, op.dtype)
-                continue
             op.value = _resolve(op.a)[op.key]
         elif op.kind == "stripsum":
-            kq, kr, p, s = op.a.shape
-            machine.charge_cpu(kq * kr * p * s)
-            op.value = placeholder(op.shape, op.dtype) if cost_only else _strip_sum(op)
+            machine.charge_cpu(math.prod(op.a.shape))
+            op.value = _strip_sum(op)
         else:  # pragma: no cover - defensive
             raise ProgramError(f"unknown op kind {op.kind!r}")
 
@@ -1595,11 +1674,12 @@ class ExecutionCursor:
     The cursor steps a *level source*: a live :class:`Plan`, whose
     levels execute their ops through the machine's ordinary primitives,
     or a :class:`~repro.core.plan_cache.CompiledPlan`, whose levels
-    replay the charges frozen when it was compiled.  Both expose the
+    replay the charges priced when it was compiled.  Both expose the
     same interface — ``levels``, ``start(machine)`` (charged when the
-    cursor is made), ``run_level(level, machine, fused)``,
-    ``resident_words(level)`` and ``coalesced`` — so stepping, rewinding
-    and reload pricing exist once.  A compiled plan refuses a machine
+    cursor is made), ``run_level(level, machine, fused)`` and
+    ``resident_words(level)`` — so stepping, rewinding and reload
+    pricing exist once; :meth:`run` replays a compiled plan's remaining
+    levels in one pass.  A compiled plan refuses a machine
     whose :meth:`~repro.core.machine.TCUMachine.config_key` differs from
     the one it was compiled for, raising
     :class:`~repro.core.ledger.LedgerError` before anything is charged.
@@ -1614,7 +1694,9 @@ class ExecutionCursor:
     ----------
     level_times:
         Model time charged by each executed level, in step order (the
-        per-level ledger spans an engine turns into event boundaries).
+        per-level ledger spans an engine turns into event boundaries);
+        a compiled plan's one-pass :meth:`run` adds one entry for all
+        the levels it replays.
     observer:
         Optional ``observer(level, elapsed)`` callback fired after each
         executed level, with the level index just run and the ledger
@@ -1661,22 +1743,27 @@ class ExecutionCursor:
     def run(self) -> None:
         """Execute every remaining level (run to exhaustion).
 
-        A cursor that has never stepped pays its source's ``coalesced``
-        record, when it has one, as a single charge reported as level 0
-        (see :class:`~repro.core.plan_cache.CompiledPlan`); otherwise
-        this is the plain step loop.
+        A live plan steps level by level.  A compiled plan replays
+        levels ``next_level..`` in one pass
+        (:meth:`~repro.core.plan_cache.CompiledPlan.run_levels`): the
+        counters, open sections, ``on_charge`` sequence and trace equal
+        stepping them bit for bit, and the pass is one
+        :attr:`level_times` entry and one observer call, reported as the
+        first level it replays.
         """
-        whole = self.plan.coalesced
-        if whole is not None and not self.level_times:
-            with self.machine.ledger.stopwatch() as span:
-                whole.charge(self.machine)
-            self.next_level = self.total_levels
-            self.level_times.append(span.elapsed)
-            if self.observer is not None:
-                self.observer(0, span.elapsed)
+        if isinstance(self.plan, Plan):
+            while not self.done:
+                self.step()
             return
-        while not self.done:
-            self.step()
+        if self.done:
+            return
+        start = self.next_level
+        with self.machine.ledger.stopwatch() as span:
+            self.plan.run_levels(start, self.machine)
+        self.next_level = self.total_levels
+        self.level_times.append(span.elapsed)
+        if self.observer is not None:
+            self.observer(start, span.elapsed)
 
     def rewind(self, to_level: int) -> None:
         """Roll the cursor back so levels at/after ``to_level`` re-execute.
@@ -1780,9 +1867,10 @@ def execute_plan(plan: Plan, machine: TCUMachine, *, fused: bool = True) -> None
     stacked pair.  Strip sums run with the level's CPU-side ops.
 
     On a machine with ``execute="cost-only"`` all numeric work is
-    skipped: call groups are charged from their shapes alone and every
-    op's value becomes an O(1)-storage placeholder, so programs whose
-    arrays would not fit in memory still charge exact ledger totals.
+    skipped: each level is charged from its shapes alone
+    (:func:`price_level`) and every op's value becomes an O(1)-storage
+    placeholder, so programs whose arrays would not fit in memory still
+    charge exact ledger totals.
     """
     ExecutionCursor(plan, machine, fused=fused).run()
 

@@ -689,10 +689,12 @@ class ServingEngine:
         only event granularity changes).
 
     With caching active, each batch's ``(kind, rows)`` is compiled once
-    into a :class:`~repro.core.plan_cache.CompiledPlan` and replayed
-    thereafter through the same cursor as a live plan, one ledger charge
-    per level (or one per *batch* when the whole plan coalesces), at a
-    fraction of the Python cost.  Charges, clock and preemption
+    — priced from its shapes, never executed — into a
+    :class:`~repro.core.plan_cache.CompiledPlan` and replayed thereafter
+    through the same cursor as a live plan: one record per stepped
+    level, or every remaining level in one pass when the cursor runs to
+    exhaustion, each level advancing the clock by its recorded span, at
+    a fraction of the Python cost.  Charges, clock and preemption
     behaviour are bit-identical to live execution under the condition
     :mod:`repro.core.plan_cache` states, which every serial machine with
     integer ``ell`` meets; a stencil plan's build on a parallel machine
@@ -938,9 +940,9 @@ class ServingEngine:
             With preemption off and no active injector nothing can
             interrupt a running batch (releases happen only at idle), so
             the cursor runs to exhaustion in one event — on a cached
-            plan that is a single coalesced bulk charge.  Stepwise
-            execution keeps level boundaries visible to the kernel, for
-            preemption and for faults alike.
+            plan that is one pass over its level records and one trace
+            append.  Stepwise execution keeps level boundaries visible
+            to the kernel, for preemption and for faults alike.
             """
             nonlocal down_until
             factor, corrupt = (1.0, False)

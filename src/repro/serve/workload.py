@@ -655,6 +655,8 @@ class StencilRequestType(RequestType):
         program = TensorProgram()
         for side in rows:
             side = int(side)
+            if side == 0:  # an empty grid is an empty request
+                continue
             A = self._payload(machine, (side, side))
             _emit_stencil(program, machine, A, self._kernel, self.steps)
         return plan_program(program, machine, split=split)

@@ -483,8 +483,9 @@ class TestSearchParity:
     def test_identical_groups_level(self):
         machine = ParallelTCUMachine(m=16, ell=512.0, units=3, execute="cost-only")
         groups = [make_group(8, np.float64) for _ in range(256)]
-        chosen = _choose_level_splits(groups, machine)
+        chosen, span = _choose_level_splits(groups, machine)
         assert chosen == reference_splits(groups, machine)
+        assert span == _level_makespan(groups, chosen, machine)
         assert sum(f > 1 for f in chosen) == 1
 
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
@@ -495,7 +496,9 @@ class TestSearchParity:
             for ell in ELLS:
                 for _ in range(8):
                     groups, machine = random_level(rng, scheduler, units, ell)
-                    chosen = _choose_level_splits(groups, machine)
+                    chosen, span = _choose_level_splits(groups, machine)
+                    # the chooser's own price of its choice, bit for bit
+                    assert span == _level_makespan(groups, chosen, machine)
                     assert chosen == reference_splits(groups, machine), (
                         units, ell, machine.max_rows, machine.complex_cost_factor,
                         [(program_module._group_rows(g), g[0].dtype) for g in groups],
@@ -519,7 +522,7 @@ class TestSearchParity:
         for level_ell, priced in ((ell, 8), (16.0, 4)):
             counts["schedule_batch"] = 0
             machine = ParallelTCUMachine(m=16, ell=level_ell, units=2)
-            chosen = _choose_level_splits(groups, machine)
+            chosen, _ = _choose_level_splits(groups, machine)
             assert counts["schedule_batch"] == priced
             assert chosen == reference_splits(groups, machine)
 

@@ -18,7 +18,7 @@ from repro import (
     TCUMachine,
     compile_plan,
 )
-from repro.core.ledger import LedgerError
+from repro.core.ledger import CostLedger, LedgerError
 from repro.core.program import ExecutionCursor, ProgramError, _resident_key, _source_shape
 from repro.serve import get_request_type
 
@@ -139,71 +139,136 @@ class TestReplayBitIdentity:
         assert machine.ledger.snapshot() == before
 
 
-def integral_deltas(level):
-    return all(
-        float(x).is_integer()
-        for x in (level.tensor_time, level.latency_time, level.cpu_time)
-    )
+ONE_PASS_PLANS = {
+    # 3-unit dft levels have fractional makespan-scaled deltas
+    "parallel-dft": (lambda **kw: ParallelTCUMachine(m=16, ell=ELL, units=3, **kw), "dft", [512]),
+    # a fractional ell makes the spans and CPU deltas fractional too, so
+    # section totals depend on adding them level by level
+    "parallel-stencil-fractional-ell": (
+        lambda **kw: ParallelTCUMachine(m=16, ell=0.1, units=3, execute="cost-only", **kw),
+        "stencil",
+        [8, 4],
+    ),
+    "parallel-matmul": (
+        lambda **kw: ParallelTCUMachine(m=16, ell=ELL, units=3, execute="cost-only", **kw),
+        "matmul",
+        [8, 8, 8],
+    ),
+    "serial-matmul": (
+        lambda **kw: TCUMachine(m=16, ell=ELL, execute="cost-only", **kw), "matmul", [8, 8, 8]
+    ),
+    "max-rows-stencil": (
+        lambda **kw: TCUMachine(m=16, ell=ELL, max_rows=16, **kw), "stencil", [8, 4]
+    ),
+}
+
+
+def finish(compiled, make_machine, trace, steps, rewind, one_pass):
+    """Replay ``compiled`` inside two open sections: ``steps`` steps, an
+    optional rewind, then ``run()`` or steps to exhaustion.  Returns the
+    cursor, the ledger effects and the ``on_charge`` sequence."""
+    machine = make_machine(trace_calls=trace)
+    ledger = machine.ledger
+    charges = []
+    ledger.on_charge = lambda category, amount: charges.append((category, amount))
+    with ledger.section("outer"), ledger.section("batch"):
+        cursor = ExecutionCursor(compiled, machine)
+        for _ in range(steps):
+            cursor.step()
+        if rewind is not None:
+            cursor.rewind(rewind)
+        before = ledger.total_time
+        if one_pass:
+            cursor.run()
+        else:
+            while not cursor.done:
+                cursor.step()
+        elapsed = ledger.total_time - before
+    effects = [ledger.snapshot(), ledger.section_time("outer"), ledger.section_time("batch")]
+    if trace is True:
+        effects += [col.tolist() for col in ledger.calls.as_arrays()]
+        effects += [ledger.calls.unit_ids().tolist(), [c.section for c in ledger.calls]]
+    elif trace == "aggregate":
+        effects.append(ledger.call_shape_totals())
+    return cursor, effects, charges, elapsed
+
+
+class TestOnePassReplay:
+    """``run()`` on a compiled plan replays every remaining level in one
+    pass; from every start level — after ``k`` steps, or after stepping
+    to the end and rewinding to ``k`` — it leaves the ledger exactly as
+    stepping the same levels does: snapshot, section totals, the full
+    trace or the aggregate histogram, and the ``on_charge`` sequence."""
+
+    @pytest.mark.parametrize("trace", [True, "aggregate"], ids=["full", "aggregate"])
+    @pytest.mark.parametrize("plan", sorted(ONE_PASS_PLANS))
+    def test_run_equals_stepping_from_every_level(self, plan, trace):
+        make_machine, kind, rows = ONE_PASS_PLANS[plan]
+        compiled = compile_plan(get_request_type(kind), make_machine(), rows)
+        total = len(compiled.levels)
+        assert total > 1
+        starts = [(k, None) for k in range(total + 1)]
+        starts += [(total, k) for k in range(total)]
+        for steps, rewind in starts:
+            stepped, want, want_charges, _ = finish(
+                compiled, make_machine, trace, steps, rewind, one_pass=False
+            )
+            ran, got, got_charges, elapsed = finish(
+                compiled, make_machine, trace, steps, rewind, one_pass=True
+            )
+            assert got == want, (steps, rewind)
+            assert got_charges == want_charges, (steps, rewind)
+            # the pass is one level_times entry: the clock it advanced
+            done = steps if rewind is None else total
+            assert ran.level_times[:done] == stepped.level_times[:done]
+            start = done if rewind is None else rewind
+            assert ran.level_times[done:] == ([elapsed] if start < total else [])
+            assert ran.done
+
+    def test_fractional_plan_is_replayed_level_by_level(self):
+        """The 3-unit dft plan's deltas are fractional, so only level by
+        level left-to-right addition reproduces stepping."""
+        make_machine, kind, rows = ONE_PASS_PLANS["parallel-dft"]
+        compiled = compile_plan(get_request_type(kind), make_machine(), rows)
+        assert not all(
+            float(x).is_integer()
+            for level in compiled.levels
+            for x in (level.tensor_time, level.latency_time)
+        )
+
+    def test_one_trace_append_per_run(self, monkeypatch):
+        appends = []
+        original = CostLedger.record_calls_bulk
+
+        def counted(self, *args, **kwargs):
+            appends.append(len(args[0]))
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CostLedger, "record_calls_bulk", counted)
+        make_machine, kind, rows = ONE_PASS_PLANS["parallel-dft"]
+        compiled = compile_plan(get_request_type(kind), make_machine(), rows)
+        machine = make_machine()
+        cursor = ExecutionCursor(compiled, machine)
+        appends.clear()
+        cursor.run()
+        assert appends == [compiled.offsets[-1]] == [machine.ledger.tensor_calls]
+
+    def test_levels_are_slices_of_one_trace_copy(self):
+        make_machine, kind, rows = ONE_PASS_PLANS["parallel-matmul"]
+        compiled = compile_plan(get_request_type(kind), make_machine(), rows)
+        offsets = compiled.offsets
+        assert len(offsets) == len(compiled.levels) + 1 and offsets[0] == 0
+        for d, level in enumerate(compiled.levels):
+            assert level.ns.size == offsets[d + 1] - offsets[d]
+            for column, whole in zip(
+                (level.ns, level.times, level.lats, level.units), compiled.calls, strict=True
+            ):
+                assert np.array_equal(column, whole[offsets[d] : offsets[d + 1]])
+                if column.size:
+                    assert np.shares_memory(column, whole)
 
 
 class TestCompiledPlanShape:
-    def test_serial_integer_ell_plan_coalesces(self):
-        machine = TCUMachine(m=16, ell=ELL, execute="cost-only")
-        compiled = compile_plan(get_request_type("matmul"), machine, [8, 8])
-        assert compiled.coalesced is not None
-        # the build charges are paid when a cursor is made, never here
-        assert compiled.coalesced.total_time == sum(
-            level.total_time for level in compiled.levels
-        )
-
-    def test_integer_delta_parallel_plan_coalesces(self):
-        """Coalescing is decided on exactness alone: a makespan-scaled
-        parallel plan whose every delta is integer-valued coalesces."""
-        machine = ParallelTCUMachine(m=16, ell=ELL, units=3)
-        compiled = compile_plan(get_request_type("matmul"), machine, [8, 8, 8])
-        assert any((level.units >= 0).any() for level in compiled.levels)
-        assert all(integral_deltas(level) for level in compiled.levels)
-        assert compiled.coalesced is not None
-        assert compiled.coalesced.tensor_time == sum(
-            level.tensor_time for level in compiled.levels
-        )
-        assert np.array_equal(
-            compiled.coalesced.units,
-            np.concatenate([level.units for level in compiled.levels]),
-        )
-
-    def test_fractional_parallel_plan_does_not_coalesce(self):
-        machine = ParallelTCUMachine(m=16, ell=ELL, units=3)
-        compiled = compile_plan(get_request_type("dft"), machine, [512])
-        assert not all(integral_deltas(level) for level in compiled.levels)
-        assert compiled.coalesced is None
-
-    @pytest.mark.parametrize("config", ["serial-cost-only", "parallel-3"])
-    def test_coalesced_replay_equals_stepped_replay(self, config):
-        compiled = compile_plan(
-            get_request_type("matmul"), MACHINE_CONFIGS[config](), [8, 8, 8]
-        )
-        assert compiled.coalesced is not None and len(compiled.levels) > 1
-        ledgers, times = [], []
-        for stepped in (False, True):
-            machine = MACHINE_CONFIGS[config]()
-            cursor = ExecutionCursor(compiled, machine)
-            with machine.ledger.section("batch"):
-                if stepped:
-                    while not cursor.done:
-                        cursor.step()
-                else:
-                    cursor.run()
-            ledgers.append(machine.ledger)
-            times.append(cursor.level_times)
-        ran, stepped = ledgers
-        assert ran.snapshot() == stepped.snapshot()
-        assert ran.section_time("batch") == stepped.section_time("batch")
-        assert ran.call_shape_totals() == stepped.call_shape_totals()
-        assert np.array_equal(ran.calls.unit_ids(), stepped.calls.unit_ids())
-        # the coalesced run is one charge, reported as level 0
-        assert times[0] == [sum(times[1])]
-
     @pytest.mark.parametrize("config", sorted(MACHINE_CONFIGS))
     @pytest.mark.parametrize("kind,rows", KINDS)
     def test_resident_words_table_equals_rescan(self, config, kind, rows):

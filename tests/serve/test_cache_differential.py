@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ParallelTCUMachine, TCUMachine
-from repro.obs import Tracer, chrome_trace_json
+from repro.obs import Tracer, chrome_trace_json, prometheus_text
 from repro.serve import (
     FixedRetry,
     MixedWorkload,
@@ -144,6 +144,28 @@ class TestFixedCases:
             retry="fixed",
         )
         assert cached.faults == 0
+
+    def test_parallel_levels_replay_their_makespan(self):
+        """A compiled parallel level advances open sections and
+        ``on_charge`` by its recorded makespan, as the live ``mm_batch``
+        does — not by its tensor plus latency delta, which differs from
+        the makespan in the last bit here."""
+        runs = []
+        for cache in (None, False):
+            tracer = Tracer()
+            machine = ParallelTCUMachine(m=16, ell=512.0, units=3, execute="cost-only")
+            result = ServingEngine(
+                machine, "continuous", plan_cache=cache, tracer=tracer
+            ).serve(PoissonWorkload(rate=1e-5, total=3, kind="dft", rows=1, seed=0))
+            counter = [
+                line
+                for line in prometheus_text(tracer.registry).splitlines()
+                if line.startswith("ledger_tensor_time ")
+            ]
+            runs.append((result.kind_time["dft"], counter, machine.ledger.snapshot()))
+        cached, live = runs
+        assert cached == live
+        assert live[:2] == (5928.0, ["ledger_tensor_time 4824"])
 
 
 @settings(max_examples=160, deadline=None)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import TCUMachine
+from repro.core.program import execute_plan
 from repro.serve import (
     BurstyWorkload,
     ClosedLoopWorkload,
@@ -357,6 +358,27 @@ class TestPlanLowering:
                 planned_m.ledger.call_shape_totals()
                 == direct_m.ledger.call_shape_totals()
             ), rows
+
+    def test_zero_side_stencil_is_an_empty_request(self):
+        """A zero-side grid is empty, as zero rows are for the other
+        kinds: alone it plans no level and charges nothing, and beside
+        a real grid it adds nothing."""
+        machine = TCUMachine(m=16, ell=8.0, execute="cost-only")
+        rtype = get_request_type("stencil")
+        empty = rtype.plan(machine, [0])
+        assert empty.levels == [] and machine.ledger.total_time == 0.0
+        plans, snapshots = [], []
+        for rows in ([0, 4], [4]):
+            machine = TCUMachine(m=16, ell=8.0, execute="cost-only")
+            plan = rtype.plan(machine, rows)
+            execute_plan(plan, machine)
+            plans.append(plan)
+            snapshots.append(machine.ledger.snapshot())
+        padded, alone = plans
+        assert snapshots[0] == snapshots[1]
+        assert len(padded.levels) == len(alone.levels) > 0
+        assert padded.splits == alone.splits
+        assert padded.stats == alone.stats
 
     def test_type_without_plan_fails_loudly(self):
         class Hollow(RequestType):
