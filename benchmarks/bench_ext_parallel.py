@@ -5,27 +5,29 @@ unit count on a fixed product and the problem size at fixed p, and
 shows the two regimes the extension predicts: near-ideal scaling of the
 tensor phase while calls >> p, saturation once the grid is smaller than
 the unit pool, and the CPU reduction becoming the new bottleneck
-(Amdahl) for large p.
+(Amdahl) for large p.  ``split=1`` keeps the one-batch schedule: every
+strip-by-block call is issued unsplit in a single ``mm_batch``.
 """
 
 import numpy as np
 
+from repro import matmul
+from repro.analysis.formulas import predicted_parallel_time
 from repro.analysis.tables import render_table
 from repro.core.parallel import ParallelTCUMachine
-from repro.matmul.parallel_dense import parallel_matmul, predicted_parallel_time
 
 
 def test_ext_parallel_unit_sweep(benchmark, rng, record):
     m, ell, side = 16, 16.0, 64
     A = rng.random((side, side))
     B = rng.random((side, side))
-    benchmark(lambda: parallel_matmul(ParallelTCUMachine(m=m, ell=ell, units=4), A, B))
+    benchmark(lambda: matmul(ParallelTCUMachine(m=m, ell=ell, units=4), A, B, split=1))
 
     rows = []
     tensor_times = {}
     for p in (1, 2, 4, 8, 16, 64, 256, 1024):
         machine = ParallelTCUMachine(m=m, ell=ell, units=p)
-        C = parallel_matmul(machine, A, B)
+        C = matmul(machine, A, B, split=1)
         assert np.allclose(C, A @ B)
         tensor_times[p] = machine.ledger.tensor_total
         rows.append(
@@ -58,14 +60,14 @@ def test_ext_parallel_amdahl(benchmark, rng, record):
     m, side = 16, 64
     A = rng.random((side, side))
     B = rng.random((side, side))
-    benchmark(lambda: parallel_matmul(ParallelTCUMachine(m=m, units=8), A, B))
+    benchmark(lambda: matmul(ParallelTCUMachine(m=m, units=8), A, B, split=1))
 
     base = ParallelTCUMachine(m=m, ell=16.0, units=1)
-    parallel_matmul(base, A, B)
+    matmul(base, A, B, split=1)
     rows = [["1", base.time, 1.0, base.ledger.cpu_time / base.time]]
     for p in (4, 16, 64):
         machine = ParallelTCUMachine(m=m, ell=16.0, units=p)
-        parallel_matmul(machine, A, B)
+        matmul(machine, A, B, split=1)
         rows.append(
             [
                 str(p),

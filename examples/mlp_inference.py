@@ -21,7 +21,6 @@ from repro import TCUMachine, matmul
 from repro.analysis.tables import render_table
 from repro.core.parallel import ParallelTCUMachine
 from repro.core.quantize import QuantizedTCUMachine
-from repro.matmul.parallel_dense import parallel_matmul
 
 
 def make_problem(rng, classes=10, dim=256):
@@ -48,13 +47,13 @@ def make_weights(rng, dim=256, hidden=128, classes=10, prototypes=None):
     return W1, W2, W3
 
 
-def forward(machine, X, weights, mm=matmul):
+def forward(machine, X, weights):
     W1, W2, W3 = weights
-    h = np.maximum(mm(machine, X, W1), 0.0)
+    h = np.maximum(matmul(machine, X, W1), 0.0)
     machine.charge_cpu(h.size)  # the ReLU
-    h = np.maximum(mm(machine, h, W2), 0.0)
+    h = np.maximum(matmul(machine, h, W2), 0.0)
     machine.charge_cpu(h.size)
-    return mm(machine, h, W3)
+    return matmul(machine, h, W3)
 
 
 def main() -> None:
@@ -91,7 +90,7 @@ def main() -> None:
             [f"quantized {fmt}", float((logits_q.argmax(1) == y).mean()), q.time]
         )
     par = ParallelTCUMachine(m=256, ell=4096.0, units=4)
-    logits_p = forward(par, X, weights, mm=parallel_matmul)
+    logits_p = forward(par, X, weights)
     variants.append(["parallel 4 units", float((logits_p.argmax(1) == y).mean()), par.time])
     print(render_table(
         ["machine", "accuracy", "model time"],

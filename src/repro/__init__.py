@@ -65,7 +65,6 @@ from .matmul import (
     BilinearAlgorithm,
     matmul,
     matmul_lazy,
-    parallel_matmul,
     rectangular_mm,
     sparse_mm,
     square_mm,
@@ -100,7 +99,6 @@ __all__ = [
     "get_scheduler",
     "available_schedulers",
     "placeholder",
-    "parallel_matmul",
     "CostLedger",
     "SystolicArray",
     "TensorShapeError",

@@ -31,6 +31,7 @@ __all__ = [
     "thm9_integer_mul",
     "thm10_karatsuba",
     "thm11_polyeval",
+    "predicted_parallel_time",
     "THEOREM_FORMULAS",
     "OMEGA0_CLASSICAL",
     "OMEGA0_STRASSEN",
@@ -103,6 +104,15 @@ def thm10_karatsuba(n_bits: float, m: float, ell: float, kappa: float) -> float:
 def thm11_polyeval(n: float, p: float, m: float, ell: float) -> float:
     """Theorem 11: ``pn/sqrt(m) + p sqrt(m) + (n/m) l``."""
     return p * n / math.sqrt(m) + p * math.sqrt(m) + (n / m) * ell
+
+
+def predicted_parallel_time(n: float, m: float, ell: float, p: int) -> float:
+    """Theorem 2 on ``p`` tensor units (the §6 extension): the ``n/m``
+    independent grid calls run in waves of ``p``, each wave costing one
+    ``sqrt(n) sqrt(m) + l`` call; calls floor at 1 per unit."""
+    calls = max(n / m, 1.0)
+    waves = max(calls / p, 1.0)
+    return waves * (math.sqrt(n) * math.sqrt(m) + ell)
 
 
 THEOREM_FORMULAS = {

@@ -184,7 +184,7 @@ class CompiledPlan:
             )
         self.prelude.charge(machine)
 
-    def run_level(self, level: int, machine: TCUMachine, fused: bool = True) -> None:
+    def run_level(self, level: int, machine: TCUMachine) -> None:
         """Replay level ``level``'s frozen charges onto ``machine``."""
         self.levels[level].charge(machine)
 
@@ -256,7 +256,6 @@ def compile_plan(rtype: Plannable, machine: TCUMachine, rows: Sequence[int]) -> 
     and a level's trace rows may be ordered differently (the numeric
     executor batches shared streams first; per-shape totals agree).
     """
-    rows = [int(r) for r in rows]
     probe = machine.fork()
     scratch = CostLedger(trace_calls=True)
     probe.ledger = scratch
@@ -270,7 +269,7 @@ def compile_plan(rtype: Plannable, machine: TCUMachine, rows: Sequence[int]) -> 
     charge_offsets = [0]
     for d, (groups, others) in enumerate(plan.levels):
         ledger = probe.ledger = CostLedger(calls=trace)
-        span = price_level(groups, others, probe, None if plan.splits is None else plan.splits[d])
+        span = price_level(groups, others, probe, plan.splits[d])
         tensor, latency, cpu = ledger.tensor_time, ledger.latency_time, ledger.cpu_time
         if span is None:
             span = tensor + latency
@@ -302,7 +301,7 @@ def compile_plan(rtype: Plannable, machine: TCUMachine, rows: Sequence[int]) -> 
     )
     return CompiledPlan(
         kind=getattr(rtype, "name", type(rtype).__name__),
-        rows=tuple(rows),
+        rows=tuple(map(int, rows)),
         config_key=probe.config_key(),
         prelude=prelude,
         levels=levels,
@@ -341,7 +340,7 @@ class PlanCache:
 
     @staticmethod
     def key(kind: str, rows: Sequence[int], machine: TCUMachine) -> tuple:
-        return (str(kind), tuple(map(int, rows)), machine.config_key())
+        return (str(kind), tuple(rows), machine.config_key())
 
     def get(self, key: tuple) -> CompiledPlan | None:
         entry = self._entries.get(key)

@@ -601,8 +601,7 @@ class Plan:
     makespan under the machine's cost model and scheduling policy with
     those splits — what the ledger clock should advance by for the
     level's tensor work (exact on plain machines; see
-    :func:`modelled_call_cost`).  Both are ``None`` on hand-built plans,
-    which execute on the unsplit legacy path.
+    :func:`modelled_call_cost`).
 
     ``stats.tensor_calls_planned`` keeps counting *logical* merged
     calls; splitting expands a group into sibling chunk calls only at
@@ -614,8 +613,8 @@ class Plan:
 
     levels: list[tuple[CallGroups, list[TensorOp]]]
     stats: PlanStats
-    splits: list[list[int]] | None = field(default=None)
-    modelled_makespans: list[float] | None = field(default=None)
+    splits: list[list[int]]
+    modelled_makespans: list[float]
     _suffix_words: tuple[int, ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -624,12 +623,11 @@ class Plan:
         """Charge what a cursor owes before level 0: nothing, because
         building the plan already charged its build work."""
 
-    def run_level(self, level: int, machine: TCUMachine, fused: bool = True) -> None:
+    def run_level(self, level: int, machine: TCUMachine) -> None:
         """Execute level ``level`` on ``machine``: its merged call
         groups, then its CPU-side ops."""
         groups, others = self.levels[level]
-        splits = None if self.splits is None else self.splits[level]
-        _execute_level(groups, others, machine, fused, splits)
+        _execute_level(groups, others, machine, self.splits[level])
 
     def resident_words(self, from_level: int = 0) -> int:
         """Words of distinct resident blocks that levels at/after
@@ -1039,11 +1037,11 @@ def check_split(split: str | int) -> None:
         )
 
 
-def _level_parts(ops: list[TensorOp], merge: bool, expand: bool) -> list:
+def _level_parts(ops: list[TensorOp], expand: bool) -> list:
     """A level's call parts in first-appearance order: merge groups of
     calls sharing a resident key, and (unless ``expand``) grid ops kept
     whole.  With ``expand`` every grid call joins the keyed merge as a
-    :class:`GridCall`; without ``merge`` every call is its own group."""
+    :class:`GridCall`."""
     parts: list = []
     keyed: dict[tuple, list] = {}
     for op in ops:
@@ -1051,9 +1049,6 @@ def _level_parts(ops: list[TensorOp], merge: bool, expand: bool) -> list:
             parts.append(op)
             continue
         for member in (op,) if op.kind == "mm" else _grid_calls(op):
-            if not merge:
-                parts.append([member])
-                continue
             key = _resident_key(member)
             group = keyed.get(key)
             if group is None:
@@ -1093,7 +1088,6 @@ def plan_program(
     program: TensorProgram,
     machine: TCUMachine,
     *,
-    merge: bool = True,
     split: str | int = "auto",
 ) -> Plan:
     """Level the program's DAG and merge same-resident-block calls.
@@ -1106,9 +1100,6 @@ def plan_program(
         The machine that will execute the plan; its ``sqrt(m)`` is used
         to validate every ``mm`` node now, so shape errors surface at
         plan time rather than mid-execution.
-    merge:
-        Disable to keep one tensor call per ``mm`` node (the planned
-        schedule then matches the eager call sequence exactly).
     split:
         ``"auto"`` (default) prices, for each merged call group on a
         parallel machine, the modelled makespan of dispatching the
@@ -1173,9 +1164,9 @@ def plan_program(
     calls = 0
     for level_ops in by_level:
         calls_ops = [op for op in level_ops if op.kind in ("mm", "grid")]
-        parts = _level_parts(calls_ops, merge, expand=False)
-        if merge and _grid_blocks_shared(parts):
-            parts = _level_parts(calls_ops, merge, expand=True)
+        parts = _level_parts(calls_ops, expand=False)
+        if _grid_blocks_shared(parts):
+            parts = _level_parts(calls_ops, expand=True)
         level_groups = CallGroups(
             [
                 capped
@@ -1350,18 +1341,15 @@ def _dispatch_parallel(
 
 def _grid_per_call(grid: TensorOp, machine: TCUMachine) -> None:
     """Issue a grid's calls one by one through ``machine.mm``, in
-    :func:`_grid_calls` order — the per-call primitive for machines
-    whose calls cannot be stacked, and the ``fused=False`` executor."""
-    cost_only = machine.execute == "cost-only"
+    :func:`_grid_calls` order — for numeric machines whose calls cannot
+    be stacked."""
     value = None
     for call in _grid_calls(grid):
         out = machine.mm(call.a, call.b)
-        if cost_only:
-            continue
         if value is None:
             value = np.empty(grid.shape, dtype=out.dtype)
         value[call.i, call.j] = out
-    grid.value = placeholder(grid.shape, grid.dtype) if cost_only else value
+    grid.value = value
 
 
 def _run_grids(grids: list[TensorOp], machine: TCUMachine) -> None:
@@ -1568,8 +1556,8 @@ def price_level(
     makespan — the span its tensor work advances the clock by — on a
     batch level, else ``None``.
 
-    Cost-only execution of a fused or batch level is this pricer plus
-    placeholder values, and :func:`~repro.core.plan_cache.compile_plan`
+    Cost-only execution of a level is this pricer plus placeholder
+    values, and :func:`~repro.core.plan_cache.compile_plan`
     runs it on a scratch ledger per level.
     """
     span = None
@@ -1586,45 +1574,31 @@ def _execute_level(
     groups: CallGroups,
     others: list[TensorOp],
     machine: TCUMachine,
-    fused: bool,
     splits: Sequence[int] | None = None,
 ) -> None:
     """Execute one planned level: its merged call groups, then its
     CPU-side ops — the unit of work :class:`ExecutionCursor` steps by.
 
-    On a cost-only machine a fused or batch level is priced from its
-    shapes (:func:`price_level`) and every op gets a placeholder value;
-    ``fused=False`` keeps its per-call reference path there too.
+    On a cost-only machine the level is priced from its shapes
+    (:func:`price_level`) and every op gets a placeholder value.  A
+    numeric batch level is one scheduled ``mm_batch``
+    (:func:`_dispatch_parallel`); any other level runs fused
+    (:func:`_dispatch_grid`).
     """
-    cost_only = machine.execute == "cost-only"
-    batch = _batch_level(groups, machine, splits)
-    if cost_only and (fused or batch):
+    if machine.execute == "cost-only":
         price_level(groups, others, machine, splits)
         for part in _parts(groups):
             if isinstance(part, list):
                 _scatter_placeholders(part)
             else:
                 part.value = placeholder(part.shape, part.dtype)
-    elif batch:
-        _dispatch_parallel(groups, machine, splits)
-    elif fused:
-        _dispatch_grid(groups, machine)
-    else:
-        for g in _parts(groups):
-            if not isinstance(g, list):
-                _grid_per_call(g, machine)
-                continue
-            out = machine.mm(_group_operands(g), _resolve(g[0].b))
-            if cost_only:
-                _scatter_placeholders(g)
-            else:
-                _scatter_group(g, out)
-        if cost_only:
-            _price_others(others, machine)
-    if cost_only:
         for op in others:
             op.value = placeholder(op.shape, op.dtype)
         return
+    if _batch_level(groups, machine, splits):
+        _dispatch_parallel(groups, machine, splits)
+    else:
+        _dispatch_grid(groups, machine)
     for op in others:
         if op.kind == "add":
             words = math.prod(op.shape)
@@ -1676,7 +1650,7 @@ class ExecutionCursor:
     or a :class:`~repro.core.plan_cache.CompiledPlan`, whose levels
     replay the charges priced when it was compiled.  Both expose the
     same interface — ``levels``, ``start(machine)`` (charged when the
-    cursor is made), ``run_level(level, machine, fused)`` and
+    cursor is made), ``run_level(level, machine)`` and
     ``resident_words(level)`` — so stepping, rewinding and reload
     pricing exist once; :meth:`run` replays a compiled plan's remaining
     levels in one pass.  A compiled plan refuses a machine
@@ -1705,12 +1679,9 @@ class ExecutionCursor:
         bit-identical with or without it.
     """
 
-    def __init__(
-        self, plan: Plan | CompiledPlan, machine: TCUMachine, *, fused: bool = True
-    ) -> None:
+    def __init__(self, plan: Plan | CompiledPlan, machine: TCUMachine) -> None:
         self.plan = plan
         self.machine = machine
-        self.fused = fused
         self.next_level = 0
         self.level_times: list[float] = []
         self.observer: Callable[[int, float], None] | None = None
@@ -1733,7 +1704,7 @@ class ExecutionCursor:
         if self.done:
             raise ProgramError("cursor is exhausted; no levels left to execute")
         with self.machine.ledger.stopwatch() as span:
-            self.plan.run_level(self.next_level, self.machine, self.fused)
+            self.plan.run_level(self.next_level, self.machine)
         self.next_level += 1
         self.level_times.append(span.elapsed)
         if self.observer is not None:
@@ -1840,31 +1811,28 @@ def run_grid(total: TensorOp, machine: TCUMachine) -> np.ndarray:
         machine.charge_cpu(kq * kr * p * s)
         total.value = np.dot(grid.a, grid.b)
     else:
-        _execute_level(CallGroups([grid]), [total], machine, fused=True)
+        _execute_level(CallGroups([grid]), [total], machine)
     return total.value
 
 
-def execute_plan(plan: Plan, machine: TCUMachine, *, fused: bool = True) -> None:
+def execute_plan(plan: Plan, machine: TCUMachine) -> None:
     """Run a plan to exhaustion, charging the machine's ledger, and
     populate ``op.value`` on every node.
 
     A thin wrapper over :class:`ExecutionCursor` (construct + ``run()``),
     kept as the one-shot entry point every offline kernel uses.
 
-    With ``fused=True`` (default) each level's merged call groups are
-    bucketed and issued through the bulk :meth:`TCUMachine.mm_grid`
-    primitive — one stacked numpy product and one vectorised ledger
-    charge per bucket instead of a Python-level call per op; whole
-    grids (Theorem 2 products) are stacked one ``mm_grid`` per grid
-    shape.  ``fused=False`` replays the per-group scalar schedule and
-    issues grids call by call (the pre-fusion executor, kept as the
-    equivalence reference).  On a
+    Each level's merged call groups are bucketed and issued through the
+    bulk :meth:`TCUMachine.mm_grid` primitive — one stacked numpy
+    product and one vectorised ledger charge per bucket instead of a
+    Python-level call per op; whole grids (Theorem 2 products) are
+    stacked one ``mm_grid`` per grid shape.  On a
     :class:`~repro.core.parallel.ParallelTCUMachine`, each level's
     merged calls are issued as one :meth:`mm_batch` (scheduled over the
-    units by the machine's policy) in either mode and on every machine
-    configuration, including row-bounded, complex-cost, systolic and
-    overflow-checked machines; an unsplit grid joins that batch as one
-    stacked pair.  Strip sums run with the level's CPU-side ops.
+    units by the machine's policy) on every machine configuration,
+    including row-bounded, complex-cost, systolic and overflow-checked
+    machines; an unsplit grid joins that batch as one stacked pair.
+    Strip sums run with the level's CPU-side ops.
 
     On a machine with ``execute="cost-only"`` all numeric work is
     skipped: each level is charged from its shapes alone
@@ -1872,15 +1840,13 @@ def execute_plan(plan: Plan, machine: TCUMachine, *, fused: bool = True) -> None
     placeholder, so programs whose arrays would not fit in memory still
     charge exact ledger totals.
     """
-    ExecutionCursor(plan, machine, fused=fused).run()
+    ExecutionCursor(plan, machine).run()
 
 
 def run_program(
     program: TensorProgram,
     machine: TCUMachine,
     *,
-    merge: bool = True,
-    fused: bool = True,
     split: str | int = "auto",
 ) -> Plan:
     """Plan then execute a program; returns the plan (for its stats).
@@ -1890,6 +1856,6 @@ def run_program(
     the modelled makespan wins, ``1`` keeps the legacy one-call-per-group
     schedule, an integer forces that factor.
     """
-    plan = plan_program(program, machine, merge=merge, split=split)
-    execute_plan(plan, machine, fused=fused)
+    plan = plan_program(program, machine, split=split)
+    execute_plan(plan, machine)
     return plan

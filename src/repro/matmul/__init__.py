@@ -7,7 +7,6 @@
 """
 
 from .dense import matmul, matmul_lazy, rectangular_mm, square_mm, tensor_call_count
-from .parallel_dense import parallel_matmul, predicted_parallel_time
 from .schedule import block_view, ceil_to_multiple, pad_matrix, strip_view, theorem2_tasks
 from .sparse import SparseProductStats, SparseRecoveryError, sparse_mm
 from .strassen import (
@@ -26,8 +25,6 @@ __all__ = [
     "square_mm",
     "rectangular_mm",
     "tensor_call_count",
-    "parallel_matmul",
-    "predicted_parallel_time",
     "sparse_mm",
     "SparseProductStats",
     "SparseRecoveryError",

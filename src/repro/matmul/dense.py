@@ -60,9 +60,10 @@ def _check_operands(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _pad_operands(
-    tcu: TCUMachine, A: np.ndarray, B: np.ndarray, charge_padding: bool
+    tcu: TCUMachine, A: np.ndarray, B: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pad both operands to the tensor-unit grid, charging the copies.
+    """Pad both operands to the tensor-unit grid, charging the copies
+    (nothing for an operand already on the grid).
 
     On a cost-only machine a padded copy is an O(1) placeholder: the
     copy is charged but never materialised (a fresh copy's blocks are
@@ -74,10 +75,7 @@ def _pad_operands(
     p_pad = max(p, s)
     q_pad = ceil_to_multiple(q, s)
     r_pad = ceil_to_multiple(r, s)
-    if charge_padding:
-        tcu.charge_cpu(
-            padded_copy_cost(A, p_pad, q_pad) + padded_copy_cost(B, q_pad, r_pad)
-        )
+    tcu.charge_cpu(padded_copy_cost(A, p_pad, q_pad) + padded_copy_cost(B, q_pad, r_pad))
     if tcu.execute == "cost-only":
         return _padded_placeholder(A, p_pad, q_pad), _padded_placeholder(B, q_pad, r_pad)
     return pad_matrix(A, p_pad, q_pad), pad_matrix(B, q_pad, r_pad)
@@ -92,7 +90,6 @@ def matmul(
     A: np.ndarray,
     B: np.ndarray,
     *,
-    charge_padding: bool = True,
     split: str | int = "auto",
 ) -> np.ndarray:
     """``C = A @ B`` for arbitrary 2-D shapes via the Theorem 2 schedule.
@@ -103,9 +100,6 @@ def matmul(
         The machine executing (and billing) the computation.
     A, B:
         ``p x q`` and ``q x r`` arrays over a common dtype family.
-    charge_padding:
-        Charge the RAM-model cost of materialising padded copies (on by
-        default; disable only inside algorithms that pre-pad).
     split:
         Validated on entry for every machine (``"auto"`` or an integer
         ``>= 1``, else :class:`~repro.core.program.ProgramError`) and
@@ -144,7 +138,7 @@ def matmul(
     _, r = B.shape
     if p == 0 or q == 0 or r == 0:
         return np.zeros((p, r), dtype=np.result_type(A.dtype, B.dtype))
-    Ap, Bp = _pad_operands(tcu, A, B, charge_padding)
+    Ap, Bp = _pad_operands(tcu, A, B)
     program = TensorProgram()
     product = program.grid(Ap, Bp, tcu.sqrt_m)
     if isinstance(tcu, ParallelTCUMachine):
@@ -159,8 +153,6 @@ def matmul_lazy(
     program: TensorProgram,
     A: np.ndarray,
     B: np.ndarray,
-    *,
-    charge_padding: bool = True,
 ) -> Lazy:
     """Append a Theorem 2 product to a caller-owned program, as one
     grid node (:meth:`~repro.core.program.TensorProgram.grid`).
@@ -172,10 +164,10 @@ def matmul_lazy(
     caller must :func:`~repro.core.program.run_program` the program
     before reading the returned :class:`~repro.core.program.Lazy`.
 
-    Padding copies are charged at build time (set ``charge_padding``
-    False when operands are pre-padded).  Note the planner merges by
-    buffer identity: pass the *same* ``B`` object (already padded if
-    padding would be needed) to every product that should share its
+    Padding copies are charged at build time (pre-padded operands need
+    none and cost nothing).  Note the planner merges by buffer
+    identity: pass the *same* ``B`` object (already padded if padding
+    would be needed) to every product that should share its
     residency.
     """
     A, B = _check_operands(A, B)
@@ -184,7 +176,7 @@ def matmul_lazy(
     if p == 0 or q == 0 or r == 0:
         empty = np.zeros((p, r), dtype=np.result_type(A.dtype, B.dtype))
         return Lazy(lambda: empty)
-    product = program.grid(*_pad_operands(tcu, A, B, charge_padding), tcu.sqrt_m)
+    product = program.grid(*_pad_operands(tcu, A, B), tcu.sqrt_m)
     return Lazy(lambda: product.result()[:p, :r])
 
 

@@ -546,7 +546,7 @@ class MatmulRequestType(RequestType):
         self, machine: TCUMachine, rows: Sequence[int], *, split: str | int = "auto"
     ) -> Plan:
         program = TensorProgram()
-        total = int(sum(rows))
+        total = sum(_batch_rows(rows))
         if total:
             X = self._payload(machine, (total, self.width))
             _emit_product(program, machine, X, self._resident(machine))
@@ -595,7 +595,7 @@ class MLPRequestType(RequestType):
         self, machine: TCUMachine, rows: Sequence[int], *, split: str | int = "auto"
     ) -> Plan:
         program = TensorProgram()
-        total = int(sum(rows))
+        total = sum(_batch_rows(rows))
         if total:
             cur: np.ndarray | TensorOp = self._payload(machine, (total, self.dims[0]))
             layers = self._layers(machine)
@@ -626,7 +626,7 @@ class DFTRequestType(RequestType):
         self, machine: TCUMachine, rows: Sequence[int], *, split: str | int = "auto"
     ) -> Plan:
         program = TensorProgram()
-        total = int(sum(rows))
+        total = sum(_batch_rows(rows))
         if total:
             X = self._payload(machine, (total, self.size), np.complex128)
             _emit_dft(program, machine, X, total, self.size)
@@ -653,8 +653,7 @@ class StencilRequestType(RequestType):
         self, machine: TCUMachine, rows: Sequence[int], *, split: str | int = "auto"
     ) -> Plan:
         program = TensorProgram()
-        for side in rows:
-            side = int(side)
+        for side in _batch_rows(rows):
             if side == 0:  # an empty grid is an empty request
                 continue
             A = self._payload(machine, (side, side))
@@ -740,6 +739,10 @@ _FINITE = ("finite", np.isfinite)
 _POSITIVE = ("finite and > 0", lambda v: np.isfinite(v) & (v > 0))
 _NON_NEGATIVE = ("finite and >= 0", lambda v: np.isfinite(v) & (v >= 0))
 _NOT_NAN = ("a number, not NaN", lambda v: ~np.isnan(v))
+_ROW_COUNT = (
+    "an integer >= 0",
+    lambda v: np.isfinite(v) & (v >= 0) & (v == np.floor(v)),
+)
 
 
 def _check(name: str, value, rule=_FINITE) -> None:
@@ -759,7 +762,15 @@ def _check_stamps(slo, deadline, rows) -> None:
     """The per-request stamps every stock workload shares."""
     _check("slo", slo, _NOT_NAN)
     _check("deadline", deadline, _NOT_NAN)
-    _check("rows", rows, _NON_NEGATIVE)
+    _check("rows", rows, _ROW_COUNT)
+
+
+def _batch_rows(rows: Sequence[int]) -> list[int]:
+    """A batch's per-request row counts as ints, each checked to be an
+    integer >= 0: truncating 2.5 or summing in a negative count would
+    plan a different batch than the one asked for."""
+    _check("rows", rows, _ROW_COUNT)
+    return [int(r) for r in rows]
 
 
 class Workload:

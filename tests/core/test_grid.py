@@ -13,13 +13,16 @@ predecessors live on here as test-local oracles:
 
 Planned runs are compared on the ledger snapshot, per-shape trace
 totals, the unit-id trace column, section times, ``plan.splits``,
-``plan.modelled_makespans`` and ``PlanStats``, and on output bits.
+``plan.modelled_makespans`` and ``PlanStats``, and on output bits; the
+fused level executor is also checked against the per-call executor it
+replaced (``eager_oracles.per_call_execute``).
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from eager_oracles import per_call_execute
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +32,7 @@ from repro.core.program import (
     TensorProgram,
     _resident_key,
     _source_shape,
+    execute_plan,
     plan_program,
     run_program,
 )
@@ -150,7 +154,7 @@ def build(machine, layout, As, Bp, X, *, grids):
     outs = []
     for Ap in As:
         if grids:
-            lazy = matmul_lazy(machine, prog, Ap, Bp, charge_padding=False)
+            lazy = matmul_lazy(machine, prog, Ap, Bp)
             outs.append(lazy.result)
         else:
             outs.append(emit_per_call(prog, Ap, Bp, s))
@@ -173,17 +177,18 @@ def fingerprint(machine):
     )
 
 
-def run(machine, prog, split, fused=True):
+def run(machine, prog, split, executor=execute_plan):
     with machine.section("prog"):
-        plan = run_program(prog, machine, split=split, fused=fused)
+        plan = plan_program(prog, machine, split=split)
+        executor(plan, machine)
     return plan
 
 
-def outcome(kind, cost_only, layout, As, Bp, X, split, *, grids, fused=True):
+def outcome(kind, cost_only, layout, As, Bp, X, split, *, grids, executor=execute_plan):
     machine = make(kind, cost_only)
     prog, outs = build(machine, layout, As, Bp, X, grids=grids)
     try:
-        plan = run(machine, prog, split, fused)
+        plan = run(machine, prog, split, executor)
     except Exception as exc:  # the weak model refuses tall calls
         return ("raised", type(exc), str(exc)), None, None
     plan_record = (plan.splits, plan.modelled_makespans, plan.stats)
@@ -236,7 +241,7 @@ def test_unfused_executor_charges_like_fused(case):
     X = operand(rng, (s + 2, s), case["dtype"])
     args = (case["kind"], case["cost_only"], case["layout"], As, Bp, X, case["split"])
     fused = outcome(*args, grids=True)
-    unfused = outcome(*args, grids=True, fused=False)
+    unfused = outcome(*args, grids=True, executor=per_call_execute)
     if fused[0][0] == "raised":
         # the same refusal, from the scalar rather than the grid primitive
         assert unfused[0][:2] == fused[0][:2]

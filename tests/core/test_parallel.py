@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from eager_oracles import one_batch_matmul
 
+from repro.analysis.formulas import predicted_parallel_time
 from repro.core.parallel import BatchStats, ParallelTCUMachine
 from repro.core.machine import TensorShapeError
 from repro.core.words import OverflowError_
-from repro.matmul.parallel_dense import parallel_matmul, predicted_parallel_time
+from repro.matmul.schedule import ceil_to_multiple
 from repro import TCUMachine, matmul
 
 
@@ -129,12 +131,15 @@ class TestMachine:
 
 
 class TestParallelMatmul:
+    """Theorem 2 on a parallel machine: ``matmul(..., split=1)`` issues
+    the grid's calls as one ``mm_batch``."""
+
     @pytest.mark.parametrize("shape", [(16, 16), (20, 13), (64, 64)])
     def test_correct(self, rng, shape):
         machine = ParallelTCUMachine(m=16, units=4)
         A = rng.random(shape)
         B = rng.random((shape[1], shape[0]))
-        assert np.allclose(parallel_matmul(machine, A, B), A @ B)
+        assert np.allclose(matmul(machine, A, B, split=1), A @ B)
 
     def test_tensor_time_scales_down(self, rng):
         A = rng.random((64, 64))
@@ -142,7 +147,7 @@ class TestParallelMatmul:
         times = []
         for p in (1, 4, 16):
             machine = ParallelTCUMachine(m=16, ell=16.0, units=p)
-            parallel_matmul(machine, A, B)
+            matmul(machine, A, B, split=1)
             times.append(machine.ledger.tensor_total)
         assert times[0] > times[1] > times[2]
         # ideal scaling on the tensor part (calls are equal-sized)
@@ -154,8 +159,8 @@ class TestParallelMatmul:
         B = rng.random((16, 16))
         t16 = ParallelTCUMachine(m=16, units=16)
         t64 = ParallelTCUMachine(m=16, units=64)
-        parallel_matmul(t16, A, B)
-        parallel_matmul(t64, A, B)
+        matmul(t16, A, B, split=1)
+        matmul(t64, A, B, split=1)
         assert np.isclose(t16.time, t64.time)
 
     def test_predicted_shape(self):
@@ -177,7 +182,57 @@ class TestParallelMatmul:
         par = ParallelTCUMachine(m=16, units=4)
         A = rng.random((24, 18))
         B = rng.random((18, 9))
-        assert np.allclose(matmul(seq, A, B), parallel_matmul(par, A, B))
+        assert np.allclose(matmul(seq, A, B), matmul(par, A, B, split=1))
+
+
+# the differential against the one-batch Theorem 2 oracle: every
+# scheduling policy, a row bound that splits the streams, the complex
+# cost factor, and more units than grid calls
+ONE_BATCH_CONFIGS = {
+    "lpt-4": dict(m=16, ell=8.0, units=4),
+    "greedy-3": dict(m=16, ell=8.0, units=3, scheduler="greedy"),
+    "round-robin-2": dict(m=16, ell=24.0, units=2, scheduler="round-robin"),
+    "max-rows": dict(m=16, ell=8.0, units=3, max_rows=8),
+    "complex-cost": dict(m=16, ell=16.0, units=4, complex_cost_factor=4),
+    "more-units": dict(m=16, ell=8.0, units=64),
+}
+ONE_BATCH_SHAPES = [(16, 16, 16), (20, 13, 9), (3, 4, 4), (5, 3, 2), (9, 17, 4), (40, 8, 33)]
+
+
+def _operand(rng, shape, dtype):
+    if dtype == np.int64:
+        return rng.integers(-4, 5, size=shape)
+    out = rng.random(shape)
+    return out + 1j * rng.random(shape) if dtype == np.complex128 else out
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.int64])
+@pytest.mark.parametrize("shape", ONE_BATCH_SHAPES)
+@pytest.mark.parametrize("config", sorted(ONE_BATCH_CONFIGS))
+def test_matmul_split1_matches_one_batch_oracle(config, shape, dtype):
+    """Snapshot, per-shape totals, unit ids and output bits equal the
+    oracle's; a product with a single grid call is the one exception in
+    the trace: a serial call (unit -1) where the oracle's batch of one
+    ran on unit 0, for the same model time."""
+    rng = np.random.default_rng(sum(shape))
+    p, q, r = shape
+    A = _operand(rng, (p, q), dtype)
+    B = _operand(rng, (q, r), dtype)
+    machine = ParallelTCUMachine(**ONE_BATCH_CONFIGS[config])
+    oracle = ParallelTCUMachine(**ONE_BATCH_CONFIGS[config])
+    C = matmul(machine, A, B, split=1)
+    C_ref = one_batch_matmul(oracle, A, B)
+    assert C.dtype == C_ref.dtype
+    assert np.ascontiguousarray(C).tobytes() == np.ascontiguousarray(C_ref).tobytes()
+    led, ref = machine.ledger, oracle.ledger
+    assert led.snapshot() == ref.snapshot()
+    assert led.call_shape_totals() == ref.call_shape_totals()
+    units, ref_units = led.calls.unit_ids().tolist(), ref.calls.unit_ids().tolist()
+    s = machine.sqrt_m
+    if ceil_to_multiple(q, s) * ceil_to_multiple(r, s) == s * s:
+        assert set(units) == {-1} and set(ref_units) == {0}
+    else:
+        assert units == ref_units
 
 
 def batch_vs_serial(machine, pairs):

@@ -338,6 +338,21 @@ class TestPlanCache:
             "matmul", [8], plain
         )
 
+    def test_key_is_the_untruncated_rows(self):
+        """A fractional row count misses the cache and is refused at
+        compile; numpy ints share the int key."""
+        cache = PlanCache()
+        machine = TCUMachine(m=16, ell=ELL, execute="cost-only")
+        rtype = get_request_type("matmul")
+        compiled = cache.get_or_compile(rtype, machine, [2])
+        with pytest.raises(ValueError, match=r"^rows must be an integer >= 0, got 2\.7$"):
+            cache.get_or_compile(rtype, machine, [2.7])
+        with pytest.raises(ValueError, match=r"got -3$"):
+            cache.get_or_compile(rtype, machine, [5, -3])
+        assert cache.get_or_compile(rtype, machine, [np.int64(2)]) is compiled
+        assert (cache.hits, cache.misses, len(cache)) == (1, 3, 1)
+        assert compiled.rows == (2,)
+
     def test_lru_evicts_least_recently_used(self):
         cache = PlanCache(capacity=2)
         machine = TCUMachine(m=16, ell=ELL, execute="cost-only")

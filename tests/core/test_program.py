@@ -95,14 +95,6 @@ class TestPlanning:
         assert plan.stats.tensor_calls_planned == 3
         assert plan.stats.merged_away == 0
 
-    def test_merge_disabled(self, tcu, rng):
-        B = rng.random((4, 4))
-        prog = TensorProgram()
-        for _ in range(4):
-            prog.mm(rng.random((8, 4)), B)
-        plan = plan_program(prog, tcu, merge=False)
-        assert plan.stats.tensor_calls_planned == 4
-
     def test_mixed_dtype_streams_do_not_merge(self, tcu, rng):
         """int and float products against one block stay separate calls
         so per-call charging (and dtypes) match the eager execution."""

@@ -1,9 +1,12 @@
 """Eager reference schedules: the per-call execution paths the planned
 kernels replaced, kept here as test oracles.
 
-Each oracle issues its tensor calls one at a time through the machine's
-own ``mm`` primitive and charges every CPU step itself, so it shares no
-charging code with the planned kernels it checks:
+Each oracle issues its tensor calls through the machine's own primitives
+— one ``mm`` at a time, or one ``mm_batch`` where the replaced path
+batched — and charges every CPU step itself, so it shares no charging
+code with the planned kernels it checks (save the batch levels of
+:func:`per_call_execute`, which both executors run through
+``plan.run_level``):
 
 * :func:`per_call_matmul` — the Theorem 2 loop: one tall call per
   (strip, block) pair, one accumulation charge per call;
@@ -12,23 +15,45 @@ charging code with the planned kernels it checks:
 * :func:`eager_batched_dft` / :func:`eager_batched_idft` — the Theorem 7
   recursion with :func:`per_call_matmul` at every level;
 * :func:`per_segment_closure` — Figure 7 with the above and below
-  segments of every trailing update issued as two separate calls.
+  segments of every trailing update issued as two separate calls;
+* :func:`one_batch_matmul` — the Theorem 2 loop on a parallel machine:
+  every (strip, block) call in one ``mm_batch``, one accumulation
+  charge per call;
+* :func:`per_call_execute` — the per-call plan executor the fused level
+  executor replaced: one ``mm`` per merge group or grid call, then the
+  level's CPU ops, each charged here.
 
 On a sequential machine the planned kernels charge exactly what these
 do wherever the planner has nothing to merge (Strassen, the DFT); the
 closure's planned path merges the two segment calls of every interior
-pivot column into one.  The oracles run on numeric machines.
+pivot column into one.  The kernel oracles run on numeric machines;
+:func:`per_call_execute` also runs cost-only.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from repro.core.machine import placeholder
+from repro.core.parallel import ParallelTCUMachine
+from repro.core.program import GridCall, TensorOp
 from repro.matmul.schedule import ceil_to_multiple, pad_matrix, padded_copy_cost, theorem2_tasks
 from repro.matmul.strassen import STRASSEN_2X2, default_cutoff
 
 
-def per_call_matmul(tcu, A, B, *, charge_padding=True):
+def _padded(tcu, A, B):
+    """Both operands padded to the ``sqrt(m)`` grid, the copies charged."""
+    s = tcu.sqrt_m
+    p, q = A.shape
+    r = B.shape[1]
+    p_pad, q_pad, r_pad = max(p, s), ceil_to_multiple(q, s), ceil_to_multiple(r, s)
+    tcu.charge_cpu(padded_copy_cost(A, p_pad, q_pad) + padded_copy_cost(B, q_pad, r_pad))
+    return pad_matrix(A, p_pad, q_pad), pad_matrix(B, q_pad, r_pad)
+
+
+def per_call_matmul(tcu, A, B):
     """``A @ B`` by the Theorem 2 schedule, one tensor call at a time."""
     A = np.asarray(A)
     B = np.asarray(B)
@@ -37,14 +62,32 @@ def per_call_matmul(tcu, A, B, *, charge_padding=True):
     if p == 0 or q == 0 or r == 0:
         return np.zeros((p, r), dtype=np.result_type(A.dtype, B.dtype))
     s = tcu.sqrt_m
-    p_pad, q_pad, r_pad = max(p, s), ceil_to_multiple(q, s), ceil_to_multiple(r, s)
-    if charge_padding:
-        tcu.charge_cpu(padded_copy_cost(A, p_pad, q_pad) + padded_copy_cost(B, q_pad, r_pad))
-    Ap, Bp = pad_matrix(A, p_pad, q_pad), pad_matrix(B, q_pad, r_pad)
-    C = np.zeros((p_pad, r_pad), dtype=np.result_type(Ap.dtype, Bp.dtype))
+    Ap, Bp = _padded(tcu, A, B)
+    C = np.zeros((Ap.shape[0], Bp.shape[1]), dtype=np.result_type(Ap.dtype, Bp.dtype))
     for j, _, strip, block in theorem2_tasks(Ap, Bp, s):
         C[:, j * s : (j + 1) * s] += tcu.mm(strip, block)
-        tcu.charge_cpu(p_pad * s)  # the C_{i,j} accumulation
+        tcu.charge_cpu(Ap.shape[0] * s)  # the C_{i,j} accumulation
+    return C[:p, :r]
+
+
+def one_batch_matmul(ptcu, A, B):
+    """``A @ B`` on a parallel machine with every Theorem 2 call issued
+    as one ``mm_batch`` in :func:`per_call_matmul`'s order (block column
+    outer, strip inner), then one accumulation charge per call."""
+    A = np.asarray(A)
+    B = np.asarray(B)
+    p, q = A.shape
+    r = B.shape[1]
+    if p == 0 or q == 0 or r == 0:
+        return np.zeros((p, r), dtype=np.result_type(A.dtype, B.dtype))
+    s = ptcu.sqrt_m
+    Ap, Bp = _padded(ptcu, A, B)
+    tasks = list(theorem2_tasks(Ap, Bp, s))
+    results = ptcu.mm_batch([(strip, block) for _, _, strip, block in tasks])
+    C = np.zeros((Ap.shape[0], Bp.shape[1]), dtype=np.result_type(Ap.dtype, Bp.dtype))
+    for (j, _, _, _), partial in zip(tasks, results, strict=True):
+        C[:, j * s : (j + 1) * s] += partial
+        ptcu.charge_cpu(Ap.shape[0] * s)
     return C[:p, :r]
 
 
@@ -183,3 +226,91 @@ def per_segment_closure(tcu, adjacency):
                 np.minimum(strip + tcu.mm(work[seg, kk], Z), 1, out=strip)
                 tcu.charge_cpu(2 * (seg.stop - seg.start) * s)
     return work[:n, :n]
+
+
+def _source(src):
+    return src.result() if isinstance(src, TensorOp) else src
+
+
+def _cpu_value(op):
+    """A CPU-side op's value from its inputs."""
+    if op.kind == "add":
+        out = np.zeros(op.shape, dtype=op.dtype)
+        for coef, src in op.terms:
+            if coef == 1.0:
+                out += _source(src)
+            elif coef == -1.0:
+                out -= _source(src)
+            else:
+                out += coef * _source(src)
+        return out
+    if op.kind == "copy":
+        return np.array(_source(op.a), copy=True)
+    if op.kind == "apply":
+        return op.fn(*[_source(src) for _, src in op.terms])
+    if op.kind == "view":
+        return _source(op.a)[op.key]
+    # stripsum: each block column summed from zeros over the strips in order
+    products = op.a.result()
+    kq, kr, p, s = products.shape
+    blocks = np.zeros((kr, p, s), dtype=op.dtype)
+    for i in range(kq):
+        blocks += products[i]
+    return np.ascontiguousarray(blocks.swapaxes(0, 1)).reshape(p, kr * s)
+
+
+def _cpu_ops(others, machine):
+    """A level's CPU-side ops in op order: an add charged one unit per
+    word per term, a copy one per word, an apply its declared cost, a
+    strip sum one per word per partial; a view is free."""
+    for op in others:
+        if op.kind == "add":
+            for _ in op.terms:
+                machine.charge_cpu(math.prod(op.shape))
+        elif op.kind == "copy":
+            machine.charge_cpu(math.prod(op.shape))
+        elif op.kind == "apply" and op.cpu:
+            machine.charge_cpu(op.cpu)
+        elif op.kind == "stripsum":
+            machine.charge_cpu(math.prod(op.a.shape))
+        if machine.execute == "cost-only":
+            op.value = placeholder(op.shape, op.dtype)
+        else:
+            op.value = _cpu_value(op)
+
+
+def per_call_execute(plan, machine):
+    """Execute ``plan`` level by level, one tensor call at a time: each
+    merge group one ``machine.mm`` on its stacked streams, each grid
+    call one ``mm`` in the grid's call order (block column outer, strip
+    inner), then the level's CPU ops.  A level that is one scheduled
+    batch on a parallel machine — more than one call group, or a split
+    one — runs through ``plan.run_level``: a batch is one ``mm_batch``
+    whichever executor issues it.  Returns ``plan``."""
+    cost_only = machine.execute == "cost-only"
+    for d, (groups, others) in enumerate(plan.levels):
+        if isinstance(machine, ParallelTCUMachine) and (
+            len(groups) > 1 or max(plan.splits[d], default=1) > 1
+        ):
+            plan.run_level(d, machine)
+            continue
+        for group in groups:
+            streams = [_source(op.a) for op in group]
+            out = machine.mm(
+                streams[0] if len(streams) == 1 else np.vstack(streams), _source(group[0].b)
+            )
+            offset = 0
+            for op in group:
+                value = out[offset : offset + op.shape[0]]
+                offset += op.shape[0]
+                if isinstance(op, GridCall):
+                    if cost_only:
+                        op.grid.value = placeholder(op.grid.shape, op.grid.dtype)
+                    else:
+                        op.store(value)
+                elif cost_only:
+                    op.value = placeholder(op.shape, op.dtype)
+                else:
+                    op.value = value
+        _cpu_ops(others, machine)
+    return plan

@@ -101,15 +101,6 @@ class TestAccounting:
         matmul(tcu, rng.random((4, 3)), rng.random((3, 4)))
         assert tcu.ledger.cpu_time > 0
 
-    def test_charge_padding_flag(self, rng):
-        a = TCUMachine(m=16)
-        b = TCUMachine(m=16)
-        A = rng.random((4, 3))
-        B = rng.random((3, 4))
-        matmul(a, A, B, charge_padding=True)
-        matmul(b, A, B, charge_padding=False)
-        assert a.time > b.time
-
 
 class TestRectangular:
     @pytest.mark.parametrize("r", [2, 4, 8, 32])

@@ -186,7 +186,7 @@ def probe_compile(rtype, machine, rows) -> ProbeCompile:
         scratch.reset()
         spans.clear()
         if probe.execute == "cost-only":
-            _probe_level(groups, others, probe, None if plan.splits is None else plan.splits[d])
+            _probe_level(groups, others, probe, plan.splits[d])
         else:
             cursor.step()
         levels.append(_capture(scratch, spans))

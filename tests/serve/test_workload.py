@@ -380,6 +380,25 @@ class TestPlanLowering:
         assert padded.splits == alone.splits
         assert padded.stats == alone.stats
 
+    @pytest.mark.parametrize("kind", ["matmul", "mlp", "dft", "stencil"])
+    @pytest.mark.parametrize(("rows", "shown"), [([5, -3], "-3"), ([2.5], "2.5"), ([4, 1.5], "1.5")])
+    def test_plan_rejects_a_row_count_it_would_truncate(self, kind, rows, shown):
+        """A negative count once summed into a smaller batch, a
+        fractional one was truncated; both now name the value."""
+        machine = TCUMachine(m=16, ell=8.0, execute="cost-only")
+        with pytest.raises(ValueError, match=rf"^rows must be an integer >= 0, got {shown}$"):
+            get_request_type(kind).plan(machine, rows)
+        assert machine.ledger.total_time == 0.0
+
+    def test_plan_accepts_integral_row_counts_of_any_type(self):
+        """numpy ints and integral floats plan exactly what ints do."""
+        snapshots = []
+        for rows in ([4, 8], [np.int64(4), np.int32(8)], [4.0, 8.0]):
+            machine = TCUMachine(m=16, ell=8.0, execute="cost-only")
+            execute_plan(get_request_type("mlp").plan(machine, rows), machine)
+            snapshots.append(machine.ledger.snapshot())
+        assert snapshots[0] == snapshots[1] == snapshots[2]
+
     def test_type_without_plan_fails_loudly(self):
         class Hollow(RequestType):
             name = "hollow"
@@ -413,6 +432,8 @@ _BAD_PARAMETERS = [
     (PoissonWorkload, "slo", _NAN, "nan"),
     (PoissonWorkload, "rows", -4, "-4"),
     (PoissonWorkload, "rows", (4, -1), "-1"),
+    (PoissonWorkload, "rows", 2.5, "2.5"),
+    (PoissonWorkload, "rows", (4, 0.5), "0.5"),
     (BurstyWorkload, "rate_high", _NAN, "nan"),
     (BurstyWorkload, "rate_low", _INF, "inf"),
     (BurstyWorkload, "dwell", _NAN, "nan"),
@@ -424,6 +445,7 @@ _BAD_PARAMETERS = [
     (ClosedLoopWorkload, "start", _INF, "inf"),
     (ClosedLoopWorkload, "deadline", _NAN, "nan"),
     (ClosedLoopWorkload, "rows", -2, "-2"),
+    (ClosedLoopWorkload, "rows", 3.25, "3.25"),
     (TraceWorkload, "times", [0.0, _NAN, 5.0], "nan"),
     (TraceWorkload, "times", [0.0, 1.0, _INF], "inf"),
     (TraceWorkload, "scale", _NAN, "nan"),
@@ -431,6 +453,7 @@ _BAD_PARAMETERS = [
     (TraceWorkload, "start", _NAN, "nan"),
     (TraceWorkload, "slo", _NAN, "nan"),
     (TraceWorkload, "rows", (2, -8), "-8"),
+    (TraceWorkload, "rows", (2, 7.5), "7.5"),
     (DiurnalWorkload, "rate", _NAN, "nan"),
     (DiurnalWorkload, "rate", _INF, "inf"),
     (DiurnalWorkload, "period", _NAN, "nan"),

@@ -1,12 +1,13 @@
-"""Execution-path equivalence: planned-unfused, planned-fused and
-cost-only runs of every algorithm must charge bit-identical ledger
-totals, call counts, per-shape traces and section times.
+"""Execution-path equivalence: planned (fused) and cost-only runs of
+every algorithm must charge bit-identical ledger totals, call counts,
+per-shape traces and section times.
 
 Two invariants are pinned down, matching the planner's documented
 semantics:
 
-* the executor variant never changes a charge: ``fused=True`` ==
-  ``fused=False`` == ``execute="cost-only"``;
+* the executor variant never changes a charge: the fused level
+  executor == the per-call executor it replaced (the
+  ``per_call_execute`` oracle) == ``execute="cost-only"``;
 * the eager per-call schedule (the oracles of ``eager_oracles``) equals
   the planned path whenever the planner has nothing to merge (a lone
   Theorem 2 product, Strassen, DFT); the closure's planned path
@@ -19,12 +20,12 @@ latency, complex-cost factors, hardware row bounds and sections.
 
 import numpy as np
 import pytest
-from eager_oracles import eager_batched_dft, eager_strassen, per_call_matmul
+from eager_oracles import eager_batched_dft, eager_strassen, per_call_execute, per_call_matmul
 
 from repro.core.ledger import CostLedger
 from repro.core.machine import TCUMachine, placeholder
 from repro.core.parallel import ParallelTCUMachine
-from repro.core.program import TensorProgram, run_program
+from repro.core.program import TensorProgram, plan_program, run_program
 from repro.extmem.simulate import simulate_ledger_io
 from repro.graph.closure import transitive_closure
 from repro.matmul.dense import matmul, matmul_lazy
@@ -99,20 +100,19 @@ def test_exec_path_bench_shapes_match_the_per_call_oracle(n):
 
 
 @pytest.mark.parametrize("kind", ["base", "split-stream"])
-def test_dense_unfused_program_agrees(kind):
+def test_dense_program_agrees(kind):
     rng = np.random.default_rng(11)
     A = rng.random((48, 32))
     B = rng.random((32, 48))
     reference = make(kind)
     per_call_matmul(reference, A, B)
 
-    for fused in (True, False):
-        tcu = make(kind)
-        program = TensorProgram()
-        lazy = matmul_lazy(tcu, program, A, B)
-        run_program(program, tcu, fused=fused)
-        assert np.allclose(lazy.result(), A @ B)
-        assert ledger_fingerprint(tcu) == ledger_fingerprint(reference)
+    tcu = make(kind)
+    program = TensorProgram()
+    lazy = matmul_lazy(tcu, program, A, B)
+    run_program(program, tcu)
+    assert np.allclose(lazy.result(), A @ B)
+    assert ledger_fingerprint(tcu) == ledger_fingerprint(reference)
 
 
 @pytest.mark.parametrize("kind", ["base", "zero-latency"])
@@ -175,11 +175,12 @@ def test_closure_fused_matches_unfused_executor(monkeypatch):
     fused = TCUMachine(m=16, ell=25.0)
     R_fused = transitive_closure(fused, adj)
 
-    orig = run_program
     monkeypatch.setattr(
         closure_mod,
         "run_program",
-        lambda program, machine, **kw: orig(program, machine, fused=False, **kw),
+        lambda program, machine, split="auto": per_call_execute(
+            plan_program(program, machine, split=split), machine
+        ),
     )
     unfused = TCUMachine(m=16, ell=25.0)
     R_unfused = transitive_closure(unfused, adj)
