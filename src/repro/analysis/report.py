@@ -260,7 +260,7 @@ def utilization_table(schedule, *, title: str | None = None, plan=None) -> str:
         f"gap bound {gap}"
     )
     out = table + "\n" + summary
-    if plan is not None and plan.splits is not None:
+    if plan is not None:
         level_rows = []
         for d, (groups, _) in enumerate(plan.levels):
             factors = plan.splits[d]

@@ -24,13 +24,16 @@ charging path is identical either way).
 from __future__ import annotations
 
 import math
-from typing import Literal
+from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 
 from .ledger import CostLedger
 from .systolic import SystolicArray
 from .words import WordSpec, check_no_overflow
+
+if TYPE_CHECKING:
+    from .plan_cache import PlanMemo
 
 __all__ = ["TCUMachine", "WeakTCUMachine", "TensorShapeError", "placeholder"]
 
@@ -95,6 +98,11 @@ class TCUMachine:
         Attach an existing ledger (e.g. shared across machines);
         otherwise a fresh one is created.
     """
+
+    #: A plan cache's memo of split choices and priced levels, set only
+    #: on :func:`~repro.core.plan_cache.compile_plan`'s probe fork;
+    #: :meth:`fork` never copies it.
+    plan_memo: PlanMemo | None = None
 
     def __init__(
         self,

@@ -25,7 +25,12 @@ configuration)``.  This module exploits that replayability:
   reloads exactly as it does for a live plan.
 * :class:`PlanCache` memoises compiled plans under
   ``(kind, rows tuple, machine.config_key())`` with LRU eviction, so the
-  serving hot path never re-plans a shape it has seen.
+  serving hot path never re-plans a shape it has seen.  Its
+  :class:`PlanMemo` goes one level down: a level's split choice and
+  its priced record are pure functions of ``config_key()`` and the
+  level's shapes, so compiles of different request shapes that share
+  a level plan and price it once.  The memo lives and dies with its
+  cache — nothing is process-wide.
 
 Replay adds each level's captured deltas to the ledger as one addend
 per counter, where live execution adds a level's charges one by one,
@@ -61,11 +66,13 @@ from typing import Protocol
 
 import numpy as np
 
-from .ledger import CallTrace, CostLedger, LedgerError
+from .ledger import CostLedger, LedgerError
 from .machine import TCUMachine
-from .program import Plan, PlanStats, price_level
+from .program import LevelShape, Plan, PlanStats, level_shape, price_shape
 
-__all__ = ["LevelCharges", "CompiledPlan", "PlanCache", "Plannable", "compile_plan"]
+__all__ = [
+    "LevelCharges", "CompiledPlan", "PlanCache", "PlanMemo", "Plannable", "compile_plan",
+]
 
 
 class Plannable(Protocol):
@@ -223,15 +230,17 @@ class CompiledPlan:
         return self.reload_words[from_level]
 
 
-def _capture(scratch: CostLedger) -> LevelCharges:
+def _capture(scratch: CostLedger, span: float | None = None) -> LevelCharges:
     """Freeze a zeroed scratch ledger's accumulated charges — the exact
-    from-zero deltas charging them adds to a running ledger."""
+    from-zero deltas charging them adds to a running ledger — with
+    ``span`` (default: the tensor plus latency delta)."""
     ns, _, times, lats = scratch.calls.as_arrays()
+    tensor, latency = scratch.tensor_time, scratch.latency_time
     return LevelCharges(
-        tensor_time=scratch.tensor_time,
-        latency_time=scratch.latency_time,
+        tensor_time=tensor,
+        latency_time=latency,
         cpu_time=scratch.cpu_time,
-        span=scratch.tensor_time + scratch.latency_time,
+        span=tensor + latency if span is None else span,
         ns=np.array(ns, dtype=np.int64, copy=True),
         times=np.array(times, dtype=np.float64, copy=True),
         lats=np.array(lats, dtype=np.float64, copy=True),
@@ -239,17 +248,78 @@ def _capture(scratch: CostLedger) -> LevelCharges:
     )
 
 
-def compile_plan(rtype: Plannable, machine: TCUMachine, rows: Sequence[int]) -> CompiledPlan:
+def _price(shape: LevelShape, probe: TCUMachine, level: int) -> LevelCharges:
+    """Price one level's shape on ``probe`` against a fresh full-trace
+    ledger and freeze it; raises :class:`~repro.core.ledger.LedgerError`
+    unless its charges are finite and non-negative."""
+    scratch = probe.ledger = CostLedger(trace_calls=True)
+    record = _capture(scratch, price_shape(shape, probe))
+    values = (record.tensor_time, record.latency_time, record.cpu_time, record.span)
+    if not all(0.0 <= x < math.inf for x in values):
+        raise LedgerError(
+            f"level {level} charges must be finite and >= 0, got "
+            f"{values[0]!r}, {values[1]!r}, {values[2]!r}, span {values[3]!r}"
+        )
+    return record
+
+
+class PlanMemo:
+    """Pure planning results shared by the compiles of one
+    :class:`PlanCache`.
+
+    The paper prices a tensor call from its shape alone (§3), so two
+    tables key on the machine's ``config_key()`` plus shapes:
+
+    * ``splits`` — the planner's ``"auto"`` split choice and modelled
+      makespan of a level, under ``(config_key(), ordered group
+      shapes)``; :func:`~repro.core.program.plan_program` reads it on a
+      machine whose ``plan_memo`` is set.  The shapes stay ordered
+      because the chooser breaks ties by group order.
+    * ``levels`` — a level's priced :class:`LevelCharges`, under
+      ``(config_key(), LevelShape)``: the exact input of the level
+      pricer (:func:`~repro.core.program.level_shape`), so the key
+      cannot drift from what is priced.
+
+    A hit is the record a miss computes, bit for bit.  The memo grows
+    only with its cache's compiles and is emptied whenever the cache
+    is cleared or evicts.
+    """
+
+    __slots__ = ("splits", "levels")
+
+    def __init__(self) -> None:
+        self.splits: dict[tuple, tuple[tuple[int, ...], float]] = {}
+        self.levels: dict[tuple, LevelCharges] = {}
+
+    def clear(self) -> None:
+        self.splits.clear()
+        self.levels.clear()
+
+
+def compile_plan(
+    rtype: Plannable,
+    machine: TCUMachine,
+    rows: Sequence[int],
+    memo: PlanMemo | None = None,
+) -> CompiledPlan:
     """Build ``rtype``'s plan for ``rows`` once and price its charges.
 
     Builds on ``machine.fork()`` with a fresh full-trace scratch ledger
     — the live ledger is never touched — and freezes the build charges;
     then prices each level from its shapes
-    (:func:`~repro.core.program.price_level`) on a zeroed ledger that
-    appends to one plan-wide trace, so each record's deltas are the
-    exact from-zero amounts that level charges.  Nothing is executed and
-    no op gets a value.  Raises :class:`~repro.core.ledger.LedgerError`
-    if a level's charges are not finite and non-negative.
+    (:func:`~repro.core.program.level_shape`,
+    :func:`~repro.core.program.price_shape`) on a zeroed ledger, so each
+    record's deltas are the exact from-zero amounts that level charges,
+    and concatenates the levels' trace columns.  Nothing is executed
+    and no op gets a value.  Raises
+    :class:`~repro.core.ledger.LedgerError` if a level's charges are
+    not finite and non-negative.
+
+    With a ``memo`` the probe carries it (``plan_memo``), so every plan
+    built on the probe — the request's own and any a kernel builds
+    inside it — reads its split choices from the memo, and each level
+    is priced only if the memo has no record of its shape; the result
+    is the one a memo-less compile gives, bit for bit.
 
     On a numeric machine the records follow cost-only execution: they
     equal the numeric run's deltas when its charges are integer-valued,
@@ -257,52 +327,49 @@ def compile_plan(rtype: Plannable, machine: TCUMachine, rows: Sequence[int]) -> 
     executor batches shared streams first; per-shape totals agree).
     """
     probe = machine.fork()
+    probe.plan_memo = memo
     scratch = CostLedger(trace_calls=True)
     probe.ledger = scratch
     plan = rtype.plan(probe, rows)
     prelude = _capture(scratch)
 
-    trace = CallTrace()
-    deltas: list[tuple[float, float, float, float]] = []
+    config_key = probe.config_key()
+    records: list[LevelCharges] = []
     offsets = [0]
     charges: list[tuple[str, float]] = []
     charge_offsets = [0]
     for d, (groups, others) in enumerate(plan.levels):
-        ledger = probe.ledger = CostLedger(calls=trace)
-        span = price_level(groups, others, probe, plan.splits[d])
-        tensor, latency, cpu = ledger.tensor_time, ledger.latency_time, ledger.cpu_time
-        if span is None:
-            span = tensor + latency
-        if not all(0.0 <= x < math.inf for x in (tensor, latency, cpu, span)):
-            raise LedgerError(
-                f"level {d} charges must be finite and >= 0, got "
-                f"{tensor!r}, {latency!r}, {cpu!r}, span {span!r}"
-            )
-        deltas.append((tensor, latency, cpu, span))
-        offsets.append(len(trace))
-        if offsets[-1] > offsets[-2]:
-            charges.append(("tensor", span))
-        if cpu:
-            charges.append(("cpu", cpu))
+        shape = level_shape(groups, others, probe, plan.splits[d])
+        key = (config_key, shape)
+        record = None if memo is None else memo.levels.get(key)
+        if record is None:
+            record = _price(shape, probe, d)
+            if memo is not None:
+                memo.levels[key] = record
+        records.append(record)
+        offsets.append(offsets[-1] + record.ns.size)
+        if record.ns.size:
+            charges.append(("tensor", record.span))
+        if record.cpu_time:
+            charges.append(("cpu", record.cpu_time))
         charge_offsets.append(len(charges))
 
-    ns, _, times, lats = trace.as_arrays()
     calls = (
-        np.array(ns, dtype=np.int64, copy=True),
-        np.array(times, dtype=np.float64, copy=True),
-        np.array(lats, dtype=np.float64, copy=True),
-        np.array(trace.unit_ids(), dtype=np.int64, copy=True),
+        _concat([r.ns for r in records], np.int64),
+        _concat([r.times for r in records], np.float64),
+        _concat([r.lats for r in records], np.float64),
+        _concat([r.units for r in records], np.int64),
     )
     levels = tuple(
-        LevelCharges(tensor, latency, cpu, span, *(col[lo:hi] for col in calls))
-        for (tensor, latency, cpu, span), lo, hi in zip(
-            deltas, offsets[:-1], offsets[1:], strict=True
+        LevelCharges(
+            r.tensor_time, r.latency_time, r.cpu_time, r.span, *(col[lo:hi] for col in calls)
         )
+        for r, lo, hi in zip(records, offsets[:-1], offsets[1:], strict=True)
     )
     return CompiledPlan(
         kind=getattr(rtype, "name", type(rtype).__name__),
         rows=tuple(map(int, rows)),
-        config_key=probe.config_key(),
+        config_key=config_key,
         prelude=prelude,
         levels=levels,
         reload_words=tuple(plan.resident_words(d) for d in range(len(levels))),
@@ -310,11 +377,19 @@ def compile_plan(rtype: Plannable, machine: TCUMachine, rows: Sequence[int]) -> 
         calls=calls,
         offsets=tuple(offsets),
         deltas=(
-            tuple(d[0] for d in deltas), tuple(d[1] for d in deltas), tuple(d[2] for d in deltas)
+            tuple(r.tensor_time for r in records),
+            tuple(r.latency_time for r in records),
+            tuple(r.cpu_time for r in records),
         ),
         charges=tuple(charges),
         charge_offsets=tuple(charge_offsets),
     )
+
+
+def _concat(columns: list[np.ndarray], dtype: type) -> np.ndarray:
+    """One column of the plan-wide trace: the levels' columns joined
+    (a fresh array, never a memo record's)."""
+    return np.concatenate(columns) if columns else np.empty(0, dtype=dtype)
 
 
 class PlanCache:
@@ -327,13 +402,22 @@ class PlanCache:
     config fingerprint in the key keeps their plans apart, and the same
     fingerprint stored in each plan makes a mis-keyed replay an error
     rather than silent corruption.
+
+    Its compiles share one :class:`PlanMemo` (:attr:`memo`), which
+    :meth:`clear` and every eviction empty, so the memo is bounded by
+    what the cached plans planned.  ``capacity`` is an integer >= 1.
     """
 
     def __init__(self, capacity: int = 256) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        if (
+            isinstance(capacity, bool)
+            or not isinstance(capacity, (int, np.integer))
+            or capacity < 1
+        ):
+            raise ValueError(f"capacity must be an integer >= 1, got {capacity!r}")
         self.capacity = int(capacity)
         self._entries: OrderedDict[tuple, CompiledPlan] = OrderedDict()
+        self.memo = PlanMemo()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -356,6 +440,7 @@ class PlanCache:
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
+            self.memo.clear()
             self.evictions += 1
 
     def get_or_compile(
@@ -366,7 +451,7 @@ class PlanCache:
         key = self.key(getattr(rtype, "name", type(rtype).__name__), rows, machine)
         compiled = self.get(key)
         if compiled is None:
-            compiled = compile_plan(rtype, machine, rows)
+            compiled = compile_plan(rtype, machine, rows, memo=self.memo)
             self.put(key, compiled)
         return compiled
 
@@ -378,6 +463,7 @@ class PlanCache:
 
     def clear(self) -> None:
         self._entries.clear()
+        self.memo.clear()
 
     def stats(self) -> dict[str, float]:
         lookups = self.hits + self.misses

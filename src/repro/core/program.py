@@ -74,7 +74,7 @@ import itertools
 import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, TypeAlias
+from typing import TYPE_CHECKING, NamedTuple, TypeAlias
 
 import numpy as np
 
@@ -98,6 +98,9 @@ __all__ = [
     "check_split",
     "modelled_call_cost",
     "plan_program",
+    "LevelShape",
+    "level_shape",
+    "price_shape",
     "price_level",
     "execute_plan",
     "run_grid",
@@ -903,13 +906,20 @@ def _exact_sums(tables: list[tuple[tuple[float, ...], ...]], shapes: list[int]) 
 
 
 def _choose_level_splits(
-    groups: list[list[TensorOp]], machine: TCUMachine
+    shapes: Sequence[tuple[int, np.dtype]], machine: TCUMachine
 ) -> tuple[list[int], float]:
     """Pick the split factor per merge group minimising the level's
     modelled makespan (ties break toward fewer calls); returns the
     splits and their makespan, which equals :func:`_level_makespan` of
     them bit for bit, so the planner never schedules a chosen level
     twice.
+
+    The level is read only through its groups' ordered ``(rows,
+    dtype)`` shapes (:meth:`CallGroups.shapes`), and the machine only
+    through parameters its :meth:`~repro.core.machine.TCUMachine.config_key`
+    fingerprints, so ``(config_key(), shapes)`` determines the result —
+    the key of a plan memo's split table (:func:`plan_program`).  The
+    order matters: ties break by group order.
 
     Small candidate spaces are searched exhaustively — there the chosen
     configuration *is* the optimum over row-balanced splits under the
@@ -930,36 +940,36 @@ def _choose_level_splits(
     prices each split *count* once.
     """
     units = int(getattr(machine, "units", 1))
-    best = [1] * len(groups)
-    if units <= 1 or not len(groups):
-        return best, _level_makespan(groups, best, machine)
-    group_shapes = _group_shapes(groups)
-    caps = [_rows_cap(rows, machine, units) for rows, _ in group_shapes]
-    if all(cap == 1 for cap in caps):
-        return best, _level_makespan(groups, best, machine)
+    best = [1] * len(shapes)
+    if not shapes:
+        return best, 0.0
+    # one unit: no group splits, so the level is priced unsplit
+    caps = [_rows_cap(rows, machine, units) for rows, _ in shapes] if units > 1 else best[:]
 
-    # tables[shapes[i]][f - 1] holds the chunk costs of group i split f ways
+    # tables[ids[i]][f - 1] holds the chunk costs of group i split f ways
     shape_ids: dict[tuple[int, np.dtype], int] = {}
     tables: list[tuple[tuple[float, ...], ...]] = []
-    shapes: list[int] = []
-    for (rows, dtype), cap in zip(group_shapes, caps, strict=True):
+    ids: list[int] = []
+    for (rows, dtype), cap in zip(shapes, caps, strict=True):
         if (rows, dtype) not in shape_ids:
             shape_ids[rows, dtype] = len(tables)
             tables.append(
                 tuple(_chunk_costs(machine, rows, dtype, f) for f in range(1, cap + 1))
             )
-        shapes.append(shape_ids[rows, dtype])
+        ids.append(shape_ids[rows, dtype])
 
     def cost_vector(splits: list[int]) -> np.ndarray:
-        chunks = (tables[s][f - 1] for s, f in zip(shapes, splits, strict=True))
+        chunks = (tables[s][f - 1] for s, f in zip(ids, splits, strict=True))
         return np.fromiter(itertools.chain.from_iterable(chunks), dtype=np.float64)
 
+    if units <= 1:
+        return best, float(cost_vector(best).sum())
     policy = machine.scheduler
-    multiset = policy.order_free and _exact_sums(tables, shapes)
+    multiset = policy.order_free and _exact_sums(tables, ids)
     spans: dict[tuple, float] = {}
 
     def price(splits: list[int]) -> float:
-        key = tuple(sorted(zip(shapes, splits, strict=True))) if multiset else tuple(splits)
+        key = tuple(sorted(zip(ids, splits, strict=True))) if multiset else tuple(splits)
         span = spans.get(key)
         if span is None:
             try:
@@ -970,7 +980,7 @@ def _choose_level_splits(
         return span
 
     best_span = price(best)
-    if best_span <= 0.0:
+    if best_span <= 0.0 or all(cap == 1 for cap in caps):
         return best, best_span
     # a perfectly balanced unsplit schedule is already optimal:
     # splitting only adds latency, and serial/p lower-bounds every split
@@ -1008,7 +1018,7 @@ def _choose_level_splits(
                 old = best[gi]
                 if factor == old:
                     continue
-                key = (accepted, shapes[gi] if multiset else gi, old, factor)
+                key = (accepted, ids[gi] if multiset else gi, old, factor)
                 span = moves.get(key)
                 if span is None:
                     trial = list(best)
@@ -1123,6 +1133,13 @@ def plan_program(
     for, in their order.  A level whose grid blocks all have distinct
     keys keeps each grid whole in its :class:`CallGroups`; only a level
     where a grid block is shared materialises :class:`GridCall` s.
+
+    On a machine carrying a plan memo (``machine.plan_memo``, set only
+    on :func:`~repro.core.plan_cache.compile_plan`'s probe fork) the
+    ``"auto"`` choice of a level with call groups is read from the
+    memo's split table under ``(config_key(), ordered group shapes)``
+    — the chooser's whole input — and chosen only on a miss; every
+    plan gets its own fresh ``splits`` lists.
     """
     check_split(split)
     s = machine.sqrt_m
@@ -1181,11 +1198,23 @@ def plan_program(
         levels.append((level_groups, others))
 
     units = int(getattr(machine, "units", 1))
+    memo = machine.plan_memo
+    config = machine.config_key() if memo is not None else None
     splits: list[list[int]] = []
     modelled: list[float] = []
     for level_groups, _ in levels:
         if split == "auto":
-            chosen, span = _choose_level_splits(level_groups, machine)
+            shapes = tuple(level_groups.shapes())
+            if memo is None or not shapes:
+                chosen, span = _choose_level_splits(shapes, machine)
+            else:
+                key = (config, shapes)
+                known = memo.splits.get(key)
+                if known is None:
+                    chosen, span = _choose_level_splits(shapes, machine)
+                    memo.splits[key] = (tuple(chosen), span)
+                else:
+                    chosen, span = list(known[0]), known[1]
         else:
             if split == 1 or units <= 1:
                 chosen = [1] * len(level_groups)
@@ -1265,9 +1294,7 @@ def _stack(arrays: list[np.ndarray]) -> np.ndarray:
 
 
 def _dispatch_parallel(
-    groups: CallGroups,
-    machine: ParallelTCUMachine,
-    splits: Sequence[int] | None = None,
+    groups: CallGroups, machine: ParallelTCUMachine, splits: Sequence[int]
 ) -> None:
     """One numeric level on a parallel machine: always a single
     scheduled batch.
@@ -1294,8 +1321,6 @@ def _dispatch_parallel(
     issued call by call.
     """
     s = machine.sqrt_m
-    if splits is None:
-        splits = [1] * len(groups)
     pairs: list[tuple[np.ndarray, np.ndarray]] = []
     issued: list[tuple] = []  # (group, pieces), or (grid, None) for a stacked grid
     index = 0
@@ -1453,25 +1478,23 @@ def _dispatch_grid(groups: CallGroups, machine: TCUMachine) -> None:
 # ----------------------------------------------------------------------
 # pricing: a level's cost-only charges from its shapes
 # ----------------------------------------------------------------------
-def _batch_level(
-    groups: CallGroups, machine: TCUMachine, splits: Sequence[int] | None
-) -> bool:
+def _batch_level(groups: CallGroups, machine: TCUMachine, splits: Sequence[int]) -> bool:
     """Whether a level dispatches as one scheduled batch: more than one
     call group, or any split chunk, on a parallel machine."""
     return isinstance(machine, ParallelTCUMachine) and (
-        len(groups) > 1 or (splits is not None and any(f > 1 for f in splits))
+        len(groups) > 1 or any(f > 1 for f in splits)
     )
 
 
 def _batch_calls(
-    groups: CallGroups, splits: Sequence[int] | None
-) -> tuple[np.ndarray, list[np.dtype]]:
+    groups: CallGroups, splits: Sequence[int]
+) -> tuple[tuple[int, ...], tuple[np.dtype, ...]]:
     """Row counts and dtypes of the calls a batch level issues, in
     :func:`_dispatch_parallel` order: a group split ``f`` ways as its
     :func:`_split_bounds` chunks, a grid as its ``kq * kr`` calls."""
     ns: list[int] = []
     dtypes: list[np.dtype] = []
-    factors = iter(splits) if splits is not None else itertools.repeat(1)
+    factors = iter(splits)
     for part in _parts(groups):
         if isinstance(part, list):
             streams = [_group_rows(part)]
@@ -1487,13 +1510,14 @@ def _batch_calls(
             else:
                 ns.extend(hi - lo for lo, hi in _split_bounds(rows, pieces))
         dtypes.extend([dtype] * (len(ns) - len(dtypes)))
-    return np.asarray(ns, dtype=np.int64), dtypes
+    return tuple(ns), tuple(dtypes)
 
 
-def _price_sequential(groups: CallGroups, machine: TCUMachine) -> None:
+def _sequential_calls(groups: CallGroups, machine: TCUMachine) -> tuple[tuple, tuple, tuple]:
     """A sequential level's charges, in the fused executor's order:
-    whole grids one :meth:`~TCUMachine.charge_mm_grid` per grid shape,
-    then merge groups — a stream the row bound splits where ``mm``
+    whole grids one :meth:`~TCUMachine.charge_mm_grid` ``(n, k, dtype)``
+    per grid shape, then merge groups — a stream the row bound splits
+    one :meth:`~TCUMachine.charge_mm` ``(n, dtype)`` where ``mm``
     charges it, the rest one ``charge_mm_grid`` per ``(rows, dtype)``
     bucket — buckets in first-appearance order."""
     parts = _parts(groups)
@@ -1503,46 +1527,108 @@ def _price_sequential(groups: CallGroups, machine: TCUMachine) -> None:
             kq, kr, p, _ = part.shape
             dtype = np.dtype(part.dtype)
             grids.setdefault((part.shape, dtype.str), [p, 0, dtype])[1] += kq * kr
-    for n, k, dtype in grids.values():
-        machine.charge_mm_grid(n, k, dtype)
     bound = machine.max_rows
+    bounded: list[tuple[int, np.dtype]] = []
     streams: dict[tuple, list] = {}
     for part in parts:
         if isinstance(part, list):
             n = _group_rows(part)
             dtype = np.dtype(part[0].dtype)
             if bound is not None and n > bound:
-                machine.charge_mm(n, dtype)
+                bounded.append((n, dtype))
                 continue
             streams.setdefault((n, dtype.str), [n, 0, dtype])[1] += 1
-    for n, k, dtype in streams.values():
-        machine.charge_mm_grid(n, k, dtype)
+    return (
+        tuple(map(tuple, grids.values())),
+        tuple(bounded),
+        tuple(map(tuple, streams.values())),
+    )
 
 
-def _price_others(others: list[TensorOp], machine: TCUMachine) -> None:
+def _cpu_charges(others: list[TensorOp]) -> tuple[float, ...]:
     """A level's CPU-side charges, in op order: an add one unit per word
-    per term, a copy one per word, an apply its declared ``cpu``, a
-    strip sum one per word per partial; views are free."""
+    per term, a copy one per word, an apply its declared ``cpu`` (none
+    when it declares none), a strip sum one per word per partial; views
+    are free."""
+    out: list[float] = []
     for op in others:
         kind = op.kind
         if kind == "add":
-            machine.charge_cpu(math.prod(op.shape) * len(op.terms))
+            out.append(math.prod(op.shape) * len(op.terms))
         elif kind == "copy":
-            machine.charge_cpu(math.prod(op.shape))
+            out.append(math.prod(op.shape))
         elif kind == "apply":
             if op.cpu:
-                machine.charge_cpu(op.cpu)
+                out.append(op.cpu)
         elif kind == "stripsum":
-            machine.charge_cpu(math.prod(op.a.shape))
+            out.append(math.prod(op.a.shape))
         elif kind != "view":  # pragma: no cover - defensive
             raise ProgramError(f"unknown op kind {kind!r}")
+    return tuple(out)
+
+
+class LevelShape(NamedTuple):
+    """Everything :func:`price_level` charges for one level, as
+    hashable data: the level's shapes, never its values.
+
+    ``batch`` is ``(ns, dtypes)``, the calls of a batch level's one
+    :meth:`~repro.core.parallel.ParallelTCUMachine.charge_mm_batch`, or
+    ``None``; otherwise a sequential level's ``grids`` and ``streams``
+    are :meth:`~repro.core.machine.TCUMachine.charge_mm_grid` arguments
+    ``(n, k, dtype)`` and ``bounded`` its row-bound-split streams'
+    :meth:`~repro.core.machine.TCUMachine.charge_mm` arguments ``(n,
+    dtype)``, charged grids, bounded, streams.  ``cpu`` holds the
+    level's ``charge_cpu`` amounts in op order.  With the machine's
+    :meth:`~repro.core.machine.TCUMachine.config_key` it determines the
+    level's charges (:func:`price_shape`).
+    """
+
+    batch: tuple[tuple[int, ...], tuple[np.dtype, ...]] | None
+    grids: tuple[tuple[int, int, np.dtype], ...]
+    bounded: tuple[tuple[int, np.dtype], ...]
+    streams: tuple[tuple[int, int, np.dtype], ...]
+    cpu: tuple[float, ...]
+
+
+def level_shape(
+    groups: CallGroups, others: list[TensorOp], machine: TCUMachine, splits: Sequence[int]
+) -> LevelShape:
+    """What :func:`price_level` charges for a planned level: a batch
+    level's (:func:`_batch_level`) calls in :func:`_dispatch_parallel`
+    order, or a sequential level's charges in the fused executor's
+    order (:func:`_sequential_calls`), then its CPU charges.  Pure: it
+    reads the level's shapes and the machine's type and row bound."""
+    cpu = _cpu_charges(others)
+    if not len(groups):
+        return LevelShape(None, (), (), (), cpu)
+    if _batch_level(groups, machine, splits):
+        return LevelShape(_batch_calls(groups, splits), (), (), (), cpu)
+    return LevelShape(None, *_sequential_calls(groups, machine), cpu)
+
+
+def price_shape(shape: LevelShape, machine: TCUMachine) -> float | None:
+    """Charge a :class:`LevelShape` to ``machine`` through its
+    shape-only entries; returns a batch level's makespan — the span its
+    tensor work advances the clock by — else ``None``."""
+    span = None
+    if shape.batch is not None:
+        span = machine.charge_mm_batch(*shape.batch)
+    for n, k, dtype in shape.grids:
+        machine.charge_mm_grid(n, k, dtype)
+    for n, dtype in shape.bounded:
+        machine.charge_mm(n, dtype)
+    for n, k, dtype in shape.streams:
+        machine.charge_mm_grid(n, k, dtype)
+    for ops in shape.cpu:
+        machine.charge_cpu(ops)
+    return span
 
 
 def price_level(
     groups: CallGroups,
     others: list[TensorOp],
     machine: TCUMachine,
-    splits: Sequence[int] | None = None,
+    splits: Sequence[int],
 ) -> float | None:
     """Charge one planned level to ``machine`` from its shapes alone.
 
@@ -1551,30 +1637,25 @@ def price_level(
     ops: a batch level (:func:`_batch_level`) is one
     :meth:`~repro.core.parallel.ParallelTCUMachine.charge_mm_batch` of
     the calls :func:`_dispatch_parallel` issues; a sequential level is
-    :func:`_price_sequential`; then each CPU op's charge in op order.
-    No operand is built and no op gets a value.  Returns the batch's
-    makespan — the span its tensor work advances the clock by — on a
-    batch level, else ``None``.
+    one ``charge_mm_grid`` per grid shape and stream bucket and one
+    ``charge_mm`` per stream the row bound splits; then each CPU op's
+    charge in op order.  No operand is built and no op gets a value.
+    Returns the batch's makespan — the span its tensor work advances
+    the clock by — on a batch level, else ``None``.
 
-    Cost-only execution of a level is this pricer plus placeholder
-    values, and :func:`~repro.core.plan_cache.compile_plan`
-    runs it on a scratch ledger per level.
+    It is :func:`price_shape` of :func:`level_shape`, so a memo keyed
+    on the shape (:func:`~repro.core.plan_cache.compile_plan`) keys
+    exactly what gets priced.  Cost-only execution of a level is this
+    pricer plus placeholder values.
     """
-    span = None
-    if len(groups):
-        if _batch_level(groups, machine, splits):
-            span = machine.charge_mm_batch(*_batch_calls(groups, splits))
-        else:
-            _price_sequential(groups, machine)
-    _price_others(others, machine)
-    return span
+    return price_shape(level_shape(groups, others, machine, splits), machine)
 
 
 def _execute_level(
     groups: CallGroups,
     others: list[TensorOp],
     machine: TCUMachine,
-    splits: Sequence[int] | None = None,
+    splits: Sequence[int],
 ) -> None:
     """Execute one planned level: its merged call groups, then its
     CPU-side ops — the unit of work :class:`ExecutionCursor` steps by.
@@ -1811,7 +1892,8 @@ def run_grid(total: TensorOp, machine: TCUMachine) -> np.ndarray:
         machine.charge_cpu(kq * kr * p * s)
         total.value = np.dot(grid.a, grid.b)
     else:
-        _execute_level(CallGroups([grid]), [total], machine)
+        groups = CallGroups([grid])
+        _execute_level(groups, [total], machine, [1] * len(groups))
     return total.value
 
 

@@ -733,6 +733,10 @@ class ServingEngine:
         self.degrade = degrade
         self.abandon = bool(abandon)
         cost_only = machine.execute == "cost-only"
+        if not (plan_cache is None or isinstance(plan_cache, (bool, PlanCache))):
+            raise ValueError(
+                f"plan_cache must be None, True, False or a PlanCache, got {plan_cache!r}"
+            )
         if plan_cache is None:
             self.plan_cache = PlanCache() if cost_only else None
         elif plan_cache is False:

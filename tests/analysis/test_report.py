@@ -106,15 +106,6 @@ class TestUtilizationTable:
         assert str(plan.splits[0][0]) in text
         assert f"{plan.modelled_makespans[0]:g}" in text
 
-    def test_legacy_plan_without_splits_renders_unchanged(self):
-        """Hand-built plans (splits=None) keep the plain report."""
-        sched = schedule_batch(np.array([8.0, 4.0, 4.0]), 2, "lpt")
-        class Legacy:
-            splits = None
-        text = utilization_table(sched, plan=Legacy())
-        assert "per-level split decisions" not in text
-        assert "makespan 8" in text
-
 
 def _served_metrics(total, *, admission="unbounded", slo=None, deadline=None):
     machine = TCUMachine(m=16, ell=512.0)

@@ -29,6 +29,7 @@ from repro.core.program import (
     ProgramError,
     TensorOp,
     _choose_level_splits,
+    _group_shapes,
     _level_makespan,
     _split_cap,
     modelled_call_cost,
@@ -483,7 +484,7 @@ class TestSearchParity:
     def test_identical_groups_level(self):
         machine = ParallelTCUMachine(m=16, ell=512.0, units=3, execute="cost-only")
         groups = [make_group(8, np.float64) for _ in range(256)]
-        chosen, span = _choose_level_splits(groups, machine)
+        chosen, span = _choose_level_splits(_group_shapes(groups), machine)
         assert chosen == reference_splits(groups, machine)
         assert span == _level_makespan(groups, chosen, machine)
         assert sum(f > 1 for f in chosen) == 1
@@ -496,7 +497,7 @@ class TestSearchParity:
             for ell in ELLS:
                 for _ in range(8):
                     groups, machine = random_level(rng, scheduler, units, ell)
-                    chosen, span = _choose_level_splits(groups, machine)
+                    chosen, span = _choose_level_splits(_group_shapes(groups), machine)
                     # the chooser's own price of its choice, bit for bit
                     assert span == _level_makespan(groups, chosen, machine)
                     assert chosen == reference_splits(groups, machine), (
@@ -522,7 +523,7 @@ class TestSearchParity:
         for level_ell, priced in ((ell, 8), (16.0, 4)):
             counts["schedule_batch"] = 0
             machine = ParallelTCUMachine(m=16, ell=level_ell, units=2)
-            chosen, _ = _choose_level_splits(groups, machine)
+            chosen, _ = _choose_level_splits(_group_shapes(groups), machine)
             assert counts["schedule_batch"] == priced
             assert chosen == reference_splits(groups, machine)
 

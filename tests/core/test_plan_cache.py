@@ -373,6 +373,20 @@ class TestPlanCache:
         with pytest.raises(ValueError, match="capacity"):
             PlanCache(capacity=0)
 
+    @pytest.mark.parametrize("bad", [2.5, True, False, "3", None, -1])
+    def test_capacity_must_be_an_integer(self, bad):
+        """A float is not truncated, a bool is not a count, and a string
+        is named rather than compared."""
+        with pytest.raises(
+            ValueError, match=r"^capacity must be an integer >= 1, got "
+        ) as err:
+            PlanCache(capacity=bad)
+        assert str(err.value).endswith(repr(bad))
+
+    def test_integer_capacities_are_kept(self):
+        assert PlanCache(capacity=np.int64(3)).capacity == 3
+        assert PlanCache(capacity=1).capacity == 1
+
     def test_clear_empties_entries_but_keeps_counters(self):
         cache = PlanCache()
         machine = TCUMachine(m=16, ell=ELL, execute="cost-only")

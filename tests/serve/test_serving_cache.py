@@ -138,6 +138,21 @@ class TestCachePolicy:
         with pytest.raises(ValueError, match="cost-only"):
             ServingEngine(machine, "continuous", plan_cache=True)
 
+    @pytest.mark.parametrize("bad", ["yes", 1, 0, 2.0, {}])
+    def test_bad_plan_cache_fails_at_construction(self, bad):
+        """Only None, True, False or a PlanCache is a plan_cache; an int
+        is refused though 1 == True and 0 == False."""
+        for machine in (
+            TCUMachine(m=16, ell=ELL, execute="cost-only"),
+            TCUMachine(m=16, ell=ELL),
+        ):
+            with pytest.raises(
+                ValueError,
+                match=r"^plan_cache must be None, True, False or a PlanCache, got ",
+            ) as err:
+                ServingEngine(machine, "continuous", plan_cache=bad)
+            assert repr(bad) in str(err.value)
+
     def test_shared_cache_keeps_machine_fingerprints_apart(self):
         cache = PlanCache()
         serial = TCUMachine(m=16, ell=ELL, execute="cost-only")
