@@ -374,7 +374,9 @@ class CostLedger:
     ``"tensor"`` — throughput *plus* latency, ``"cpu"``, ``"reload"``,
     ``"wasted"``).  It is a pure observer for telemetry
     (:meth:`repro.obs.tracer.Tracer.bind_ledger`): totals, the clock and
-    the trace are byte-identical with or without it.
+    the trace are byte-identical with or without it.  ``on_charges``,
+    when set too, takes :meth:`charge_levels`' pairs in one call — the
+    sequence ``on_charge`` would otherwise see one pair at a time.
     """
 
     trace_calls: bool | str = True
@@ -389,6 +391,9 @@ class CostLedger:
     _section_stack: list[str] = field(default_factory=list)
     _section_totals: dict[str, float] = field(default_factory=dict)
     on_charge: Callable[[str, float], None] | None = field(
+        default=None, repr=False, compare=False
+    )
+    on_charges: Callable[[Sequence[tuple[str, float]]], None] | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -523,8 +528,9 @@ class CostLedger:
         charging the levels one by one through
         :meth:`charge_tensor_totals` and :meth:`charge_cpu` gives them:
         each adds its addends left to right (adding a zero leaves a
-        non-negative float unchanged).  The trace is left to the caller,
-        which appends all the levels' calls in one
+        non-negative float unchanged); an ``on_charges`` hook gets the
+        whole ``charges`` sequence in one call instead.  The trace is
+        left to the caller, which appends all the levels' calls in one
         :meth:`record_calls_bulk`.  The deltas must already be checked
         finite and non-negative.
         """
@@ -543,7 +549,9 @@ class CostLedger:
             for _, amount in charges:
                 total += amount
             totals[name] = total
-        if self.on_charge is not None:
+        if self.on_charges is not None:
+            self.on_charges(charges)
+        elif self.on_charge is not None:
             # consume the calls at C speed: a deep plan feeds the hook
             # once per level and category, as stepping it would
             deque(starmap(self.on_charge, charges), maxlen=0)

@@ -16,7 +16,8 @@ as Chrome trace-event JSON text, which the Perfetto UI
 
 The renderer writes the text in one pass over the tracer's columnar
 stores, from one template per event kind, without building or sorting
-a dict per event.  Its contract is byte identity: the text is exactly
+a dict per event; a sampled counter's text is rebuilt only when its
+value changed.  Its contract is byte identity: the text is exactly
 what ``json.dumps(trace, sort_keys=True, separators=(",", ":"))``
 gives for the trace-event dict (sorted keys, no whitespace).  So every
 number is formatted by the JSON encoder and every string escaped by
@@ -34,10 +35,13 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import compress
 from json.encoder import encode_basestring_ascii
+from operator import is_not
 from pathlib import Path
 
 from .metrics import Histogram, MetricsRegistry
+from .sampler import Sampler
 from .spans import ObsError
 from .tracer import Tracer
 
@@ -96,6 +100,45 @@ def _numbers(column: list | tuple) -> list[str]:
 def _columns(rows: list[tuple], width: int) -> list[tuple]:
     """A columnar store's rows transposed into ``width`` columns."""
     return list(zip(*rows, strict=True)) or [()] * width
+
+
+def _counter_rows(sampler: Sampler) -> list[str]:
+    """The sampler's rows as counter events, one text per row that has
+    any key.
+
+    Each series keeps the text of its event minus the stamp — head,
+    value and name — and a row joins its series' texts with its stamp.
+    A series' text is rebuilt only when its value is not the *same
+    object* as in the previous row: most samples repeat their series'
+    previous float object, and the same object always prints the same
+    text.  Never reuse by equal value — ``0.0 == -0.0`` prints
+    differently."""
+    changed: list = []  # per row: the positions whose value object changed
+    fresh: list = []  # the values at those positions, in order
+    keys = values = None
+    for row_keys, row_values in zip(sampler.keys, sampler.values, strict=True):
+        if row_keys == keys:
+            at = list(compress(range(len(row_keys)), map(is_not, row_values, values)))
+        else:
+            at = range(len(row_keys))
+        changed.append(at)
+        fresh += map(row_values.__getitem__, at)
+        keys, values = row_keys, row_values
+    texts = iter(_numbers(fresh))
+    out: list[str] = []
+    keys = None
+    for row_keys, at, stamp in zip(
+        sampler.keys, changed, _numbers(sampler.stamps), strict=True
+    ):
+        if row_keys != keys:
+            keys = row_keys
+            tails = [_COUNTER_TAIL % _string(k) for k in keys]
+            series = [""] * len(keys)
+        for i in at:
+            series[i] = _COUNTER_HEAD + next(texts) + tails[i]
+        if series:
+            out.append((stamp + "},").join(series) + stamp + "}")
+    return out
 
 
 def _spans(events: list[str], cat: str, pid: int, *columns) -> None:
@@ -215,18 +258,8 @@ def chrome_trace_json(tracer: Tracer, *, label: str = "serve") -> str:
         )
 
     # -- metrics: counter tracks from the sampler ----------------------
-    if tracer.sampler is not None and tracer.sampler.rows:
-        stamps, snaps = _columns(tracer.sampler.rows, 2)
-        names = [n for snap in snaps for n in snap]
-        values = _numbers([v for snap in snaps for v in snap.values()])
-        row_stamps = [
-            t for t, snap in zip(_numbers(stamps), snaps, strict=True) for _ in snap
-        ]
-        tails = {n: _COUNTER_TAIL % _string(n) for n in set(names)}
-        events += [
-            _COUNTER_HEAD + v + tails[n] + t + "}"
-            for n, v, t in zip(names, values, row_stamps, strict=True)
-        ]
+    if tracer.sampler is not None:
+        events += _counter_rows(tracer.sampler)
 
     meta = [
         _META % (_string(f"{label}: {pname}"), "process_name", pid, 0)

@@ -66,8 +66,11 @@ class Counter(_Metric):
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ObsError(f"counter {self.full_name} cannot decrease by {amount}")
+        if not amount >= 0:
+            if amount < 0:
+                raise ObsError(f"counter {self.full_name} cannot decrease by {amount}")
+            # NaN: a monotonic counter would read NaN from here on
+            raise ObsError(f"counter {self.full_name} cannot add {amount!r}")
         self.value += amount
 
 
@@ -127,6 +130,8 @@ class Histogram(_Metric):
         self.count = 0
 
     def observe(self, value: float) -> None:
+        if value != value:
+            self._reject_nan(value)
         self.counts[bisect_left(self.bounds, value)] += 1
         self.sum += value
         self.count += 1
@@ -138,13 +143,21 @@ class Histogram(_Metric):
         arr = np.asarray(values, dtype=float)
         if arr.size == 0:
             return
+        total = float(arr.sum())
+        if total != total and np.isnan(arr).any():  # a NaN sum: NaN, or inf - inf
+            self._reject_nan(arr[np.isnan(arr)][0])
         bins = np.bincount(
             np.searchsorted(self.bounds, arr, side="left"),
             minlength=len(self.counts),
         )
         self.counts = [c + int(b) for c, b in zip(self.counts, bins, strict=True)]
-        self.sum += float(arr.sum())
+        self.sum += total
         self.count += arr.size
+
+    def _reject_nan(self, value: float) -> None:
+        # NaN has no bucket (bisect and searchsorted disagree on where it
+        # goes) and would poison ``sum`` for good
+        raise ObsError(f"histogram {self.full_name} cannot observe {float(value)!r}")
 
     def quantile(self, q: float) -> float:
         """Bucket-resolution quantile (the upper bound of the bucket the
@@ -169,16 +182,22 @@ class MetricsRegistry:
     an existing full name returns the live instance (so instrumented
     code never needs to thread metric handles around), but re-requesting
     it as a *different* type is an :class:`ObsError`.
+
+    The scrape order (:meth:`scrape`) is computed once per set of
+    registered metrics and reused until the next registration.
     """
 
     def __init__(self) -> None:
         self._metrics: dict[str, _Metric] = {}
+        # (sorted metrics, scrape keys); None after a registration
+        self._order: tuple[tuple[_Metric, ...], tuple[str, ...]] | None = None
 
     # -- registration --------------------------------------------------
     def _get_or_create(self, cls: type, key: str, factory) -> _Metric:
         metric = self._metrics.get(key)
         if metric is None:
             metric = self._metrics[key] = factory()
+            self._order = None
         elif not isinstance(metric, cls):
             raise ObsError(
                 f"metric {key!r} already registered as {metric.kind}, "
@@ -232,18 +251,38 @@ class MetricsRegistry:
         return len(self._metrics)
 
     def __iter__(self):
-        for key in sorted(self._metrics):
-            yield self._metrics[key]
+        return iter(self._scrape_order()[0])
+
+    def _scrape_order(self) -> tuple[tuple[_Metric, ...], tuple[str, ...]]:
+        order = self._order
+        if order is None:
+            metrics = tuple(self._metrics[key] for key in sorted(self._metrics))
+            keys: list[str] = []
+            for metric in metrics:
+                if isinstance(metric, Histogram):
+                    keys += (metric.full_name + "_count", metric.full_name + "_sum")
+                else:
+                    keys.append(metric.full_name)
+            order = self._order = (metrics, tuple(keys))
+        return order
+
+    def scrape(self) -> tuple[tuple[str, ...], tuple[float, ...]]:
+        """Every metric's scalar value, as ``(keys, values)`` in
+        :meth:`snapshot` order.  ``keys`` is the same tuple object on
+        every scrape until a metric is registered, so a stream of
+        scrapes shares one key tuple per set of registered metrics."""
+        metrics, keys = self._scrape_order()
+        values: list[float] = []
+        for metric in metrics:
+            if isinstance(metric, Histogram):
+                values += (float(metric.count), metric.sum)
+            else:
+                values.append(metric.value)  # type: ignore[attr-defined]
+        return keys, tuple(values)
 
     def snapshot(self) -> dict[str, float]:
         """Scalar view of every metric, keyed by full name (histograms
         contribute ``_count`` and ``_sum``).  Key order is sorted, so a
         snapshot stream serialises deterministically."""
-        out: dict[str, float] = {}
-        for metric in self:
-            if isinstance(metric, Histogram):
-                out[metric.full_name + "_count"] = float(metric.count)
-                out[metric.full_name + "_sum"] = metric.sum
-            else:
-                out[metric.full_name] = metric.value  # type: ignore[attr-defined]
-        return out
+        return dict(zip(*self.scrape(), strict=True))
+

@@ -16,6 +16,7 @@ deterministic.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
@@ -29,19 +30,32 @@ __all__ = ["Sampler", "SloBurnMonitor"]
 class Sampler:
     """Snapshot a :class:`MetricsRegistry` on a fixed simulated-time grid.
 
-    ``every`` is the grid pitch.  The engine calls :meth:`due` (cheap)
-    on every event and :meth:`sample` when it returns true; sampling at
-    clock ``t`` records ``(t, registry.snapshot())`` and advances the
-    next grid point past ``t``.  Event-driven scraping means sample
+    ``every`` is the grid pitch (positive and finite); the grid points
+    are ``k * every`` for ``k = 0, 1, 2, ...``.  The engine calls
+    :meth:`due` (cheap) on every event and :meth:`sample` when it
+    returns true; sampling at clock ``t`` records a registry scrape and
+    moves the next grid point to the first one after ``t``, in O(1)
+    however far the clock jumped.  Event-driven scraping means sample
     times land *on events*, never between them — there is nothing to
     observe while the model clock is not advancing.
+
+    Samples are stored as columns: :attr:`stamps`, :attr:`keys` (one
+    key tuple per row, the *same* tuple object for every row scraped
+    from the same set of registered metrics) and :attr:`values` (one
+    value tuple per row, aligned with its keys).  :attr:`rows` and
+    :meth:`series` read them back as ``(ts, {name: value})`` rows.
     """
 
     def __init__(self, every: float) -> None:
+        if not math.isfinite(every):
+            raise ObsError(f"sample interval must be finite, got {every!r}")
         if every <= 0:
             raise ObsError(f"sample interval must be positive, got {every}")
         self.every = float(every)
-        self.rows: list[tuple[float, dict[str, float]]] = []
+        self.stamps: list[float] = []
+        self.keys: list[tuple[str, ...]] = []
+        self.values: list[tuple[float, ...]] = []
+        self._k = 0  # the next grid point is self._k * every
         self._next = 0.0
 
     def due(self, clock: float) -> bool:
@@ -52,22 +66,50 @@ class Sampler:
     ) -> None:
         if not force and ts < self._next:
             return
-        self.rows.append((ts, registry.snapshot()))
-        nxt = self._next
-        while nxt <= ts:
-            nxt += self.every
-        self._next = nxt
+        keys, values = registry.scrape()
+        self.stamps.append(ts)
+        self.keys.append(keys)
+        self.values.append(values)
+        if ts >= self._next:
+            # the first grid point after ts: usually the next one; after a
+            # clock jump, ts / every rounded, so its floor may be one off
+            # near a grid point and one step each way corrects it.  For an
+            # integer-valued pitch every grid point below 2**53 is exact,
+            # as repeated addition of the pitch would give it
+            every = self.every
+            k = self._k + 1
+            if k * every <= ts:
+                k = math.floor(ts / every) + 1
+                if (k - 1) * every > ts:
+                    k -= 1
+                elif k * every <= ts:
+                    k += 1
+            self._k = k
+            self._next = k * every
 
     # -- analysis ------------------------------------------------------
+    @property
+    def rows(self) -> list[tuple[float, dict[str, float]]]:
+        """The samples as ``(ts, {full name: value})`` rows, built on
+        each read."""
+        return [
+            (ts, dict(zip(keys, values, strict=True)))
+            for ts, keys, values in zip(self.stamps, self.keys, self.values, strict=True)
+        ]
+
     def series(self, full_name: str) -> tuple[np.ndarray, np.ndarray]:
         """``(times, values)`` columns for one metric (missing samples —
         before the metric existed — read 0)."""
-        times = np.fromiter((t for t, _ in self.rows), float, len(self.rows))
-        values = np.fromiter(
-            (snap.get(full_name, 0.0) for _, snap in self.rows),
-            float,
-            len(self.rows),
-        )
+        times = np.fromiter(self.stamps, float, len(self.stamps))
+        values = np.zeros(len(self.stamps))
+        keys: tuple[str, ...] | None = None
+        at = None
+        for j, (row_keys, row) in enumerate(zip(self.keys, self.values, strict=True)):
+            if row_keys is not keys:  # the key tuple changes only on registration
+                keys = row_keys
+                at = keys.index(full_name) if full_name in keys else None
+            if at is not None:
+                values[j] = row[at]
         return times, values
 
     def windowed_rate(

@@ -8,8 +8,12 @@ seed)``: two replays produce byte-identical exports.  With
 ``tracer=None`` (the default) the engine takes the exact untraced code
 path, bit-identical to previous revisions.
 
-Hot-path design: emission methods append small tuples to per-category
-lists (requests, segments, levels, batch rows, waits, instants…).
+Hot-path design: emission methods append one small tuple per event
+(levels, waits, instants…), and the costs scale with batches, not
+requests: a completed batch is one :meth:`batch_done` call and one
+tuple holding its last segment, its batch row and its requests, and the
+:attr:`requests`, :attr:`segments` and :attr:`batch_rows` rows are built
+only when read.
 Nothing is formatted, no objects are built, and no clock is *computed*
 — callers pass timestamps they already hold (the ``OBS001`` lint rule
 enforces that those are names bound from the ledger clock, not
@@ -42,6 +46,7 @@ accounting identity ``total = useful + wasted + reload``.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from .metrics import MetricsRegistry
@@ -50,6 +55,7 @@ from .spans import Instant, ObsError, Span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..core.ledger import CostLedger
+    from ..serve.workload import Request
 
 __all__ = ["Tracer"]
 
@@ -95,18 +101,63 @@ class Tracer:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.sampler = Sampler(sample_every) if sample_every is not None else None
         self.monitors = tuple(monitors)
-        # columnar event stores — one tuple append per event
-        self.requests: list[tuple] = []  # (rid, kind, prio, outcome, arrival, launch, finish, batch, met)
-        self.segments: list[tuple] = []  # (batch, kind, prio, start, dur)
+        # columnar event stores — one tuple append per event.  The log
+        # holds, in emission order, segment rows (5 fields), request rows
+        # (9) and completed batches (12: batch, kind, prio, requests,
+        # launch, finish, service, reload, wasted, faults, start, dur),
+        # which the segments, requests and batch_rows views expand
+        self._log: list[tuple] = []
         self.levels: list[tuple] = []  # (batch, level, units, start, end)
-        self.batch_rows: list[tuple] = []  # (batch, kind, prio, size, launch, finish, service, reload, wasted, faults)
         self.waits: list[tuple] = []  # (batch, kind, prio, start, end)
         self.downs: list[tuple] = []  # (start, end)
         self.reloads: list[tuple] = []  # (batch, ts, amount)
         self.instants: list[tuple] = []  # (name, ts, batch, detail)
         self.alerts: list[tuple] = []  # (monitor, state, ts, burn, attainment)
-        # (totals, counters) while a samplerless ledger hook is bound
-        self._pending_charges: tuple[dict, dict] | None = None
+
+    # -- row views (built on each read) ---------------------------------
+    @property
+    def requests(self) -> list[tuple]:
+        """One row per request, in emission order: ``(rid, kind, prio,
+        outcome, arrival, launch, finish, batch, met)``.  A completed
+        batch's done rows are read off the :class:`Request` objects that
+        :meth:`batch_done` holds, on every read: the engine does not
+        touch them once they complete, and they must not be changed
+        after that (nor served again) while these rows are wanted."""
+        rows: list[tuple] = []
+        for entry in self._log:
+            if len(entry) == 9:
+                rows.append(entry)
+            elif len(entry) == 12:
+                batch, finish = entry[0], entry[5]
+                rows += [
+                    (
+                        req.rid, req.kind, req.priority, "done", req.arrival,
+                        req.launch, finish, batch,
+                        None if req.slo is None else finish - req.arrival <= req.slo,
+                    )
+                    for req in entry[3]
+                ]
+        return rows
+
+    @property
+    def segments(self) -> list[tuple]:
+        """One row per execution segment, in emission order: ``(batch,
+        kind, prio, start, dur)``."""
+        return [
+            entry if len(entry) == 5 else (*entry[:3], entry[10], entry[11])
+            for entry in self._log
+            if len(entry) != 9
+        ]
+
+    @property
+    def batch_rows(self) -> list[tuple]:
+        """One row per completed batch: ``(batch, kind, prio, size,
+        launch, finish, service, reload, wasted, faults)``."""
+        return [
+            (*entry[:3], len(entry[3]), *entry[4:10])
+            for entry in self._log
+            if len(entry) == 12
+        ]
 
     # -- request lifecycle --------------------------------------------
     def request_done(
@@ -121,14 +172,14 @@ class Tracer:
         ts: float,
         met: bool | None = None,
     ) -> None:
-        self.requests.append(
+        self._log.append(
             (rid, kind, priority, "done", arrival, launch, ts, batch, met)
         )
 
     def request_shed(
         self, rid: int, kind: str, priority: int, arrival: float, *, ts: float
     ) -> None:
-        self.requests.append(
+        self._log.append(
             (rid, kind, priority, "shed", arrival, math.nan, ts, -1, None)
         )
 
@@ -143,7 +194,7 @@ class Tracer:
         *,
         ts: float,
     ) -> None:
-        self.requests.append(
+        self._log.append(
             (rid, kind, priority, "abandoned", arrival, launch, ts, batch, None)
         )
 
@@ -151,7 +202,7 @@ class Tracer:
     def segment(
         self, batch: int, kind: str, priority: int, *, start: float, dur: float
     ) -> None:
-        self.segments.append((batch, kind, priority, start, dur))
+        self._log.append((batch, kind, priority, start, dur))
 
     def level_span(
         self,
@@ -169,17 +220,26 @@ class Tracer:
         batch: int,
         kind: str,
         priority: int,
-        size: int,
+        requests: Sequence[Request],
         service: float,
         reload: float,
         wasted: float,
         faults: int,
         *,
         launch: float,
+        start: float,
+        dur: float,
         ts: float,
     ) -> None:
-        self.batch_rows.append(
-            (batch, kind, priority, size, launch, ts, service, reload, wasted, faults)
+        """Record a completed batch as one entry: its last execution
+        segment (``start``, ``dur``), its batch row and the done rows of
+        its ``requests`` (finished at ``ts``).  The tracer holds the
+        ``requests`` themselves, not a copy, and reads their rows off
+        them when :attr:`requests` is read: they must not change after
+        completion."""
+        self._log.append(
+            (batch, kind, priority, requests, launch, ts, service, reload,
+             wasted, faults, start, dur)
         )
 
     # -- faults -------------------------------------------------------
@@ -221,8 +281,14 @@ class Tracer:
     def bind_ledger(self, ledger: CostLedger) -> None:
         """Mirror the ledger's charge stream into registry counters
         (``ledger_tensor_time``, ``ledger_cpu_time``, …).  The hook only
-        observes — charges and clock are untouched."""
-        if ledger.on_charge is not None:
+        observes — charges and clock are untouched.
+
+        Each counter adds its charges one by one, left to right, as one
+        ``on_charge`` call per charge would; a replayed plan hands its
+        whole charge sequence over in one ``on_charges`` call, folded in
+        one loop.  Never fold with ``sum()``: Python 3.12 compensates
+        it, so its last bits differ from left-to-right addition."""
+        if ledger.on_charge is not None or ledger.on_charges is not None:
             raise ObsError("ledger already carries a charge hook")
         counters = {
             cat: self.registry.counter(
@@ -230,32 +296,19 @@ class Tracer:
             )
             for cat in _CHARGE_CATEGORIES
         }
-        if self.sampler is None:
-            # nobody reads the counters mid-run without a sampler, so
-            # accumulate in a plain dict and flush on unbind — same
-            # sequential addition order, so the flushed values are
-            # bit-identical to per-charge counter updates
-            totals = dict.fromkeys(_CHARGE_CATEGORIES, 0.0)
 
-            def hook(category: str, amount: float, _t=totals) -> None:
-                _t[category] += amount
+        def hook(category: str, amount: float, _c=counters) -> None:
+            _c[category].value += amount
 
-            self._pending_charges = (totals, counters)
-        else:
-
-            def hook(category: str, amount: float, _c=counters) -> None:
+        def bulk(charges: Sequence[tuple[str, float]], _c=counters) -> None:
+            for category, amount in charges:
                 _c[category].value += amount
 
-            self._pending_charges = None
         ledger.on_charge = hook
+        ledger.on_charges = bulk
 
     def unbind_ledger(self, ledger: CostLedger) -> None:
-        ledger.on_charge = None
-        if self._pending_charges is not None:
-            totals, counters = self._pending_charges
-            for cat, amount in totals.items():
-                counters[cat].value += amount
-            self._pending_charges = None
+        ledger.on_charge = ledger.on_charges = None
 
     # -- reconciliation -----------------------------------------------
     def exec_time(self) -> float:

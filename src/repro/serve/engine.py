@@ -845,19 +845,30 @@ class ServingEngine:
                 tuple(10.0**k for k in range(-3, 10)),
                 "end-to-end request latency (model time)",
             )
-            slo_stats: dict[int, list[int]] = {}  # priority -> [hits, total]
+            # priority -> [hits, total, slo_attainment gauge]
+            slo_stats: dict[int, list] = {}
             full_trace = ledger.trace_calls is True
-            # the per-request completion loop is the one traced path that
-            # scales with the stream, not with batches/faults: pre-bind
-            # its callees and append request rows directly in the
-            # tracer's documented tuple layout
+            # a completed batch records its requests in one tracer call;
+            # only the latency histogram (sampled runs) and the SLO
+            # monitors need each request as it completes
+            per_request = sampling or bool(tr.monitors)
             observe_latency = h_latency.observe
-            request_rows_append = tr.requests.append
 
         def note_availability() -> None:
             entered = len(finished) + len(abandoned)
             if entered:
                 g_avail.set(len(finished) / entered)
+
+        def note_slo(priority: int, met: bool) -> list:
+            """Count one SLO outcome of ``priority``'s class; returns
+            its ``[hits, total, slo_attainment gauge]``."""
+            stats = slo_stats.get(priority)
+            if stats is None:
+                gauge = reg.gauge("slo_attainment", labels={"class": str(priority)})
+                stats = slo_stats[priority] = [0, 0, gauge]
+            stats[0] += met
+            stats[1] += 1
+            return stats
 
         def pump(limit: int, until: float = math.inf) -> float:
             """The arrival event: admit or shed, in time order, up to
@@ -899,10 +910,9 @@ class ServingEngine:
                     queue = queues[key] = deque()
                 if admit(req, queue, arrival):
                     queue.append(req)
-                    if tracing:
+                    if sampling:
                         queued_now += 1
-                        if sampling:
-                            g_queue.set(queued_now)
+                        g_queue.set(queued_now)
                 else:
                     shed.append(req)
                     if tracing:
@@ -1012,8 +1022,8 @@ class ServingEngine:
                     mark = len(ledger.calls)
                     lo = run.trace_mark
                     if mark > lo:
-                        lane_ids = ledger.calls.unit_ids()[lo:mark]
-                        units = tuple(np.unique(lane_ids).tolist())
+                        lane_ids = ledger.calls.unit_ids()[lo:mark].tolist()
+                        units = tuple(sorted(set(lane_ids)))
                     run.trace_mark = mark
                 tr.level_span(run.index, level, units, start=lvl_start, end=lvl_end)
 
@@ -1026,11 +1036,10 @@ class ServingEngine:
             batch = policy.take(queues[key], clock)
             if not batch:
                 raise ServeError(f"policy {policy.name!r} released an empty batch")
-            if tracing:
+            if sampling:
                 nonlocal queued_now
                 queued_now -= len(batch)
-                if sampling:
-                    g_queue.set(queued_now)
+                g_queue.set(queued_now)
             if self.abandon:
                 live: list[Request] = []
                 for req in batch:
@@ -1146,29 +1155,29 @@ class ServingEngine:
         def advance(run: _Run) -> None:
             exec_unit(run)
 
-        def close_segment(run: _Run) -> None:
+        def close_segment(run: _Run) -> float:
+            """End the running segment; returns its span.  A traced run
+            records the span as the segment's duration — the exact float
+            folded into busy_time here, in the same order, so trace
+            segments sum to the run's busy time bit-exactly."""
             nonlocal busy_time
             span = ledger.clock - run.seg_base
             run.service += span
             run.attempt_span += span
             busy_time += span
-            if tracing:
-                # the exact float close_segment just folded into
-                # busy_time, in the same order: trace segments sum to
-                # the run's busy time bit-exactly
-                tr.segment(
-                    run.index, run.kind, run.priority,
-                    start=run.seg_clock, dur=span,
-                )
+            return span
 
         def suspend(run: _Run) -> None:
             nonlocal running, preemptions_total
-            close_segment(run)
+            span = close_segment(run)
             run.preemptions += 1
             preemptions_total += 1
             suspended.append(run)
             running = None
             if tracing:
+                tr.segment(
+                    run.index, run.kind, run.priority, start=run.seg_clock, dur=span
+                )
                 c_preempt.inc()
                 if sampling:
                     g_inflight.set(0)
@@ -1207,7 +1216,7 @@ class ServingEngine:
             nonlocal running
             fkind = run.pending_fail
             run.pending_fail = None
-            close_segment(run)
+            span = close_segment(run)
             run.faults += 1
             if math.isnan(run.first_failure):
                 run.first_failure = clock
@@ -1217,6 +1226,9 @@ class ServingEngine:
             fault_events.append(FaultEvent(fkind, run.index, level, attempt, clock))
             running = None
             if tracing:
+                tr.segment(
+                    run.index, run.kind, run.priority, start=run.seg_clock, dur=span
+                )
                 c_faults.inc()
                 if sampling:
                     g_inflight.set(0)
@@ -1258,7 +1270,7 @@ class ServingEngine:
 
         def complete(run: _Run) -> None:
             nonlocal running, completion_clock
-            close_segment(run)
+            span = close_segment(run)
             finish = run.boundary
             completion_clock = max(completion_clock, finish)
             spans = (
@@ -1294,32 +1306,24 @@ class ServingEngine:
                         heapq.heappush(injected, (new.arrival, next(seq), new))
             running = None
             if tracing:
-                c_completed.inc(len(run.requests))
+                c_completed.value += len(requests)  # a count: never negative
                 if sampling:
                     g_inflight.set(0)
-                for req in run.requests:
-                    latency = finish - req.arrival
-                    if sampling:
-                        observe_latency(latency)
-                    met = None if req.slo is None else latency <= req.slo
-                    request_rows_append(
-                        (req.rid, req.kind, req.priority, "done",
-                         req.arrival, req.launch, finish, run.index, met)
-                    )
-                    if met is not None:
-                        tr.observe_slo(req.priority, met, ts=finish)
-                        stats = slo_stats.setdefault(req.priority, [0, 0])
-                        stats[0] += met
-                        stats[1] += 1
+                if per_request:
+                    for req in requests:
+                        latency = finish - req.arrival
                         if sampling:
-                            reg.gauge(
-                                "slo_attainment",
-                                labels={"class": str(req.priority)},
-                            ).set(stats[0] / stats[1])
+                            observe_latency(latency)
+                        if req.slo is not None:
+                            met = latency <= req.slo
+                            tr.observe_slo(req.priority, met, ts=finish)
+                            if sampling:
+                                hits, total, gauge = note_slo(req.priority, met)
+                                gauge.set(hits / total)
                 tr.batch_done(
-                    run.index, run.kind, run.priority, len(run.requests),
+                    run.index, run.kind, run.priority, requests,
                     run.service, run.reload, run.wasted, run.faults,
-                    launch=run.launch, ts=finish,
+                    launch=run.launch, start=run.seg_clock, dur=span, ts=finish,
                 )
                 if sampling:
                     note_availability()
@@ -1439,7 +1443,8 @@ class ServingEngine:
             h_latency.observe_many(
                 [req.completion - req.arrival for req in finished]
             )
-            g_queue.set(queued_now)
+            # the serve loop ends only once every class queue is empty
+            g_queue.set(0)
             g_inflight.set(0)
             note_availability()
             if cache is not None:
@@ -1449,10 +1454,11 @@ class ServingEngine:
                 )
                 if lookups:
                     g_cache.set((cache.hits - cache_hits_start) / lookups)
-            for priority, stats in slo_stats.items():
-                reg.gauge(
-                    "slo_attainment", labels={"class": str(priority)}
-                ).set(stats[0] / stats[1])
+            for req in finished:
+                if req.slo is not None:
+                    note_slo(req.priority, req.completion - req.arrival <= req.slo)
+            for hits, total, gauge in slo_stats.values():
+                gauge.set(hits / total)
 
         result = ServeResult(
             requests=finished,

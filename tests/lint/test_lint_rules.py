@@ -287,6 +287,17 @@ class TestOBS001:
         )
         assert findings == []
 
+    def test_fires_on_the_per_batch_emission(self):
+        """A completed batch's request rows are recorded by one
+        ``batch_done`` call whose ``ts`` the rule must see."""
+        findings = lint_fixture(
+            "obs001_batch_done.py", "repro.serve.fixture", select=["OBS001"]
+        )
+        fired = active(findings, "OBS001")
+        assert len(fired) == 1
+        assert "tr.batch_done(ts=...)" in fired[0].message
+        assert "inline arithmetic" in fired[0].message
+
 
 # ----------------------------------------------------------------------
 # registry idiom of the lint package itself

@@ -156,15 +156,17 @@ def _tracer(*, segments=(), waits=(), levels=(), requests=(), instants=(),
     """A tracer whose stores are filled directly (``sampler_rows=None``:
     no sampler)."""
     tracer = Tracer()
-    tracer.segments = list(segments)
+    tracer._log = [*segments, *requests]
     tracer.waits = list(waits)
     tracer.levels = list(levels)
-    tracer.requests = list(requests)
     tracer.instants = list(instants)
     tracer.downs = list(downs)
     if sampler_rows is not None:
-        tracer.sampler = Sampler(1.0)
-        tracer.sampler.rows = list(sampler_rows)
+        tracer.sampler = sampler = Sampler(1.0)
+        for ts, snap in sampler_rows:
+            sampler.stamps.append(ts)
+            sampler.keys.append(tuple(snap))
+            sampler.values.append(tuple(snap.values()))
     return tracer
 
 
@@ -222,6 +224,73 @@ def tracers(draw):
             )
         ),
     )
+
+
+# values a registry stream may carry: the same object again, an equal
+# but distinct object (parsed anew), 0.0 next to -0.0, NaN and infinities
+SHARED = [0.0, -0.0, 0.1, 1.5, 1e16, 5e-324, math.nan, math.inf, -math.inf]
+VALUE = st.one_of(
+    st.sampled_from(SHARED),
+    st.sampled_from(SHARED).map(lambda v: float(repr(v))),
+    st.floats(),
+)
+GAUGES = [("queue_depth", None), ("slo", {"class": '2"%s\\'}), ("slo", {"class": "%d"})]
+
+
+def _stream_tracer(pitch, ops):
+    """A tracer whose registry is driven through ``ops`` and sampled on
+    ``pitch``: metrics registered mid-run change the key set."""
+    tracer = Tracer(sample_every=pitch)
+    reg, sampler = tracer.registry, tracer.sampler
+    for op, *args in ops:
+        if op == "gauge":
+            (name, labels), value = GAUGES[args[0]], args[1]
+            reg.gauge(name, labels=labels).set(value)
+        elif op == "counter":
+            reg.counter(f"c{args[0]}").inc(args[1])
+        elif op == "histogram":
+            reg.histogram("latency", (1.0, 10.0)).observe(args[0])
+        else:
+            ts, force = args
+            if force or sampler.due(ts):
+                sampler.sample(reg, ts=ts, force=force)
+    return tracer
+
+
+OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("gauge"), st.integers(0, len(GAUGES) - 1), VALUE),
+        st.tuples(st.just("counter"), st.integers(0, 2), st.sampled_from([0.0, 1.0, 0.1, 1e16])),
+        st.tuples(st.just("histogram"), st.sampled_from([0.5, 5.0, 50.0, math.inf])),
+        st.tuples(st.just("sample"), st.floats(0.0, 1e7), st.booleans()),
+    ),
+    max_size=40,
+)
+
+
+class TestCounterExport:
+    """The sampler's counter events: one template per key set, and one
+    text per distinct value *object* — never per equal value."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(pitch=st.sampled_from([1.0, 1e5, 0.3]), ops=OPS)
+    def test_generated_registry_streams(self, pitch, ops):
+        tracer = _stream_tracer(pitch, ops)
+        assert chrome_trace_json(tracer) == _reference_json(tracer)
+
+    def test_value_objects_and_signed_zeros(self):
+        zero, again = 0.0, float("0.0")
+        ops = [("gauge", 0, zero), ("sample", 0.0, True)]
+        values = (-0.0, zero, again, math.nan, math.nan, float("nan"), math.inf, -math.inf, zero)
+        for value in values:
+            ops += [("gauge", 0, value), ("counter", 0, 0.0), ("sample", 1.0, True)]
+        ops += [("gauge", 1, -0.0), ("sample", 2.0, True), ("gauge", 1, 0.0), ("sample", 3.0, True)]
+        tracer = _stream_tracer(1.0, ops)
+        text = chrome_trace_json(tracer)
+        assert text == _reference_json(tracer)
+        counters = [e for e in json.loads(text)["traceEvents"] if e["ph"] == "C"]
+        depth = [e["args"]["value"] for e in counters if e["name"] == "queue_depth"]
+        assert [math.copysign(1.0, v) for v in depth[:4]] == [1.0, -1.0, 1.0, 1.0]
 
 
 class TestRendererMatchesReference:

@@ -1,7 +1,10 @@
 """Unit tests for the metrics registry, sampler and burn-rate monitor."""
 
 import math
+import signal
+from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from repro.obs import (
@@ -32,6 +35,13 @@ class TestCounter:
         with pytest.raises(ObsError, match="invalid metric name"):
             Counter("bad name!")
 
+    def test_rejects_nan_increment(self):
+        c = Counter("requests_total")
+        c.inc(2.0)
+        with pytest.raises(ObsError, match=r"requests_total cannot add nan"):
+            c.inc(math.nan)
+        assert c.value == 2.0
+
 
 class TestGauge:
     def test_set_inc_dec(self):
@@ -40,6 +50,11 @@ class TestGauge:
         g.inc(2)
         g.dec(3)
         assert g.value == 4.0
+
+    def test_may_hold_nan(self):
+        g = Gauge("cache_hit_rate")
+        g.set(math.nan)
+        assert math.isnan(g.value)
 
 
 class TestHistogram:
@@ -65,6 +80,27 @@ class TestHistogram:
         h = Histogram("latency", bounds=(1.0,))
         with pytest.raises(ObsError, match="outside"):
             h.quantile(1.5)
+
+    def test_rejects_nan_observations(self):
+        """NaN has no bucket: observe() filed it under the smallest and
+        observe_many() under +Inf, and both poisoned ``sum``."""
+        h = Histogram("latency", bounds=(1.0, 10.0), labels={"class": "2"})
+        h.observe(5.0)
+        with pytest.raises(ObsError, match=r'latency\{class="2"\} cannot observe nan'):
+            h.observe(math.nan)
+        with pytest.raises(ObsError, match="cannot observe nan"):
+            h.observe_many([0.5, math.nan, 50.0])
+        with pytest.raises(ObsError, match="cannot observe nan"):
+            h.observe_many(np.array([math.nan]))
+        assert (h.counts, h.count, h.sum) == ([0, 1, 0], 1, 5.0)
+
+    def test_observe_many_matches_observe(self):
+        values = [0.5, 1.0, 5.0, 10.0, 11.0, math.inf]
+        one, many = Histogram("a", bounds=(1.0, 10.0)), Histogram("a", bounds=(1.0, 10.0))
+        for v in values:
+            one.observe(v)
+        many.observe_many(values)
+        assert (one.counts, one.count, one.sum) == (many.counts, many.count, many.sum)
 
 
 class TestRegistry:
@@ -104,6 +140,50 @@ class TestRegistry:
         snap = reg.snapshot()
         assert list(snap) == ["a", "b", "c_count", "c_sum"]
         assert snap["c_count"] == 1.0 and snap["c_sum"] == 0.5
+
+    def test_scrape_order_is_cached_until_a_registration(self):
+        reg = MetricsRegistry()
+        c = reg.counter("b")
+        keys, values = reg.scrape()
+        c.inc(3)
+        again, values_again = reg.scrape()
+        assert again is keys and values == (0.0,) and values_again == (3.0,)
+        reg.counter("b")  # an existing metric registers nothing
+        assert reg.scrape()[0] is keys
+        reg.histogram("a", bounds=(1.0,)).observe(2.0)
+        keys, values = reg.scrape()
+        assert keys == ("a_count", "a_sum", "b") and values == (1.0, 2.0, 3.0)
+        assert [m.full_name for m in reg] == ["a", "b"]
+        assert reg.snapshot() == {"a_count": 1.0, "a_sum": 2.0, "b": 3.0}
+
+
+@contextmanager
+def _deadline(seconds: float):
+    """Fail the block with TimeoutError after ``seconds`` of wall time."""
+    if not hasattr(signal, "setitimer"):
+        pytest.skip("needs SIGALRM")
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _added_grid(every: float, stamps) -> list[float]:
+    """The grid a sampler walks by adding its pitch one step at a time."""
+    out, nxt = [], 0.0
+    for ts in stamps:
+        if ts >= nxt:
+            out.append(ts)
+            while nxt <= ts:
+                nxt += every
+    return out
 
 
 class TestSampler:
@@ -146,6 +226,57 @@ class TestSampler:
         s = Sampler(1.0)
         with pytest.raises(ObsError, match="positive"):
             s.windowed_rate("x", window=0.0)
+
+    @pytest.mark.parametrize("every", [math.nan, math.inf, -math.inf])
+    def test_non_finite_pitch_rejected(self, every):
+        # Sampler(nan) sampled once and never again; Sampler(inf) was taken
+        with pytest.raises(ObsError, match=f"finite, got {every!r}"):
+            Sampler(every)
+
+    def test_clock_jump_advances_the_grid_in_constant_time(self):
+        reg = MetricsRegistry()
+        s = Sampler(1.0)
+        with _deadline(2.0):
+            s.sample(reg, ts=0.0)
+            s.sample(reg, ts=1e12)
+        assert s.stamps == [0.0, 1e12]
+        assert not s.due(1e12) and s.due(1e12 + 1.0)
+
+    @pytest.mark.parametrize("every", [2e5, 5e4, 100.0, 10.0, 1.0, 3.0])
+    def test_integer_pitch_grid_is_unchanged(self, every):
+        rng = np.random.default_rng(int(every))
+        stamps = np.cumsum(rng.exponential(every * 0.7, 400)).tolist()
+        stamps += [stamps[-1] + every * k for k in (1, 2, 2.5, 1e6)]
+        reg = MetricsRegistry()
+        s = Sampler(every)
+        for ts in stamps:
+            if s.due(ts):
+                s.sample(reg, ts=ts)
+        assert [t for t, _ in s.rows] == _added_grid(every, stamps)
+
+    def test_fractional_pitch_grid_is_multiples_of_the_pitch(self):
+        # ten additions of 0.1 give 0.9999999999999999; the grid point
+        # is 10 * 0.1 == 1.0, rounded once
+        reg = MetricsRegistry()
+        s = Sampler(0.1)
+        s.sample(reg, ts=0.95)
+        assert not s.due(0.9999999999999999)
+        assert s.due(1.0)
+
+    def test_rows_and_series_read_the_columns(self):
+        reg = MetricsRegistry()
+        c = reg.counter("n")
+        s = Sampler(1.0)
+        c.inc()
+        s.sample(reg, ts=0.0)
+        reg.gauge("a").set(7)
+        c.inc()
+        s.sample(reg, ts=1.0)
+        assert s.rows == [(0.0, {"n": 1.0}), (1.0, {"a": 7.0, "n": 2.0})]
+        times, values = s.series("a")
+        assert times.tolist() == [0.0, 1.0] and values.tolist() == [0.0, 7.0]
+        # "n" moves from index 0 to 1 when "a" is registered
+        assert s.series("n")[1].tolist() == [1.0, 2.0]
 
 
 class TestSloBurnMonitor:

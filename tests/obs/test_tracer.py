@@ -9,15 +9,25 @@ records must reconcile against the engine's accounting bit-exactly
 byte-identical Chrome trace JSON.
 """
 
+import hashlib
+
 import pytest
 
 from repro.analysis.report import trace_table
 from repro.core.machine import TCUMachine
 from repro.core.parallel import ParallelTCUMachine
 from repro.core.presets import TPU_V1
-from repro.obs import ObsError, SloBurnMonitor, Tracer, chrome_trace_json
+from repro.obs import (
+    MetricsRegistry,
+    ObsError,
+    SloBurnMonitor,
+    Tracer,
+    chrome_trace_json,
+)
 from repro.serve import (
+    MixedWorkload,
     PoissonWorkload,
+    QueueCapAdmission,
     ServingEngine,
     chaos_injector,
     interactive_batch_mix,
@@ -210,6 +220,119 @@ def test_ledger_hook_sees_every_tensor_charge(make_machine, cached):
     assert tr.registry.get("ledger_tensor_time").value == pytest.approx(
         led.tensor_time + led.latency_time, rel=1e-12
     )
+
+
+# ----------------------------------------------------------------------
+# per-plan charge mirroring == per-charge mirroring, bit for bit
+# ----------------------------------------------------------------------
+CATEGORIES = ("tensor", "cpu", "reload", "wasted")
+
+
+def _seeded_registry():
+    """A registry whose ledger counters start off-integer, so every
+    addition order shows in the last bits."""
+    reg = MetricsRegistry()
+    for i, cat in enumerate(CATEGORIES):
+        reg.counter(f"ledger_{cat}_time").inc(0.1 * (i + 1))
+    return reg
+
+
+def _mirror_run(make_machine, *, cached, stepwise, mirror):
+    """Serve a fractional-``ell`` mix; ``mirror`` is a Tracer or, for the
+    reference, a registry fed by a per-charge ``on_charge`` hook alone."""
+    machine = make_machine()
+    workload = MixedWorkload(
+        PoissonWorkload(rate=1e-5, total=30, kind="dft", rows=(1, 2, 4), seed=2),
+        PoissonWorkload(rate=1e-5, total=30, kind="mlp", rows=(1, 2), seed=3),
+    )
+    engine = ServingEngine(
+        machine, "continuous", preempt=stepwise,
+        plan_cache=None if cached else False,
+        tracer=mirror if isinstance(mirror, Tracer) else None,
+    )
+    if not isinstance(mirror, Tracer):
+        counters = {cat: mirror.counter(f"ledger_{cat}_time") for cat in CATEGORIES}
+
+        def per_charge(category, amount):
+            counters[category].value += amount
+
+        machine.ledger.on_charge = per_charge
+    engine.serve(workload)
+    registry = mirror.registry if isinstance(mirror, Tracer) else mirror
+    return [registry.get(f"ledger_{cat}_time").value for cat in CATEGORIES]
+
+
+@pytest.mark.parametrize("sample_every", [None, 5e3], ids=["unsampled", "sampled"])
+@pytest.mark.parametrize("stepwise", [False, True], ids=["one-pass", "stepwise"])
+@pytest.mark.parametrize("cached", [True, False], ids=["cached", "live"])
+@pytest.mark.parametrize(
+    "make_machine",
+    [
+        lambda: TCUMachine(m=16, ell=100.3, execute="cost-only"),
+        lambda: ParallelTCUMachine(m=16, ell=100.3, units=3, execute="cost-only"),
+    ],
+    ids=["serial", "parallel"],
+)
+def test_plan_mirror_equals_per_charge_mirror(make_machine, cached, stepwise, sample_every):
+    reference = _mirror_run(
+        make_machine, cached=cached, stepwise=stepwise, mirror=_seeded_registry()
+    )
+    tracer = Tracer(sample_every=sample_every, registry=_seeded_registry())
+    mirrored = _mirror_run(make_machine, cached=cached, stepwise=stepwise, mirror=tracer)
+    assert [v.hex() for v in mirrored] == [v.hex() for v in reference]
+    assert all(type(v) is float for v in mirrored)
+
+
+# ----------------------------------------------------------------------
+# row views: one entry per completed batch, the rows of earlier revisions
+# ----------------------------------------------------------------------
+# sha256 of repr((requests, segments, batch_rows)) per chaos seed, as the
+# per-request emission recorded them (every outcome: done, shed, abandoned)
+ROW_DIGESTS = {
+    0: "45f948341ec1abaaba79cf124c4695de29af4cdb333f0949d676769877459f0c",
+    1: "48bbd9ae0422fa57b3e87a742f6b7a5283b11bf9f2d74ccd5181401fa1feed13",
+    2: "9cc69ca3110ce4ae3ad7bf7adc36e20674b63bbdece8cc826f90ef755bc5bf2c",
+    3: "53d0e42ec946f725d2ae0dd6a7467b0fb81441be24472e5d44ac08e340fa5889",
+    4: "67a14031113eee30ad3112efc5f357b7e0a0551e656dd55e1db9da6a1c9ef3b9",
+    5: "569bd8e59bd821c14d0f0dc51ddf28262aabbbbe7e30e404ffb6c7df2812af72",
+    6: "79095c951b895f56db67bb43a09a2088f2161e06771460842f08ec650dd54874",
+    7: "1ce742a0fc44aa1f517240733a37f671b840caaa06b57a7138d1d74800f815d3",
+    8: "93c94ed2c303aead6a7d0c8323ba74a7f3469690760e84125324a80cb8598e68",
+    9: "96c064eeeee429e241167a0ecfccd31c199096d9492eb6f951ddf5b1fddef86b",
+}
+
+
+@pytest.mark.parametrize("seed", CHAOS_SEEDS)
+def test_row_views_match_pinned_rows(seed):
+    tracer = Tracer(
+        detail="level",
+        sample_every=2e5,
+        monitors=[
+            SloBurnMonitor("burn", target=0.99, window=5e6, priority=2, min_count=4)
+        ],
+    )
+    machine = TPU_V1.create(execute="cost-only", trace_calls=True)
+    workload = interactive_batch_mix(
+        60, 3, interactive_load=0.6, batch_rows=2048, interactive_slo=5e5, seed=seed
+    )
+    result = ServingEngine(
+        machine,
+        "continuous",
+        admission=QueueCapAdmission(cap=2),
+        faults=chaos_injector(
+            fail_rate=0.05, crash_every=9.0, repair_for=0.4,
+            straggle_rate=0.1, straggle_factor=2.5, seed=seed + 100,
+        ),
+        retry="fixed",
+        recovery="checkpoint",
+        preempt=True,
+        abandon=True,
+        tracer=tracer,
+    ).serve(workload)
+    rows = (tracer.requests, tracer.segments, tracer.batch_rows)
+    assert {row[3] for row in rows[0]} == {"done", "shed", "abandoned"}
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == ROW_DIGESTS[seed]
+    assert tracer.exec_time() == result.busy_time
 
 
 def test_monitors_fire_into_trace():
