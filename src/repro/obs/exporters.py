@@ -335,6 +335,7 @@ def validate_chrome_trace(trace: dict) -> None:
 
 
 def _fmt(value: float) -> str:
+    value = float(value)  # a numpy scalar's repr is not a sample value
     if math.isnan(value):
         return "NaN"
     if math.isinf(value):

@@ -71,7 +71,7 @@ class Counter(_Metric):
                 raise ObsError(f"counter {self.full_name} cannot decrease by {amount}")
             # NaN: a monotonic counter would read NaN from here on
             raise ObsError(f"counter {self.full_name} cannot add {amount!r}")
-        self.value += amount
+        self.value += float(amount)
 
 
 class Gauge(_Metric):
@@ -91,10 +91,10 @@ class Gauge(_Metric):
         self.value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
+        self.value += float(amount)
 
     def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
+        self.value -= float(amount)
 
 
 class Histogram(_Metric):

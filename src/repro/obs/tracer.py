@@ -11,9 +11,9 @@ path, bit-identical to previous revisions.
 Hot-path design: emission methods append one small tuple per event
 (levels, waits, instants…), and the costs scale with batches, not
 requests: a completed batch is one :meth:`batch_done` call and one
-tuple holding its last segment, its batch row and its requests, and the
-:attr:`requests`, :attr:`segments` and :attr:`batch_rows` rows are built
-only when read.
+tuple holding its last segment, its batch row and its requests (their
+rows in the run's request table), and the :attr:`requests`,
+:attr:`segments` and :attr:`batch_rows` rows are built only when read.
 Nothing is formatted, no objects are built, and no clock is *computed*
 — callers pass timestamps they already hold (the ``OBS001`` lint rule
 enforces that those are names bound from the ledger clock, not
@@ -55,7 +55,7 @@ from .spans import Instant, ObsError, Span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..core.ledger import CostLedger
-    from ..serve.workload import Request
+    from ..serve.table import RequestRows
 
 __all__ = ["Tracer"]
 
@@ -119,23 +119,22 @@ class Tracer:
     def requests(self) -> list[tuple]:
         """One row per request, in emission order: ``(rid, kind, prio,
         outcome, arrival, launch, finish, batch, met)``.  A completed
-        batch's done rows are read off the :class:`Request` objects that
-        :meth:`batch_done` holds, on every read: the engine does not
-        touch them once they complete, and they must not be changed
-        after that (nor served again) while these rows are wanted."""
+        batch's done rows are read off the request-table rows that
+        :meth:`batch_done` holds, on every read (every request of a
+        batch shares its class and launch; the engine does not write a
+        row again once its request completes)."""
         rows: list[tuple] = []
         for entry in self._log:
             if len(entry) == 9:
                 rows.append(entry)
             elif len(entry) == 12:
-                batch, finish = entry[0], entry[5]
+                batch, kind, prio, requests, launch, finish = entry[:6]
                 rows += [
                     (
-                        req.rid, req.kind, req.priority, "done", req.arrival,
-                        req.launch, finish, batch,
-                        None if req.slo is None else finish - req.arrival <= req.slo,
+                        rid, kind, prio, "done", arrival, launch, finish, batch,
+                        None if slo is None else finish - arrival <= slo,
                     )
-                    for req in entry[3]
+                    for rid, arrival, slo in requests.slo_stamps()
                 ]
         return rows
 
@@ -220,7 +219,7 @@ class Tracer:
         batch: int,
         kind: str,
         priority: int,
-        requests: Sequence[Request],
+        requests: RequestRows,
         service: float,
         reload: float,
         wasted: float,
@@ -233,10 +232,9 @@ class Tracer:
     ) -> None:
         """Record a completed batch as one entry: its last execution
         segment (``start``, ``dur``), its batch row and the done rows of
-        its ``requests`` (finished at ``ts``).  The tracer holds the
-        ``requests`` themselves, not a copy, and reads their rows off
-        them when :attr:`requests` is read: they must not change after
-        completion."""
+        its ``requests`` (finished at ``ts``).  ``requests`` are the
+        batch's rows in the run's request table; the tracer reads their
+        done rows off the table when :attr:`requests` is read."""
         self._log.append(
             (batch, kind, priority, requests, launch, ts, service, reload,
              wasted, faults, start, dur)

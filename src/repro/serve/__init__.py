@@ -15,6 +15,9 @@ tensions, layered entirely on the existing machine stack:
   all through the planned kernels), and seeded arrival processes
   (Poisson, bursty MMPP, closed-loop, recorded traces, diurnal
   envelopes, multi-class mixes);
+* :mod:`repro.serve.table`     -- the per-run request store: arrivals
+  as column chunks, one table row per request, and the read-only
+  record views a served result exposes;
 * :mod:`repro.serve.admission` -- pluggable admission control
   (unbounded, queue-cap drop, deadline-aware reject) behind a name
   registry, with shed requests reported next to goodput;

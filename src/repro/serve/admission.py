@@ -18,10 +18,17 @@ Policies follow the same name-registry idiom as
     requests — the classic bounded-buffer drop-tail.
 ``deadline``
     Deadline-aware reject: admit only requests whose absolute
-    :attr:`~repro.serve.workload.Request.deadline` is still feasible
+    :attr:`~repro.serve.table.Request.deadline` is still feasible
     under a per-request service estimate — the predicted completion is
     ``clock + est_service * (queued_ahead + 1)``.  Requests without a
     deadline are always admitted.
+
+The engine calls ``admit(table, row, queue, clock)`` once per arrival:
+``row`` is the arriving request's row in the run's
+:class:`~repro.serve.table.RequestTable` (its stamps are the table's
+columns at that row, e.g. ``table.deadline[row]``, NaN for none), and
+``queue`` is its class queue, a FIFO of the rows already admitted.  No
+:class:`~repro.serve.table.Request` is built for the call.
 
 Policies are pure functions of (request, queue, clock), so a served run
 replays bit-identically.
@@ -29,9 +36,10 @@ replays bit-identically.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
-from .workload import Request
+from .table import RequestTable
 
 __all__ = [
     "AdmissionPolicy",
@@ -53,9 +61,10 @@ class AdmissionPolicy:
 
     name = "abstract"
 
-    def admit(self, request: Request, queue: deque[Request], clock: float) -> bool:
-        """True to enqueue ``request``, False to shed it.  ``queue`` is
-        the request's own class queue as it stands at arrival time."""
+    def admit(self, table: RequestTable, row: int, queue: deque[int], clock: float) -> bool:
+        """True to enqueue the request at ``row`` of ``table``, False to
+        shed it.  ``queue`` is the request's own class queue (its rows)
+        as it stands at arrival time."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -67,7 +76,7 @@ class UnboundedAdmission(AdmissionPolicy):
 
     name = "unbounded"
 
-    def admit(self, request: Request, queue: deque[Request], clock: float) -> bool:
+    def admit(self, table: RequestTable, row: int, queue: deque[int], clock: float) -> bool:
         return True
 
 
@@ -81,7 +90,7 @@ class QueueCapAdmission(AdmissionPolicy):
             raise ValueError(f"cap must be >= 1, got {cap}")
         self.cap = int(cap)
 
-    def admit(self, request: Request, queue: deque[Request], clock: float) -> bool:
+    def admit(self, table: RequestTable, row: int, queue: deque[int], clock: float) -> bool:
         return len(queue) < self.cap
 
 
@@ -104,11 +113,12 @@ class DeadlineAdmission(AdmissionPolicy):
             raise ValueError(f"est_service must be >= 0, got {est_service}")
         self.est_service = float(est_service)
 
-    def admit(self, request: Request, queue: deque[Request], clock: float) -> bool:
-        if request.deadline is None:
+    def admit(self, table: RequestTable, row: int, queue: deque[int], clock: float) -> bool:
+        deadline = float(table.deadline[row])
+        if math.isnan(deadline):  # no deadline
             return True
         predicted = clock + self.est_service * (len(queue) + 1)
-        return predicted <= request.deadline
+        return predicted <= deadline
 
 
 _REGISTRY: dict[str, AdmissionPolicy] = {}

@@ -33,6 +33,12 @@ further arrivals* (``inf`` for "not without more requests").  New
 arrivals re-trigger the question, so policies stay pure functions of
 the queue state.
 
+A queue is a FIFO of *rows* of the run's
+:class:`~repro.serve.table.RequestTable`, oldest first, and the policy
+sees it together with the arrival time of its head request:
+``release_time(queue, head_arrival, now, draining)``.
+:meth:`BatchPolicy.take` pops the rows of the batch to launch.
+
 Queues are keyed per *class* — a ``(priority, kind)`` pair — and
 :func:`priority_release` is the engine's selection rule over them:
 earliest release first, priority breaking ties (so a single-class run
@@ -45,8 +51,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import repeat, starmap
 
-from .workload import Request
+import numpy as np
+import numpy.typing as npt
 
 __all__ = [
     "BatchPolicy",
@@ -70,9 +78,13 @@ class BatchPolicy:
     name = "abstract"
     max_size: int = 2**31
 
-    def release_time(self, queue: deque[Request], now: float, draining: bool) -> float:
+    def release_time(
+        self, queue: deque[int], head_arrival: float, now: float, draining: bool
+    ) -> float:
         """Earliest model time a batch should launch from ``queue``,
         assuming no further arrivals; ``math.inf`` for "not yet".
+        ``head_arrival`` is the arrival time of the oldest queued
+        request (``queue[0]``; ``inf`` for an empty queue).
 
         ``draining`` is set by the engine once the arrival stream is
         exhausted and nothing is in flight — every policy must release
@@ -80,13 +92,14 @@ class BatchPolicy:
         """
         raise NotImplementedError
 
-    def take(self, queue: deque[Request], now: float) -> list[Request]:
-        """Pop and return the batch to launch now (FIFO prefix)."""
+    def take(self, queue: deque[int], now: float) -> list[int]:
+        """Pop and return the rows of the batch to launch now (FIFO
+        prefix)."""
         if len(queue) <= self.max_size:
             batch = list(queue)
             queue.clear()
             return batch
-        return [queue.popleft() for _ in range(self.max_size)]
+        return list(starmap(queue.popleft, repeat((), self.max_size)))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
@@ -102,7 +115,9 @@ class ContinuousBatcher(BatchPolicy):
             raise ValueError(f"max_size must be >= 1, got {max_size}")
         self.max_size = int(max_size)
 
-    def release_time(self, queue: deque[Request], now: float, draining: bool) -> float:
+    def release_time(
+        self, queue: deque[int], head_arrival: float, now: float, draining: bool
+    ) -> float:
         return now if queue else math.inf
 
 
@@ -117,7 +132,9 @@ class SizeBatcher(BatchPolicy):
         self.size = int(size)
         self.max_size = int(size)
 
-    def release_time(self, queue: deque[Request], now: float, draining: bool) -> float:
+    def release_time(
+        self, queue: deque[int], head_arrival: float, now: float, draining: bool
+    ) -> float:
         if not queue:
             return math.inf
         if len(queue) >= self.size or draining:
@@ -139,16 +156,19 @@ class TimeoutBatcher(BatchPolicy):
         self.timeout = float(timeout)
         self.max_size = int(max_size)
 
-    def release_time(self, queue: deque[Request], now: float, draining: bool) -> float:
+    def release_time(
+        self, queue: deque[int], head_arrival: float, now: float, draining: bool
+    ) -> float:
         if not queue:
             return math.inf
         if len(queue) >= self.max_size or draining:
             return now
-        return max(now, queue[0].arrival + self.timeout)
+        return max(now, head_arrival + self.timeout)
 
 
 def priority_release(
-    queues: dict[tuple[int, str], deque[Request]],
+    queues: dict[tuple[int, str], deque[int]],
+    arrival: npt.NDArray[np.float64],
     policy: BatchPolicy,
     now: float,
     draining: bool,
@@ -157,10 +177,11 @@ def priority_release(
 ) -> tuple[float, int, float, tuple[int, str]] | None:
     """The engine's priority-aware release selection over class queues.
 
-    ``queues`` maps ``(priority, kind)`` to that class's FIFO queue.
-    Returns the best candidate as ``(release, priority, head_arrival,
-    key)`` — minimal by ``(release, -priority, head_arrival, kind)``,
-    i.e. earliest release first, higher class winning ties, oldest head
+    ``queues`` maps ``(priority, kind)`` to that class's FIFO of table
+    rows, and ``arrival`` is the table's arrival column.  Returns the
+    best candidate as ``(release, priority, head_arrival, key)`` —
+    minimal by ``(release, -priority, head_arrival, kind)``, i.e.
+    earliest release first, higher class winning ties, oldest head
     request then kind name as the final tie-breaks (exactly the PR4
     rule when every request shares one priority) — or ``None`` when no
     queue would ever release.  With ``above`` set, only classes of
@@ -174,10 +195,11 @@ def priority_release(
             continue
         if above is not None and priority <= above:
             continue
-        release = policy.release_time(queue, now, draining)
+        head_arrival = float(arrival[queue[0]])
+        release = policy.release_time(queue, head_arrival, now, draining)
         if release == math.inf:
             continue
-        candidate = (release, -priority, queue[0].arrival, kind)
+        candidate = (release, -priority, head_arrival, kind)
         if best is None or candidate < best:
             best = candidate
             best_key = key

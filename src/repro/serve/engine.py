@@ -72,6 +72,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import count
 from operator import attrgetter
@@ -93,15 +94,12 @@ from .faults import (
     get_fault_injector,
     get_retry_policy,
 )
-from .workload import Request, Workload, get_request_type
+from .table import Request, RequestRows, RequestTable, ServeError, as_rows
+from .workload import Workload, get_request_type
 
 __all__ = ["ServingEngine", "ServeResult", "BatchRecord", "ServeError", "replay_batches"]
 
-
-class ServeError(RuntimeError):
-    """Raised on invalid serving states (non-finite or non-monotone
-    arrivals, a policy refusing to drain, a violated conservation
-    invariant)."""
+_NO_ROWS = np.empty(0, dtype=np.int64)
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,9 +201,18 @@ class BatchRecord:
 @dataclass
 class ServeResult:
     """Everything a served run produced: per-request records, per-batch
-    records, shed requests, and the run-level clock accounting."""
+    records, shed requests, and the run-level clock accounting.
 
-    requests: list[Request]
+    ``requests`` (completed, in completion order), ``shed`` and
+    ``abandoned`` are read-only :class:`~repro.serve.table.RequestRows`
+    sequences over the run's request table: their :class:`Request`
+    records are built when read, and the checks and metrics read the
+    table's columns.  A caller-built sequence of records is accepted and
+    copied into a fresh table; an edited result is built with
+    :func:`dataclasses.replace` from edited copies of its records.
+    """
+
+    requests: Sequence[Request]
     batches: list[BatchRecord]
     clock: float
     busy_time: float
@@ -215,7 +222,7 @@ class ServeResult:
     trace_start: int = 0
     trace_end: int = 0
     kind_time: dict[str, float] = field(default_factory=dict)
-    shed: list[Request] = field(default_factory=list)
+    shed: Sequence[Request] = ()
     preemptions: int = 0
     reload_time: float = 0.0
     admission: str = "unbounded"
@@ -223,7 +230,7 @@ class ServeResult:
     cache_hits: int = 0
     cache_misses: int = 0
     cache_size: int = 0
-    abandoned: list[Request] = field(default_factory=list)
+    abandoned: Sequence[Request] = ()
     wasted_time: float = 0.0
     faults: int = 0
     fault_events: list[FaultEvent] = field(default_factory=list)
@@ -232,6 +239,11 @@ class ServeResult:
     injector: str = "none"
     recovery: str = "checkpoint"
     retry_policy: str = "no-retry"
+
+    def __post_init__(self) -> None:
+        self.requests = as_rows(self.requests)
+        self.shed = as_rows(self.shed)
+        self.abandoned = as_rows(self.abandoned)
 
     @property
     def completed(self) -> int:
@@ -369,18 +381,18 @@ class ServeResult:
             # element-wise math.isclose with matching absolute tolerance
             return np.isclose(a, b, rtol=rel_tol, atol=rel_tol)
 
-        # columnar views of the per-request / per-batch records: the
-        # invariants below check whole arrays at once, and only on a
-        # violation fall back to a scan for the offending record
-        requests = self.requests
+        # the request table's columns and columnar views of the batch
+        # records: the invariants below check whole arrays at once, and
+        # only on a violation build the offending record
+        requests = as_rows(self.requests)
         n = len(requests)
-        arrivals = np.fromiter(map(attrgetter("arrival"), requests), float, n)
-        launches = np.fromiter(map(attrgetter("launch"), requests), float, n)
-        completions = np.fromiter(map(attrgetter("completion"), requests), float, n)
+        arrivals = requests.column("arrival")
+        launches = requests.column("launch")
+        completions = requests.column("completion")
         k = len(self.batches)
         # each request's batch position (-1: no record), the last record
         # winning when indices repeat, by one search over sorted indices
-        req_ids = np.fromiter(map(attrgetter("batch"), requests), np.int64, n)
+        req_ids = requests.column("batch")
         req_batch = np.full(n, -1, np.int64)
         if k:
             b_index = np.fromiter(map(attrgetter("index"), self.batches), np.int64, k)
@@ -399,28 +411,30 @@ class ServeResult:
         b_wasted = np.fromiter((b.wasted_time for b in self.batches), float, k)
 
         if np.isnan(completions).any():
-            bad = self.requests[int(np.isnan(completions).argmax())]
+            bad = requests[int(np.isnan(completions).argmax())]
             raise ServeError(f"request {bad.rid} never completed")
         if (launches < arrivals).any():
-            bad = self.requests[int((launches < arrivals).argmax())]
+            bad = requests[int((launches < arrivals).argmax())]
             raise ServeError(
                 f"request {bad.rid} launched at {bad.launch} before its "
                 f"arrival {bad.arrival}"
             )
         if (req_batch < 0).any():
-            bad = self.requests[int((req_batch < 0).argmax())]
+            bad = requests[int((req_batch < 0).argmax())]
             raise ServeError(f"request {bad.rid} has no batch record")
         matched = allclose(completions, b_finish[req_batch]) if n else np.ones(0, bool)
         if not matched.all():
             at = int((~matched).argmax())
-            bad = self.requests[at]
+            bad = requests[at]
             raise ServeError(
                 f"request {bad.rid} completion {bad.completion} != its "
                 f"batch's finish {b_finish[req_batch[at]]}"
             )
-        for req in self.shed:
-            if req.done or not math.isnan(req.launch):
-                raise ServeError(f"shed request {req.rid} was served anyway")
+        shed = as_rows(self.shed)
+        served = ~(np.isnan(shed.column("launch")) & np.isnan(shed.column("completion")))
+        if served.any():
+            bad = shed[int(served.argmax())]
+            raise ServeError(f"shed request {bad.rid} was served anyway")
 
         if (b_reload < 0).any():
             bad = self.batches[int((b_reload < 0).argmax())]
@@ -490,9 +504,11 @@ class ServeResult:
             )
 
         # fault accounting: total = useful + wasted + reload
-        for req in self.abandoned:
-            if req.done:
-                raise ServeError(f"abandoned request {req.rid} completed anyway")
+        abandoned = as_rows(self.abandoned)
+        done = ~np.isnan(abandoned.column("completion"))
+        if done.any():
+            bad = abandoned[int(done.argmax())]
+            raise ServeError(f"abandoned request {bad.rid} completed anyway")
         if self.wasted_time < 0:
             raise ServeError(f"negative wasted time {self.wasted_time}")
         if self.useful_time < -rel_tol * max(1.0, self.ledger_time):
@@ -543,7 +559,8 @@ class ServeResult:
 
 
 class _Run:
-    """An in-flight batch: its requests, cursor and clock bookkeeping.
+    """An in-flight batch: its requests (their rows in the run's request
+    table), cursor and clock bookkeeping.
 
     ``cursor`` is set by the engine's ``build_cursor`` at launch (and
     again at a degraded retry), before anything reads it.
@@ -590,7 +607,7 @@ class _Run:
     )
 
     def __init__(
-        self, index: int, kind: str, priority: int, requests: list[Request], launch: float
+        self, index: int, kind: str, priority: int, requests: RequestRows, launch: float
     ) -> None:
         self.index = index
         self.kind = kind
@@ -780,11 +797,21 @@ class ServingEngine:
         # fire (or a tracer explicitly asks for per-level spans —
         # stepping a cursor charges what running it does)
         stepwise = self.preempt or fault_active or (tracing and tr.detail == "level")
-        queues: dict[tuple[int, str], deque[Request]] = {}
+        # the run's requests, one table row each: queues, batches and
+        # results hold row indices, never per-request objects
+        table = RequestTable()
+        queues: dict[tuple[int, str], deque[int]] = {}
         injected: list[tuple[float, int, Request]] = []
         seq = count()
-        base = iter(workload.requests())
-        head = next(base, None)
+        # the arrival stream, a chunk at a time: the loaded chunk's
+        # arrivals as floats, each row's class queue, the table row of
+        # its first row, and the position of the next arrival
+        chunks = iter(workload.chunks())
+        s_arrival: list[float] = []
+        s_queue: list[deque[int]] = []
+        s_base = 0
+        s_pos = 0
+        streaming = True
         last_arrival = -math.inf
         # bound per run, not per engine: a wrapper installed on the
         # policy's class after the engine was built still sees every call
@@ -797,9 +824,11 @@ class ServingEngine:
         completion_clock = 0.0
         running: _Run | None = None
         suspended: list[_Run] = []
-        finished: list[Request] = []
-        shed: list[Request] = []
-        abandoned: list[Request] = []
+        finished: list[np.ndarray] = []  # each completed batch's rows
+        done_total = 0
+        shed: list[int] = []
+        abandoned: list[np.ndarray] = []
+        abandoned_total = 0
         fault_events: list[FaultEvent] = []
         down_until = 0.0  # unit under repair until this model time
         retries_total = 0
@@ -855,20 +884,68 @@ class ServingEngine:
             observe_latency = h_latency.observe
 
         def note_availability() -> None:
-            entered = len(finished) + len(abandoned)
+            entered = done_total + abandoned_total
             if entered:
-                g_avail.set(len(finished) / entered)
+                g_avail.set(done_total / entered)
 
-        def note_slo(priority: int, met: bool) -> list:
-            """Count one SLO outcome of ``priority``'s class; returns
-            its ``[hits, total, slo_attainment gauge]``."""
+        def note_slo(priority: int, hits: int, total: int = 1) -> list:
+            """Count ``total`` SLO outcomes of ``priority``'s class, of
+            which ``hits`` met it; returns the class's ``[hits, total,
+            slo_attainment gauge]``."""
             stats = slo_stats.get(priority)
             if stats is None:
                 gauge = reg.gauge("slo_attainment", labels={"class": str(priority)})
                 stats = slo_stats[priority] = [0, 0, gauge]
-            stats[0] += met
-            stats[1] += 1
+            stats[0] += hits
+            stats[1] += total
             return stats
+
+        def class_queue(key: tuple[int, str]) -> deque[int]:
+            queue = queues.get(key)
+            if queue is None:
+                queue = queues[key] = deque()
+            return queue
+
+        def load() -> None:
+            """Enter the stream's next chunk into the table."""
+            nonlocal s_arrival, s_queue, s_base, s_pos, streaming
+            chunk = next(chunks, None)
+            s_pos = 0
+            if chunk is None:
+                s_arrival, s_queue, streaming = [], [], False
+                return
+            s_base = table.extend(chunk)
+            s_arrival = chunk.arrival.tolist()
+            if chunk.uniform and s_arrival:
+                key = (int(chunk.priority[0]), chunk.kind[0])
+                s_queue = [class_queue(key)] * len(s_arrival)
+            else:
+                keys = zip(chunk.priority.tolist(), chunk.kind.tolist(), strict=True)
+                s_queue = [class_queue(key) for key in keys]
+
+        def unservable(rid: int, arrival: float) -> None:
+            """Raise for request ``rid``'s out-of-order or non-finite arrival."""
+            if arrival < last_arrival:
+                raise ServeError(
+                    f"arrival stream is not time-ordered: request "
+                    f"{rid} arrives at {arrival} after {last_arrival}"
+                )
+            raise ServeError(f"request {rid} arrives at {arrival}; arrivals must be finite")
+
+        def offer(row: int, queue: deque[int], arrival: float) -> None:
+            """Admit the request at ``row`` to its class queue, or shed it."""
+            nonlocal queued_now
+            if admit(table, row, queue, arrival):
+                queue.append(row)
+                if sampling:
+                    queued_now += 1
+                    g_queue.set(queued_now)
+            else:
+                shed.append(row)
+                if tracing:
+                    c_shed.inc()
+                    rid, kind, priority, _ = table.stamps(row)
+                    tr.request_shed(rid, kind, priority, arrival, ts=arrival)
 
         def pump(limit: int, until: float = math.inf) -> float:
             """The arrival event: admit or shed, in time order, up to
@@ -876,50 +953,44 @@ class ServingEngine:
             ``until``; return the next arrival's time (``inf`` when none
             is left).  The stream goes before injected follow-ups at
             equal times, and each arrival must be finite and no earlier
-            than the last one admitted."""
-            nonlocal head, last_arrival, clock, queued_now
+            than the last one admitted.  A follow-up enters the table
+            (its stamps checked) when it arrives."""
+            nonlocal s_pos, last_arrival, clock
+            inf = math.inf
             while True:
-                if injected and (head is None or injected[0][0] < head.arrival):
-                    req = injected[0][2]
-                elif head is not None:
-                    req = head
-                else:
-                    return math.inf
-                arrival = req.arrival
-                if not last_arrival <= arrival < math.inf:
-                    if arrival < last_arrival:
-                        raise ServeError(
-                            f"arrival stream is not time-ordered: request "
-                            f"{req.rid} arrives at {arrival} after {last_arrival}"
-                        )
-                    raise ServeError(
-                        f"request {req.rid} arrives at {arrival}; arrivals "
-                        "must be finite"
-                    )
+                while s_pos == len(s_arrival) and streaming:
+                    load()
+                # the loaded chunk's arrivals, up to a follow-up due
+                # strictly earlier, in one loop
+                follow = injected[0][0] if injected else inf
+                arrivals, pos, end = s_arrival, s_pos, len(s_arrival)
+                while pos < end:
+                    arrival = arrivals[pos]
+                    if follow < arrival:
+                        break
+                    if not last_arrival <= arrival < inf:
+                        unservable(int(table.rid[s_base + pos]), arrival)
+                    if not (limit and arrival < until):
+                        s_pos = pos
+                        return arrival
+                    limit -= 1
+                    last_arrival = clock = arrival
+                    offer(s_base + pos, s_queue[pos], arrival)
+                    pos += 1
+                s_pos = pos
+                if pos == end and streaming:
+                    continue  # the next chunk may still go first
+                if not injected:
+                    return inf
+                arrival, _, req = injected[0]
+                if not last_arrival <= arrival < inf:
+                    unservable(req.rid, arrival)
                 if not (limit and arrival < until):
                     return arrival
                 limit -= 1
-                if req is head:
-                    head = next(base, None)
-                else:
-                    heapq.heappop(injected)
+                heapq.heappop(injected)
                 last_arrival = clock = arrival
-                key = (req.priority, req.kind)
-                queue = queues.get(key)
-                if queue is None:
-                    queue = queues[key] = deque()
-                if admit(req, queue, arrival):
-                    queue.append(req)
-                    if sampling:
-                        queued_now += 1
-                        g_queue.set(queued_now)
-                else:
-                    shed.append(req)
-                    if tracing:
-                        c_shed.inc()
-                        tr.request_shed(
-                            req.rid, req.kind, req.priority, arrival, ts=arrival
-                        )
+                offer(table.append(req), class_queue((int(req.priority), req.kind)), arrival)
 
         def set_boundary(run: _Run) -> None:
             run.boundary = run.seg_clock + (ledger.clock - run.seg_base)
@@ -1030,51 +1101,46 @@ class ServingEngine:
             cursor.observer = observe
 
         def launch(key: tuple[int, str], release: float) -> None:
-            nonlocal clock, running
+            nonlocal clock, running, queued_now, abandoned_total
             priority, kind = key
             clock = max(clock, release)
-            batch = policy.take(queues[key], clock)
-            if not batch:
+            taken = policy.take(queues[key], clock)
+            if not taken:
                 raise ServeError(f"policy {policy.name!r} released an empty batch")
             if sampling:
-                nonlocal queued_now
-                queued_now -= len(batch)
+                queued_now -= len(taken)
                 g_queue.set(queued_now)
+            batch = np.array(taken, dtype=np.int64)
             if self.abandon:
-                live: list[Request] = []
-                for req in batch:
-                    if req.deadline is not None and req.deadline <= clock:
-                        abandoned.append(req)
-                        if tracing:
+                # a request without a deadline reads NaN: never expired
+                expired = table.deadline[batch] <= clock
+                if expired.any():
+                    gone = batch[expired]
+                    abandoned.append(gone)
+                    abandoned_total += len(gone)
+                    if tracing:
+                        for row in gone.tolist():
                             c_abandoned.inc()
+                            rid, _, _, arrival = table.stamps(row)
                             tr.request_abandoned(
-                                req.rid,
-                                req.kind,
-                                req.priority,
-                                req.arrival,
-                                req.launch,
-                                -1,
-                                ts=clock,
+                                rid, kind, priority, arrival, math.nan, -1, ts=clock
                             )
-                    else:
-                        live.append(req)
-                if not live:
-                    if sampling:
-                        note_availability()
-                    return
-                batch = live
+                    batch = batch[~expired]
+                    if not len(batch):
+                        if sampling:
+                            note_availability()
+                        return
             rtype = rtypes.get(kind)
             if rtype is None:
                 rtype = rtypes[kind] = get_request_type(kind)
                 kind_base[kind] = ledger.section_time(f"serve:{kind}")
-            run = _Run(len(batches), kind, priority, batch, clock)
+            run = _Run(len(batches), kind, priority, RequestRows(table, batch), clock)
             run.rtype = rtype
             batches.append(None)  # slot: filled by complete()
-            for req in batch:
-                req.launch = clock
-                req.batch = run.index
+            table.launch[batch] = clock
+            table.batch[batch] = run.index
             run.seg_base = ledger.clock
-            build_cursor(run, machine, [r.rows for r in batch])
+            build_cursor(run, machine, table.rows[batch].tolist())
             if sampling:
                 g_inflight.set(sum(run.rows))
                 if cache is not None:
@@ -1187,14 +1253,17 @@ class ServingEngine:
             # everything the batch charged, minus its separately
             # accounted reloads and what is already attributed, is waste:
             # an abandoned batch produced nothing
+            nonlocal abandoned_total
             add_wasted(run, run.service - run.reload - run.wasted)
-            abandoned.extend(run.requests)
+            rows = run.requests.index
+            abandoned.append(rows)
+            abandoned_total += len(rows)
             if tracing:
-                c_abandoned.inc(len(run.requests))
-                for req in run.requests:
+                c_abandoned.inc(len(rows))
+                for row in rows.tolist():
+                    rid, _, _, arrival = table.stamps(row)
                     tr.request_abandoned(
-                        req.rid, req.kind, req.priority,
-                        req.arrival, req.launch, run.index,
+                        rid, run.kind, run.priority, arrival, run.launch, run.index,
                         ts=clock,
                     )
                 if sampling:
@@ -1242,17 +1311,12 @@ class ServingEngine:
                 abandon_run(run)
                 return
             delay = retry.delay(attempt + 1)
-            if self.abandon and all(
-                r.deadline is not None and r.deadline <= clock
-                for r in run.requests
-            ):
+            # a request without a deadline reads NaN: never expired
+            if self.abandon and (run.requests.column("deadline") <= clock).all():
                 abandon_run(run)
                 return
             if degrader is not None and run.degraded is None and not run.degrade_pending:
-                pressure = any(
-                    r.deadline is not None and clock + delay >= r.deadline
-                    for r in run.requests
-                )
+                pressure = bool((clock + delay >= run.requests.column("deadline")).any())
                 if degrader.wants(attempt, pressure):
                     run.degrade_pending = True
             if self.recovery == "checkpoint" and not run.degrade_pending:
@@ -1269,18 +1333,18 @@ class ServingEngine:
             park(run, clock + delay)
 
         def complete(run: _Run) -> None:
-            nonlocal running, completion_clock
+            nonlocal running, completion_clock, done_total
             span = close_segment(run)
             finish = run.boundary
             completion_clock = max(completion_clock, finish)
             spans = (
                 (*run.attempt_spans, run.attempt_span) if fault_active else ()
             )
-            requests = run.requests
+            rows = run.requests.index
             batches[run.index] = BatchRecord(
                 index=run.index,
                 kind=run.kind,
-                rids=tuple([r.rid for r in requests]),
+                rids=tuple(table.rid[rows].tolist()),
                 rows=tuple(run.rows),
                 launch=run.launch,
                 service=run.service,
@@ -1297,31 +1361,34 @@ class ServingEngine:
                 first_failure=run.first_failure,
                 degraded=run.degraded,
             )
-            for req in requests:
-                req.completion = finish
-            finished.extend(requests)
+            table.completion[rows] = finish
+            finished.append(rows)
+            done_total += len(rows)
             if on_complete is not None:
-                for req in requests:
+                for req in table.records(rows):
                     for new in on_complete(req, finish):
                         heapq.heappush(injected, (new.arrival, next(seq), new))
             running = None
             if tracing:
-                c_completed.value += len(requests)  # a count: never negative
+                c_completed.value += len(rows)  # a count: never negative
                 if sampling:
                     g_inflight.set(0)
                 if per_request:
-                    for req in requests:
-                        latency = finish - req.arrival
+                    priority = run.priority  # one class per batch
+                    for arrival, slo in zip(
+                        table.arrival[rows].tolist(), table.slo[rows].tolist(), strict=True
+                    ):
+                        latency = finish - arrival
                         if sampling:
                             observe_latency(latency)
-                        if req.slo is not None:
-                            met = latency <= req.slo
-                            tr.observe_slo(req.priority, met, ts=finish)
+                        if slo == slo:  # NaN: no objective
+                            met = latency <= slo
+                            tr.observe_slo(priority, met, ts=finish)
                             if sampling:
-                                hits, total, gauge = note_slo(req.priority, met)
+                                hits, total, gauge = note_slo(priority, met)
                                 gauge.set(hits / total)
                 tr.batch_done(
-                    run.index, run.kind, run.priority, requests,
+                    run.index, run.kind, run.priority, run.requests,
                     run.service, run.reload, run.wasted, run.faults,
                     launch=run.launch, start=run.seg_clock, dur=span, ts=finish,
                 )
@@ -1353,7 +1420,8 @@ class ServingEngine:
                         contender = None
                         if self.preempt:
                             contender = priority_release(
-                                queues, policy, clock, False, above=run.priority
+                                queues, table.arrival, policy, clock, False,
+                                above=run.priority,
                             )
                             if contender is not None and contender[0] > clock:
                                 contender = None  # due later: keep running
@@ -1386,7 +1454,7 @@ class ServingEngine:
                     )
                     ready = max(clock, suspended[bi].ready_at, down_until)
                     best = (ready, -suspended[bi].priority, 0, bi, ("resume", bi))
-                released = priority_release(queues, policy, clock, draining)
+                released = priority_release(queues, table.arrival, policy, clock, draining)
                 if released is not None:
                     release, priority, head_arrival, key = released
                     candidate = (
@@ -1432,6 +1500,7 @@ class ServingEngine:
             # machine's ledger may be reused by later serves
             if tracing:
                 tr.unbind_ledger(ledger)
+        done_rows = np.concatenate(finished) if finished else _NO_ROWS
         if sampling:
             sampler.sample(reg, ts=clock, force=True)
         elif tracing:
@@ -1440,9 +1509,8 @@ class ServingEngine:
             # record the end-of-run values now so the final registry
             # snapshot matches a sampled run's last row (bucket counts
             # exactly; the histogram sum up to float association)
-            h_latency.observe_many(
-                [req.completion - req.arrival for req in finished]
-            )
+            latencies = table.completion[done_rows] - table.arrival[done_rows]
+            h_latency.observe_many(latencies)
             # the serve loop ends only once every class queue is empty
             g_queue.set(0)
             g_inflight.set(0)
@@ -1454,14 +1522,18 @@ class ServingEngine:
                 )
                 if lookups:
                     g_cache.set((cache.hits - cache_hits_start) / lookups)
-            for req in finished:
-                if req.slo is not None:
-                    note_slo(req.priority, req.completion - req.arrival <= req.slo)
+            objectives = table.slo[done_rows]
+            with_slo = ~np.isnan(objectives)
+            met = latencies[with_slo] <= objectives[with_slo]
+            classes = table.priority[done_rows][with_slo]
+            for priority in dict.fromkeys(classes.tolist()):
+                mine = classes == priority
+                note_slo(priority, int(met[mine].sum()), int(mine.sum()))
             for hits, total, gauge in slo_stats.values():
                 gauge.set(hits / total)
 
         result = ServeResult(
-            requests=finished,
+            requests=RequestRows(table, done_rows),
             batches=[b for b in batches if b is not None],
             clock=completion_clock if batches else 0.0,
             busy_time=busy_time,
@@ -1474,7 +1546,7 @@ class ServingEngine:
                 kind: ledger.section_time(f"serve:{kind}") - base_time
                 for kind, base_time in kind_base.items()
             },
-            shed=shed,
+            shed=RequestRows(table, np.array(shed, dtype=np.int64)),
             preemptions=preemptions_total,
             reload_time=ledger.reload_time - reload_start,
             admission=admission.name,
@@ -1484,7 +1556,9 @@ class ServingEngine:
                 (cache.misses - cache_misses_start) if cache is not None else 0
             ),
             cache_size=len(cache) if cache is not None else 0,
-            abandoned=abandoned,
+            abandoned=RequestRows(
+                table, np.concatenate(abandoned) if abandoned else _NO_ROWS
+            ),
             wasted_time=wasted_total,
             faults=len(fault_events),
             fault_events=fault_events,

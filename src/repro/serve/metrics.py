@@ -16,12 +16,12 @@ machine, policy) triples.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
 from ..core.parallel import ParallelTCUMachine
 from .engine import ServeResult
+from .table import as_rows
 
 __all__ = ["ServeMetrics", "ClassMetrics", "compute_metrics"]
 
@@ -257,19 +257,20 @@ def _slo_stats(
     return attainment, goodput
 
 
+def _count_by_class(priorities: np.ndarray) -> dict[int, int]:
+    classes, counts = np.unique(priorities, return_counts=True)
+    return dict(zip(classes.tolist(), counts.tolist(), strict=True))
+
+
 def compute_metrics(result: ServeResult, *, slo: float | None = None) -> ServeMetrics:
     """Summarise a served run; ``slo`` is the fallback latency objective
-    for requests that did not carry their own."""
-    n = len(result.requests)
+    for requests that did not carry their own.  Reads the columns of
+    the run's request table; builds no per-request record."""
+    requests = as_rows(result.requests)
+    n = len(requests)
     clock = result.clock
-    shed_by_class: dict[int, int] = {}
-    for req in result.shed:
-        shed_by_class[req.priority] = shed_by_class.get(req.priority, 0) + 1
-    abandoned_by_class: dict[int, int] = {}
-    for req in result.abandoned:
-        abandoned_by_class[req.priority] = (
-            abandoned_by_class.get(req.priority, 0) + 1
-        )
+    shed_by_class = _count_by_class(as_rows(result.shed).column("priority"))
+    abandoned_by_class = _count_by_class(as_rows(result.abandoned).column("priority"))
     faulted = [b for b in result.batches if b.faults > 0]
     recovery_mean = (
         float(np.mean([b.recovery_time for b in faulted])) if faulted else 0.0
@@ -330,19 +331,18 @@ def compute_metrics(result: ServeResult, *, slo: float | None = None) -> ServeMe
             recovery_time_mean=recovery_mean,
             per_class=empty_classes,
         )
-    # field columns in one C-level pass each; the subtractions are the
-    # ones Request.latency and Request.wait perform, element for element
-    requests = result.requests
-    arrivals = np.fromiter(map(attrgetter("arrival"), requests), float, n)
-    latencies = np.fromiter(map(attrgetter("completion"), requests), float, n) - arrivals
-    waits = np.fromiter(map(attrgetter("launch"), requests), float, n) - arrivals
-    priorities = np.fromiter(map(attrgetter("priority"), requests), np.int64, n)
+    # the subtractions are the ones Request.latency and Request.wait
+    # perform, element for element
+    arrivals = requests.column("arrival")
+    latencies = requests.column("completion") - arrivals
+    waits = requests.column("launch") - arrivals
+    priorities = requests.column("priority")
     p50, p95, p99 = np.percentile(latencies, [50.0, 95.0, 99.0])
 
-    objectives = np.array(
-        [r.slo if r.slo is not None else (slo if slo is not None else np.nan)
-         for r in requests]
-    )
+    # per-request objectives (NaN: none), the fallback filling the gaps
+    objectives = requests.column("slo")
+    if slo is not None:
+        objectives = np.where(np.isnan(objectives), slo, objectives)
     attainment, goodput = _slo_stats(latencies, objectives, clock)
     effective_slo = slo
     with_slo = ~np.isnan(objectives)

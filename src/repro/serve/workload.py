@@ -1,6 +1,8 @@
 """Serving workloads: requests, request types and arrival processes.
 
-An online workload is a stream of :class:`Request` objects, each naming
+An online workload is a stream of requests — handed to the engine as
+column chunks (:meth:`Workload.chunks`), readable as :class:`Request`
+records (:meth:`Workload.requests`) — each naming
 a *request type* — a kernel family drawn from the repo's existing
 algorithms (an MLP forward pass, a dense product against resident
 weights, a batched DFT, a stencil sweep).  A request type knows how to
@@ -49,17 +51,17 @@ trace realism:
 :class:`MixedWorkload` merges several open-loop streams into one
 time-ordered stream — the way multi-class (priority) scenarios are
 built.  All randomness is drawn from a seeded generator, so a
-(workload, machine, policy) triple replays bit-identically.
+(workload, machine, policy) triple replays bit-identically; every
+stock workload draws in chunks of ``_CHUNK`` requests, the same
+numbers in the same order whatever consumes them.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass
-from itertools import chain, repeat
-from pathlib import Path
 from collections.abc import Iterator, Sequence
+from itertools import islice
+from pathlib import Path
 
 import numpy as np
 
@@ -81,6 +83,7 @@ from ..transform.stencil import (
     unrolled_weights,
     window_geometry,
 )
+from .table import Request, RequestChunk, ServeError
 
 __all__ = [
     "Request",
@@ -100,74 +103,6 @@ __all__ = [
     "DiurnalWorkload",
     "MixedWorkload",
 ]
-
-
-@dataclass(slots=True)
-class Request:
-    """One inference request travelling through the serving pipeline.
-
-    ``arrival`` is set by the workload; ``launch``, ``completion`` and
-    ``batch`` are filled by the engine when the request is dispatched
-    and finished.  All times are model time (the ledger clock).
-
-    ``priority`` is the request's class: higher values are more urgent,
-    and (with preemption enabled) a release of a strictly higher class
-    preempts a running lower-class batch at its next level boundary.
-    ``deadline`` is an *absolute* model time by which the request wants
-    to complete; deadline-aware admission policies may reject requests
-    whose deadline is already infeasible at arrival.
-    """
-
-    rid: int
-    kind: str
-    arrival: float
-    rows: int
-    slo: float | None = None
-    priority: int = 0
-    deadline: float | None = None
-    launch: float = math.nan
-    completion: float = math.nan
-    batch: int = -1
-
-    @property
-    def wait(self) -> float:
-        """Queueing delay: dispatch time minus arrival time."""
-        return self.launch - self.arrival
-
-    @property
-    def service(self) -> float:
-        """Time in the machine: completion minus dispatch."""
-        return self.completion - self.launch
-
-    @property
-    def latency(self) -> float:
-        """End-to-end latency: completion minus arrival (wait + service)."""
-        return self.completion - self.arrival
-
-    @property
-    def done(self) -> bool:
-        return not math.isnan(self.completion)
-
-    def to_dict(self) -> dict:
-        """JSON-ready view (NaN sentinels become ``None`` so the output
-        is strict JSON; see :meth:`ServeResult.to_dict
-        <repro.serve.engine.ServeResult.to_dict>`)."""
-
-        def opt(value: float) -> float | None:
-            return None if math.isnan(value) else value
-
-        return {
-            "rid": self.rid,
-            "kind": self.kind,
-            "arrival": self.arrival,
-            "rows": self.rows,
-            "slo": self.slo,
-            "priority": self.priority,
-            "deadline": self.deadline,
-            "launch": opt(self.launch),
-            "completion": opt(self.completion),
-            "batch": self.batch,
-        }
 
 
 # ----------------------------------------------------------------------
@@ -714,24 +649,14 @@ def _rows_column(rng: np.random.Generator, rows, kind: str, total: int) -> np.nd
 _CHUNK = 1 << 16
 
 
-def _request_chunk(
-    wl: PoissonWorkload | TraceWorkload, rid: int, arrivals: np.ndarray, rows: np.ndarray
-) -> Iterator[Request]:
-    """The requests of ``wl`` from ``rid`` on, built from the chunk's
-    columns by a single ``map`` (no Python frame per request).  Absolute
-    deadlines are ``arrival + deadline``, the same float sum per request."""
-    deadline = wl.deadline
-    deadlines = repeat(None) if deadline is None else (arrivals + deadline).tolist()
-    return map(
-        Request,
-        range(rid, rid + len(arrivals)),
-        repeat(wl.kind),
-        arrivals.tolist(),
-        rows.tolist(),
-        repeat(wl.slo),
-        repeat(wl.priority),
-        deadlines,
-    )
+def _chunk(wl, rid: int, arrivals: np.ndarray, rows: np.ndarray) -> RequestChunk:
+    """A stock workload's chunk: requests ``rid, rid+1, ...`` at
+    ``arrivals`` with the workload's shared stamps (absolute deadlines
+    are ``arrival + deadline``, one float sum per request)."""
+    return RequestChunk.stamped(
+        rid, arrivals, rows,
+        kind=wl.kind, priority=wl.priority, slo=wl.slo, deadline=wl.deadline,
+    )  # fmt: skip
 
 
 # parameter rules for _check: what the message says, and the test
@@ -776,8 +701,18 @@ def _batch_rows(rows: Sequence[int]) -> list[int]:
 class Workload:
     """A request stream plus an optional completion feedback loop.
 
-    :meth:`requests` yields the open-loop arrivals in non-decreasing
-    arrival order (lazily — million-request streams never materialise).
+    :meth:`chunks` yields the open-loop arrivals as
+    :class:`~repro.serve.table.RequestChunk` columns, in non-decreasing
+    arrival order and lazily (million-request streams never
+    materialise); the engine reads only these.  :meth:`requests` yields
+    the same arrivals as :class:`Request` records.  A workload defines
+    one of the two: every stock workload defines :meth:`chunks`, and a
+    subclass that defines only :meth:`requests` has its chunks read from
+    that stream, ``_CHUNK`` records at a time, each record's stamps
+    checked as it enters the engine's table.  Such a ``requests()`` may
+    wrap ``super().requests()`` of a stock workload: that reads the
+    stock workload's :meth:`chunks`.
+
     :meth:`on_complete` is called by the engine at every request
     completion and may inject new requests (the closed-loop mechanism);
     the default is an open loop that injects nothing, and the engine
@@ -787,8 +722,32 @@ class Workload:
     :class:`~repro.serve.engine.ServeError`.
     """
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "requests" in vars(cls) and "chunks" not in vars(cls):
+            cls.chunks = Workload._chunks_of_requests  # type: ignore[method-assign]
+
+    def chunks(self) -> Iterator[RequestChunk]:
+        raise NotImplementedError(
+            f"{type(self).__name__} defines neither chunks() nor requests()"
+        )
+
+    def _chunks_of_requests(self) -> Iterator[RequestChunk]:
+        stream = iter(self.requests())
+        while batch := list(islice(stream, _CHUNK)):
+            yield RequestChunk.of(batch)
+
     def requests(self) -> Iterator[Request]:
-        raise NotImplementedError
+        # the nearest chunks() not read from a requests() override, so
+        # an override that wraps super().requests() reads its base's
+        # stream instead of calling itself
+        chunks = next(
+            c
+            for c in (vars(k).get("chunks") for k in type(self).__mro__)
+            if c is not None and c is not Workload._chunks_of_requests
+        )
+        for chunk in chunks(self):
+            yield from chunk.records()
 
     def on_complete(self, request: Request, now: float) -> list[Request]:
         return []
@@ -796,9 +755,9 @@ class Workload:
     def reseed(self, seed: int) -> None:
         """Replace the workload's seed in place (used by the engine's
         top-level ``seed`` splitting).  Takes effect at the next
-        :meth:`requests` call — every stock workload re-arms its RNG
-        streams from ``self.seed`` there.  Deterministic workloads
-        without a seed attribute ignore the call."""
+        :meth:`chunks` (or :meth:`requests`) call — every stock workload
+        re-arms its RNG streams from ``self.seed`` there.  Deterministic
+        workloads without a seed attribute ignore the call."""
         if hasattr(self, "seed"):
             self.seed = int(seed)
 
@@ -840,22 +799,19 @@ class PoissonWorkload(Workload):
         self.seed = int(seed)
         self.start = float(start)
 
-    def requests(self) -> Iterator[Request]:
-        def chunks() -> Iterator[Iterator[Request]]:
-            rng = np.random.default_rng(self.seed)
-            t = self.start
-            for rid in range(0, self.total, _CHUNK):
-                n = min(_CHUNK, self.total - rid)
-                gaps = rng.exponential(1.0 / self.rate, size=n)
-                # cumsum accumulates sequentially, so seeding the first gap
-                # with t reproduces the scalar `t += gap` loop bit for bit
-                gaps[0] += t
-                arrivals = np.cumsum(gaps)
-                t = float(arrivals[-1])
-                rows = _rows_column(rng, self.rows, self.kind, n)
-                yield _request_chunk(self, rid, arrivals, rows)
-
-        return chain.from_iterable(chunks())
+    def chunks(self) -> Iterator[RequestChunk]:
+        rng = np.random.default_rng(self.seed)
+        t = self.start
+        for rid in range(0, self.total, _CHUNK):
+            n = min(_CHUNK, self.total - rid)
+            gaps = rng.exponential(1.0 / self.rate, size=n)
+            # cumsum accumulates sequentially, so seeding the first gap
+            # with t reproduces the scalar `t += gap` loop bit for bit
+            gaps[0] += t
+            arrivals = np.cumsum(gaps)
+            t = float(arrivals[-1])
+            rows = _rows_column(rng, self.rows, self.kind, n)
+            yield _chunk(self, rid, arrivals, rows)
 
 
 class BurstyWorkload(Workload):
@@ -896,34 +852,27 @@ class BurstyWorkload(Workload):
         self.seed = int(seed)
         self.start = float(start)
 
-    def requests(self) -> Iterator[Request]:
+    def chunks(self) -> Iterator[RequestChunk]:
         rng = np.random.default_rng(self.seed)
         t = self.start
         state = 0
         switch = t + rng.exponential(self.dwell)
-        rows = np.empty(0, dtype=np.int64)
-        for rid in range(self.total):
-            i = rid % _CHUNK
-            if i == 0:  # refill the row-count buffer chunkwise (O(1) memory)
-                n = min(_CHUNK, self.total - rid)
-                rows = _rows_column(rng, self.rows, self.kind, n)
-            while True:
-                gap = rng.exponential(1.0 / self.rates[state])
-                if t + gap <= switch:
-                    t += gap
-                    break
-                t = switch
-                state ^= 1
-                switch = t + rng.exponential(self.dwell)
-            yield Request(
-                rid=rid,
-                kind=self.kind,
-                arrival=t,
-                rows=int(rows[i]),
-                slo=self.slo,
-                priority=self.priority,
-                deadline=None if self.deadline is None else t + self.deadline,
-            )
+        for rid in range(0, self.total, _CHUNK):
+            n = min(_CHUNK, self.total - rid)
+            # a chunk's row counts are drawn before its gaps
+            rows = _rows_column(rng, self.rows, self.kind, n)
+            arrivals = np.empty(n)
+            for i in range(n):
+                while True:
+                    gap = rng.exponential(1.0 / self.rates[state])
+                    if t + gap <= switch:
+                        t += gap
+                        break
+                    t = switch
+                    state ^= 1
+                    switch = t + rng.exponential(self.dwell)
+                arrivals[i] = t
+            yield _chunk(self, rid, arrivals, rows)
 
 
 class ClosedLoopWorkload(Workload):
@@ -935,7 +884,8 @@ class ClosedLoopWorkload(Workload):
     The initial ``clients`` requests arrive at ``start``; follow-ups are
     injected by :meth:`on_complete` from the engine's completion events.
     A workload instance drives one :meth:`~repro.serve.engine.ServingEngine.serve`
-    at a time (calling :meth:`requests` re-arms the issue counter).
+    at a time (calling :meth:`chunks` or :meth:`requests` re-arms the
+    issue counter).
     """
 
     def __init__(
@@ -970,27 +920,15 @@ class ClosedLoopWorkload(Workload):
         self._issued = 0
         self._rng = np.random.default_rng(self.seed)
 
-    def requests(self) -> Iterator[Request]:
+    def chunks(self) -> Iterator[RequestChunk]:
+        # re-armed at the call, not at the first next(): completion
+        # follow-ups draw from the same generator
         self._rng = np.random.default_rng(self.seed)
         first = min(self.clients, self.total)
         self._issued = first
         rows = _rows_column(self._rng, self.rows, self.kind, first)
-        return iter(
-            [
-                Request(
-                    rid=rid,
-                    kind=self.kind,
-                    arrival=self.start,
-                    rows=int(rows[rid]),
-                    slo=self.slo,
-                    priority=self.priority,
-                    deadline=None
-                    if self.deadline is None
-                    else self.start + self.deadline,
-                )
-                for rid in range(first)
-            ]
-        )
+        chunk = _chunk(self, 0, np.full(first, self.start), rows)
+        return iter([chunk] if first else [])
 
     def on_complete(self, request: Request, now: float) -> list[Request]:
         if self._issued >= self.total:
@@ -1057,15 +995,12 @@ class TraceWorkload(Workload):
         self.deadline = None if deadline is None else float(deadline)
         self.seed = int(seed)
 
-    def requests(self) -> Iterator[Request]:
-        def chunks() -> Iterator[Iterator[Request]]:
-            rng = np.random.default_rng(self.seed)
-            for rid in range(0, self.total, _CHUNK):
-                n = min(_CHUNK, self.total - rid)
-                rows = _rows_column(rng, self.rows, self.kind, n)
-                yield _request_chunk(self, rid, self.times[rid : rid + n], rows)
-
-        return chain.from_iterable(chunks())
+    def chunks(self) -> Iterator[RequestChunk]:
+        rng = np.random.default_rng(self.seed)
+        for rid in range(0, self.total, _CHUNK):
+            n = min(_CHUNK, self.total - rid)
+            rows = _rows_column(rng, self.rows, self.kind, n)
+            yield _chunk(self, rid, self.times[rid : rid + n], rows)
 
 
 class DiurnalWorkload(Workload):
@@ -1124,28 +1059,22 @@ class DiurnalWorkload(Workload):
             1.0 + self.amplitude * math.sin(2.0 * math.pi * (t - self.phase) / self.period)
         )
 
-    def requests(self) -> Iterator[Request]:
+    def chunks(self) -> Iterator[RequestChunk]:
         rng = np.random.default_rng(self.seed)
         rate_max = self.rate * (1.0 + self.amplitude)
         t = self.start
-        rows = np.empty(0, dtype=np.int64)
-        for rid in range(self.total):
-            i = rid % _CHUNK
-            if i == 0:  # refill the row-count buffer chunkwise (O(1) memory)
-                rows = _rows_column(rng, self.rows, self.kind, min(_CHUNK, self.total - rid))
-            while True:  # thinning: accept with prob rate(t)/rate_max
-                t += rng.exponential(1.0 / rate_max)
-                if rng.random() * rate_max <= self.rate_at(t):
-                    break
-            yield Request(
-                rid=rid,
-                kind=self.kind,
-                arrival=t,
-                rows=int(rows[i]),
-                slo=self.slo,
-                priority=self.priority,
-                deadline=None if self.deadline is None else t + self.deadline,
-            )
+        for rid in range(0, self.total, _CHUNK):
+            n = min(_CHUNK, self.total - rid)
+            # a chunk's row counts are drawn before its arrivals
+            rows = _rows_column(rng, self.rows, self.kind, n)
+            arrivals = np.empty(n)
+            for i in range(n):
+                while True:  # thinning: accept with prob rate(t)/rate_max
+                    t += rng.exponential(1.0 / rate_max)
+                    if rng.random() * rate_max <= self.rate_at(t):
+                        break
+                arrivals[i] = t
+            yield _chunk(self, rid, arrivals, rows)
 
 
 class MixedWorkload(Workload):
@@ -1157,6 +1086,12 @@ class MixedWorkload(Workload):
     (ties keep the constituent order) and re-numbered with fresh rids.
     Completion feedback is not forwarded, so closed-loop constituents
     degrade to their initial population — use open-loop children.
+
+    The merge is column by column: rows strictly before the *horizon*
+    (the earliest last buffered arrival over the constituents that may
+    still yield more) are final and are emitted in one stable sort, so
+    a row at the horizon waits until every earlier constituent has
+    shown whether more rows share its stamp.
     """
 
     def __init__(self, *workloads: Workload) -> None:
@@ -1173,9 +1108,51 @@ class MixedWorkload(Workload):
         for wl, state in zip(self.workloads, states, strict=True):
             wl.reseed(int(state))
 
-    def requests(self) -> Iterator[Request]:
-        streams = [wl.requests() for wl in self.workloads]
-        merged = heapq.merge(*streams, key=lambda req: req.arrival)
-        for rid, req in enumerate(merged):
-            req.rid = rid
-            yield req
+    def chunks(self) -> Iterator[RequestChunk]:
+        streams = [iter(wl.chunks()) for wl in self.workloads]
+        buffered = [RequestChunk.of([]) for _ in streams]
+        live = [True] * len(streams)
+        last = [-math.inf] * len(streams)  # each constituent's last arrival
+
+        def load(i: int) -> None:
+            chunk = next(streams[i], None)
+            if chunk is None:
+                live[i] = False
+                return
+            arrival = chunk.arrival
+            ordered = np.isfinite(arrival) & (arrival >= np.r_[last[i], arrival[:-1]])
+            if not ordered.all():
+                at = int(ordered.argmin())
+                raise ServeError(
+                    f"constituent {i} of a mixed workload is not a finite, "
+                    f"time-ordered stream: request {int(chunk.rid[at])} arrives "
+                    f"at {float(arrival[at])}"
+                )
+            if len(chunk):
+                last[i] = float(arrival[-1])
+            buffered[i] = RequestChunk.concat([buffered[i], chunk])
+
+        rid = 0
+        while True:
+            for i in range(len(streams)):
+                while live[i] and not len(buffered[i]):
+                    load(i)
+            horizon = min((t for t, more in zip(last, live, strict=True) if more), default=math.inf)
+            cuts = [int(np.searchsorted(held.arrival, horizon)) for held in buffered]
+            if not any(cuts):
+                if horizon == math.inf:
+                    return
+                # every row before the horizon is out: the constituents
+                # whose buffers end at it show their next rows
+                for i in range(len(streams)):
+                    if live[i] and last[i] == horizon:
+                        load(i)
+                continue
+            split = list(zip(buffered, cuts, strict=True))
+            merged = RequestChunk.concat([held.take(slice(cut)) for held, cut in split])
+            buffered = [held.take(slice(cut, None)) for held, cut in split]
+            # stable: equal stamps keep constituent order, then stream order
+            order = np.argsort(merged.arrival, kind="stable")
+            n = len(order)
+            yield merged.take(order, rid=np.arange(rid, rid + n, dtype=np.int64))
+            rid += n

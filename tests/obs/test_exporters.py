@@ -436,6 +436,23 @@ class TestPrometheusText:
         assert "down -Inf\n" in text
         assert "unknown NaN\n" in text
 
+    def test_numpy_amounts_export_as_plain_numbers(self):
+        reg = MetricsRegistry()
+        reg.counter("c").inc(np.float64(0.5))
+        reg.counter("n").inc(np.int64(3))
+        up = reg.gauge("up")
+        up.inc(np.float64(2.25))
+        up.dec(np.float32(0.5))
+        reg.gauge("set").set(np.float64(1.5))
+        for name in ("c", "n", "up", "set"):
+            assert type(reg.get(name).value) is float
+        text = prometheus_text(reg)
+        assert "c 0.5\n" in text
+        assert "n 3\n" in text
+        assert "up 1.75\n" in text
+        assert "set 1.5\n" in text
+        assert "np." not in text
+
     def test_histogram_with_infinite_sum(self):
         reg = MetricsRegistry()
         reg.histogram("latency", (1.0,)).observe(math.inf)

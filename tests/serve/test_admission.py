@@ -2,6 +2,7 @@
 the rel_tol plumbing of ServeResult.check_conservation."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -127,7 +128,9 @@ class TestConservationTolerance:
     def test_tiny_completion_perturbation_passes_loose_fails_tight(self):
         result = self._served()
         req = result.requests[0]
-        req.completion *= 1.0 + 1e-12  # sub-rel_tol float round-off
+        # sub-rel_tol float round-off
+        req = replace(req, completion=req.completion * (1.0 + 1e-12))
+        result = replace(result, requests=[req, *result.requests[1:]])
         result.check_conservation()  # default 1e-9: fine
         with pytest.raises(ServeError):
             result.check_conservation(rel_tol=1e-15)
@@ -148,12 +151,14 @@ class TestConservationTolerance:
 
     def test_real_corruption_still_detected_at_default_tolerance(self):
         result = self._served()
-        result.requests[0].completion += 1.0
+        req = result.requests[0]
+        req = replace(req, completion=req.completion + 1.0)
+        result = replace(result, requests=[req, *result.requests[1:]])
         with pytest.raises(ServeError):
             result.check_conservation()
 
     def test_served_shed_request_detected(self):
         result = self._served()
-        result.shed.append(result.requests[0])
+        result = replace(result, shed=[*result.shed, result.requests[0]])
         with pytest.raises(ServeError, match="shed"):
             result.check_conservation()

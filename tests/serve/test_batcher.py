@@ -3,6 +3,7 @@
 import math
 from collections import deque
 
+import numpy as np
 import pytest
 
 from repro import TCUMachine, PoissonWorkload, ServingEngine
@@ -14,12 +15,7 @@ from repro.serve import (
     get_batcher,
     register_batcher,
 )
-from repro.serve.batcher import BatchPolicy
-from repro.serve.workload import Request
-
-
-def req(rid, arrival, rows=8):
-    return Request(rid=rid, kind="matmul", arrival=arrival, rows=rows)
+from repro.serve.batcher import BatchPolicy, priority_release
 
 
 class TestRegistry:
@@ -43,7 +39,7 @@ class TestRegistry:
             name = "always-one"
             max_size = 1
 
-            def release_time(self, queue, now, draining):
+            def release_time(self, queue, head_arrival, now, draining):
                 return now if queue else math.inf
 
         register_batcher(Always())
@@ -51,42 +47,59 @@ class TestRegistry:
 
 
 class TestReleaseSemantics:
+    """Queues are FIFOs of request-table rows; a policy sees the head
+    request's arrival as an argument."""
+
     def test_continuous_releases_immediately(self):
         policy = ContinuousBatcher(max_size=4)
-        q = deque([req(0, 1.0), req(1, 2.0)])
-        assert policy.release_time(q, 5.0, False) == 5.0
-        assert policy.release_time(deque(), 5.0, False) == math.inf
-        assert [r.rid for r in policy.take(q, 5.0)] == [0, 1]
+        q = deque([0, 1])
+        assert policy.release_time(q, 1.0, 5.0, False) == 5.0
+        assert policy.release_time(deque(), math.inf, 5.0, False) == math.inf
+        assert policy.take(q, 5.0) == [0, 1]
 
     def test_continuous_respects_max_size(self):
         policy = ContinuousBatcher(max_size=2)
-        q = deque([req(i, float(i)) for i in range(5)])
-        assert [r.rid for r in policy.take(q, 9.0)] == [0, 1]
-        assert len(q) == 3
+        q = deque(range(5))
+        assert policy.take(q, 9.0) == [0, 1]
+        assert list(q) == [2, 3, 4]
 
     def test_size_waits_for_quorum(self):
         policy = SizeBatcher(size=3)
-        q = deque([req(0, 1.0), req(1, 2.0)])
-        assert policy.release_time(q, 9.0, draining=False) == math.inf
-        q.append(req(2, 3.0))
-        assert policy.release_time(q, 9.0, draining=False) == 9.0
+        q = deque([0, 1])
+        assert policy.release_time(q, 1.0, 9.0, draining=False) == math.inf
+        q.append(2)
+        assert policy.release_time(q, 1.0, 9.0, draining=False) == 9.0
 
     def test_size_flushes_when_draining(self):
         policy = SizeBatcher(size=8)
-        q = deque([req(0, 1.0)])
-        assert policy.release_time(q, 9.0, draining=True) == 9.0
+        q = deque([0])
+        assert policy.release_time(q, 1.0, 9.0, draining=True) == 9.0
 
     def test_timeout_ages_the_head(self):
         policy = TimeoutBatcher(timeout=10.0, max_size=8)
-        q = deque([req(0, 100.0), req(1, 104.0)])
-        assert policy.release_time(q, 101.0, False) == 110.0
+        q = deque([0, 1])
+        assert policy.release_time(q, 100.0, 101.0, False) == 110.0
         # an aged head releases now, not in the past
-        assert policy.release_time(q, 120.0, False) == 120.0
+        assert policy.release_time(q, 100.0, 120.0, False) == 120.0
 
     def test_timeout_max_size_short_circuits(self):
         policy = TimeoutBatcher(timeout=1e9, max_size=2)
-        q = deque([req(0, 1.0), req(1, 2.0)])
-        assert policy.release_time(q, 3.0, False) == 3.0
+        q = deque([0, 1])
+        assert policy.release_time(q, 1.0, 3.0, False) == 3.0
+
+    def test_priority_release_reads_head_arrivals(self):
+        # rows 0-3 arrive at 5, 1, 7, 2: the class whose head is oldest
+        # wins a tie on release time and priority
+        arrival = np.array([5.0, 1.0, 7.0, 2.0])
+        queues = {(0, "matmul"): deque([0, 2]), (0, "dft"): deque([3, 1])}
+        policy = TimeoutBatcher(timeout=0.0, max_size=8)
+        assert priority_release(queues, arrival, policy, 9.0, False) == (
+            9.0, 0, 2.0, (0, "dft"),
+        )
+        queues[(1, "mlp")] = deque([2])
+        assert priority_release(queues, arrival, policy, 9.0, False, above=0) == (
+            9.0, 1, 7.0, (1, "mlp"),
+        )
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

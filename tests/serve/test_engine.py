@@ -93,7 +93,9 @@ class TestConservation:
     def test_validation_detects_corruption(self):
         machine = TCUMachine(m=16, ell=ELL)
         result = ServingEngine(machine, "continuous").serve(poisson(seed=17, total=10))
-        result.requests[0].completion += 1.0
+        req = result.requests[0]
+        req = replace(req, completion=req.completion + 1.0)
+        result = replace(result, requests=[req, *result.requests[1:]])
         with pytest.raises(ServeError):
             result.check_conservation()
 
@@ -275,7 +277,7 @@ class TestEngineBehaviour:
         class Stubborn(SizeBatcher):
             name = "stubborn"
 
-            def release_time(self, queue, now, draining):
+            def release_time(self, queue, head_arrival, now, draining):
                 if len(queue) >= self.size:
                     return now
                 return math.inf  # ignores draining: cannot finish
@@ -365,15 +367,23 @@ class TestConservationBatchLookup:
     @pytest.mark.parametrize("offset", [7, -1000])
     def test_any_record_indices(self, offset):
         result = self._served()
-        result.batches = [replace(b, index=b.index + offset) for b in result.batches]
-        for req in result.requests:
-            req.batch += offset
+        result = replace(
+            result,
+            batches=[replace(b, index=b.index + offset) for b in result.batches],
+            requests=[replace(r, batch=r.batch + offset) for r in result.requests],
+        )
         result.check_conservation()
 
     @pytest.mark.parametrize("batch", [-1, 10**6])
     def test_request_without_record(self, batch):
         result = self._served()
-        result.requests[4].batch = batch
+        result = replace(
+            result,
+            requests=[
+                replace(r, batch=batch) if i == 4 else r
+                for i, r in enumerate(result.requests)
+            ],
+        )
         with pytest.raises(ServeError, match=r"^request 4 has no batch record$"):
             result.check_conservation()
 
@@ -381,7 +391,13 @@ class TestConservationBatchLookup:
         result = self._served()
         first, last = result.batches[0], result.batches[-1]
         req = next(r for r in result.requests if r.batch == first.index)
-        req.batch = last.index
+        result = replace(
+            result,
+            requests=[
+                replace(r, batch=last.index) if r.rid == req.rid else r
+                for r in result.requests
+            ],
+        )
         with pytest.raises(
             ServeError,
             match=rf"^request {req.rid} completion .* batch's finish {last.completion}$",

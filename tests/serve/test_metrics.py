@@ -1,5 +1,7 @@
 """ServeMetrics computation and the latency_table renderer."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -62,15 +64,15 @@ class TestComputeMetrics:
 
     def test_mixed_per_request_slos_leave_slo_none(self):
         result = synthetic_result()
-        result.requests[0].slo = 40.0
+        first = replace(result.requests[0], slo=40.0)
+        result = replace(result, requests=[first, *result.requests[1:]])
         m = compute_metrics(result)
         assert m.slo is None
         assert m.slo_attainment is not None
 
     def test_fallback_slo_applies_to_unmarked_requests(self):
         result = synthetic_result()
-        for request in result.requests:
-            request.slo = None
+        result = replace(result, requests=[replace(r, slo=None) for r in result.requests])
         assert compute_metrics(result).slo_attainment is None
         m = compute_metrics(result, slo=16.0)
         assert m.slo_attainment == pytest.approx(1 / 3)
@@ -145,8 +147,7 @@ class TestLatencyTable:
 
     def test_accepts_dict_and_missing_goodput(self):
         result = synthetic_result()
-        for request in result.requests:
-            request.slo = None
+        result = replace(result, requests=[replace(r, slo=None) for r in result.requests])
         m = compute_metrics(result)
         table = latency_table({"no-slo": m})
         assert "n/a" in table

@@ -1,6 +1,8 @@
 """Workload generators and the request-type registry."""
 
+import heapq
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -526,6 +528,109 @@ def _per_request_trace(wl):
         )
 
 
+def _per_request_bursty(wl):
+    """BurstyWorkload.requests as a per-request generator: the MMPP loop,
+    each chunk's row counts drawn when its first request is."""
+    chunk = workload_module._CHUNK
+    rng = np.random.default_rng(wl.seed)
+    t = wl.start
+    state = 0
+    switch = t + rng.exponential(wl.dwell)
+    rows = np.empty(0, dtype=np.int64)
+    for rid in range(wl.total):
+        i = rid % chunk
+        if i == 0:
+            rows = workload_module._rows_column(rng, wl.rows, wl.kind, min(chunk, wl.total - rid))
+        while True:
+            gap = rng.exponential(1.0 / wl.rates[state])
+            if t + gap <= switch:
+                t += gap
+                break
+            t = switch
+            state ^= 1
+            switch = t + rng.exponential(wl.dwell)
+        yield Request(
+            rid=rid,
+            kind=wl.kind,
+            arrival=t,
+            rows=int(rows[i]),
+            slo=wl.slo,
+            priority=wl.priority,
+            deadline=None if wl.deadline is None else t + wl.deadline,
+        )
+
+
+def _per_request_diurnal(wl):
+    """DiurnalWorkload.requests as a per-request generator: thinning,
+    each chunk's row counts drawn when its first request is."""
+    chunk = workload_module._CHUNK
+    rng = np.random.default_rng(wl.seed)
+    rate_max = wl.rate * (1.0 + wl.amplitude)
+    t = wl.start
+    rows = np.empty(0, dtype=np.int64)
+    for rid in range(wl.total):
+        i = rid % chunk
+        if i == 0:
+            rows = workload_module._rows_column(rng, wl.rows, wl.kind, min(chunk, wl.total - rid))
+        while True:
+            t += rng.exponential(1.0 / rate_max)
+            if rng.random() * rate_max <= wl.rate_at(t):
+                break
+        yield Request(
+            rid=rid,
+            kind=wl.kind,
+            arrival=t,
+            rows=int(rows[i]),
+            slo=wl.slo,
+            priority=wl.priority,
+            deadline=None if wl.deadline is None else t + wl.deadline,
+        )
+
+
+def _closed_loop_population(wl):
+    """ClosedLoopWorkload's initial population, one request per client
+    at ``start``, and the generator its follow-ups then draw from."""
+    rng = np.random.default_rng(wl.seed)
+    first = min(wl.clients, wl.total)
+    rows = workload_module._rows_column(rng, wl.rows, wl.kind, first)
+    population = [
+        Request(
+            rid=rid,
+            kind=wl.kind,
+            arrival=wl.start,
+            rows=int(rows[rid]),
+            slo=wl.slo,
+            priority=wl.priority,
+            deadline=None if wl.deadline is None else wl.start + wl.deadline,
+        )
+        for rid in range(first)
+    ]
+    return population, rng
+
+
+def _merged(wl):
+    """MixedWorkload.requests as a ``heapq.merge`` of its constituents'
+    oracles by arrival (ties: the earlier constituent first), renumbered."""
+    merged = heapq.merge(*map(_oracle, wl.workloads), key=lambda req: req.arrival)
+    for rid, req in enumerate(merged):
+        yield replace(req, rid=rid)
+
+
+def _oracle(wl):
+    if isinstance(wl, PoissonWorkload):
+        return _per_request_poisson(wl)
+    if isinstance(wl, TraceWorkload):
+        return _per_request_trace(wl)
+    if isinstance(wl, BurstyWorkload):
+        return _per_request_bursty(wl)
+    if isinstance(wl, DiurnalWorkload):
+        return _per_request_diurnal(wl)
+    if isinstance(wl, ClosedLoopWorkload):
+        return iter(_closed_loop_population(wl)[0])
+    assert isinstance(wl, MixedWorkload)
+    return _merged(wl)
+
+
 _STAMPS = [
     {},
     {"rows": 8},
@@ -544,28 +649,91 @@ def _trace(total, **stamps):
     return TraceWorkload(times, seed=5, **stamps)  # .round(-1): some gaps are 0
 
 
-_ORACLES = [(_poisson, _per_request_poisson), (_trace, _per_request_trace)]
+def _bursty(total, **stamps):
+    return BurstyWorkload(1 / 50, 1 / 900, total, dwell=400.0, seed=5, **stamps)
+
+
+def _diurnal(total, **stamps):
+    return DiurnalWorkload(rate=1 / 200, total=total, period=3e3, amplitude=0.9, seed=5, **stamps)
+
+
+def _closed(total, **stamps):
+    return ClosedLoopWorkload(clients=total - 5, total=total, think=40.0, seed=5, **stamps)
+
+
+def _mixed(total, **stamps):
+    # equal stamps straddle the 16-row chunk boundaries of both traces
+    # (rows 14-17 of the first, 13-18 of the second) and meet each
+    # other and the Poisson stream's rows
+    ticks = np.repeat(np.arange(0.0, total * 10.0, 50.0), 4)[:total]
+    return MixedWorkload(
+        TraceWorkload(ticks, seed=5, **stamps),
+        PoissonWorkload(rate=1 / 40, total=total, kind="dft", priority=1, seed=6),
+        TraceWorkload(ticks[1:] + 50.0, kind="mlp", rows=(2, 4), priority=2, seed=7),
+    )
+
+
+_ORACLES = [
+    (_poisson, _per_request_poisson),
+    (_trace, _per_request_trace),
+    (_bursty, _per_request_bursty),
+    (_diurnal, _per_request_diurnal),
+    (_closed, _oracle),
+    (_mixed, _merged),
+]
+_ORACLE_IDS = ["poisson", "trace", "bursty", "diurnal", "closed-loop", "mixed"]
+
+
+def _from_chunks(wl):
+    return [req for chunk in wl.chunks() for req in chunk.records()]
 
 
 class TestChunkedGenerators:
-    """Chunk-built streams equal the per-request generators request for
-    request, across chunk boundaries and after a reseed."""
+    """Every stock workload's chunks() and requests() equal its
+    per-request generator request for request, across chunk boundaries
+    and after a reseed."""
 
     @pytest.mark.parametrize("stamps", _STAMPS, ids=lambda s: ",".join(s) or "defaults")
-    @pytest.mark.parametrize("make, oracle", _ORACLES, ids=["poisson", "trace"])
+    @pytest.mark.parametrize("make, oracle", _ORACLES, ids=_ORACLE_IDS)
     def test_small_chunks(self, monkeypatch, make, oracle, stamps):
         monkeypatch.setattr(workload_module, "_CHUNK", 16)
         wl = make(2 * 16 + 3, **stamps)
-        assert list(wl.requests()) == list(oracle(wl))
+        expected = list(oracle(wl))
+        assert _from_chunks(wl) == expected
+        assert list(wl.requests()) == expected
         wl.reseed(77)
-        assert list(wl.requests()) == list(oracle(wl))
+        expected = list(oracle(wl))
+        assert _from_chunks(wl) == expected
+        assert list(wl.requests()) == expected
 
-    @pytest.mark.parametrize("make, oracle", _ORACLES, ids=["poisson", "trace"])
+    @pytest.mark.parametrize("make, oracle", _ORACLES[:2], ids=_ORACLE_IDS[:2])
     def test_full_chunks(self, make, oracle):
         wl = make(2 * workload_module._CHUNK + 3, rows=(4, 8), deadline=900.0, start=7.5)
-        got = list(wl.requests())
-        assert len(got) == wl.total
-        assert got == list(oracle(wl))
+        expected = list(oracle(wl))
+        assert len(expected) == wl.total
+        assert list(wl.requests()) == expected
+        assert _from_chunks(wl) == expected
+
+    def test_mixed_keeps_constituent_order_on_shared_stamps(self, monkeypatch):
+        monkeypatch.setattr(workload_module, "_CHUNK", 16)
+        ticks = np.repeat([0.0, 10.0, 20.0, 30.0, 40.0], 8)  # 8 rows a stamp
+        first = TraceWorkload(ticks, kind="matmul", seed=1)
+        second = TraceWorkload(ticks[:20], kind="dft", seed=2)
+        got = list(MixedWorkload(first, second).requests())
+        expected = list(_merged(MixedWorkload(first, second)))
+        assert got == expected
+        # at each stamp, every row of the first constituent comes first
+        kinds = [(r.arrival, r.kind) for r in got]
+        assert kinds == sorted(kinds, key=lambda k: (k[0], k[1] != "matmul"))
+
+    def test_closed_loop_follow_ups_continue_the_oracle_stream(self, monkeypatch):
+        monkeypatch.setattr(workload_module, "_CHUNK", 16)
+        wl = _closed(40, rows=(1, 2, 3))
+        population, rng = _closed_loop_population(wl)
+        assert _from_chunks(wl) == population
+        follow = wl.on_complete(population[0], 5.0)
+        rows = workload_module._rows_column(rng, wl.rows, wl.kind, 1)
+        assert follow == [Request(rid=35, kind="matmul", arrival=45.0, rows=int(rows[0]))]
 
     def test_first_request_builds_one_chunk(self, monkeypatch):
         drawn = []
