@@ -1070,6 +1070,13 @@ class ServingEngine:
                     else run.rtype.plan(exec_machine, rows)
                 )
                 run.cursor = ExecutionCursor(plan, exec_machine)
+            if sampling and cache is not None:
+                lookups = (
+                    cache.hits + cache.misses
+                    - cache_hits_start - cache_misses_start
+                )
+                if lookups:
+                    g_cache.set((cache.hits - cache_hits_start) / lookups)
             if tracing and stepwise and not run.cursor.done:
                 attach_level_observer(run)
 
@@ -1125,10 +1132,10 @@ class ServingEngine:
                             tr.request_abandoned(
                                 rid, kind, priority, arrival, math.nan, -1, ts=clock
                             )
-                    batch = batch[~expired]
-                    if not len(batch):
                         if sampling:
                             note_availability()
+                    batch = batch[~expired]
+                    if not len(batch):
                         return
             rtype = rtypes.get(kind)
             if rtype is None:
@@ -1143,13 +1150,6 @@ class ServingEngine:
             build_cursor(run, machine, table.rows[batch].tolist())
             if sampling:
                 g_inflight.set(sum(run.rows))
-                if cache is not None:
-                    lookups = (
-                        cache.hits + cache.misses
-                        - cache_hits_start - cache_misses_start
-                    )
-                    if lookups:
-                        g_cache.set((cache.hits - cache_hits_start) / lookups)
             if not run.cursor.done:
                 exec_unit(run)
             else:
@@ -1171,8 +1171,6 @@ class ServingEngine:
             run.seg_base = ledger.clock
             if tracing:
                 run.trace_mark = len(ledger.calls)
-                if sampling:
-                    g_inflight.set(sum(run.rows))
             if not run.retry_pending:
                 # preemption resume: the PR5 path, bit-identical when
                 # no fault machinery is configured
@@ -1180,6 +1178,8 @@ class ServingEngine:
                 if tracing:
                     tr.instant("resume", ts=clock, batch=run.index)
                 charge_resume_reload(run)
+                if sampling:
+                    g_inflight.set(sum(run.rows))
                 exec_unit(run)
                 running = run
                 return
@@ -1212,6 +1212,8 @@ class ServingEngine:
                 # (or a failure on the very first level) has no resident
                 # state to re-load and pays only the re-run levels
                 charge_resume_reload(run)
+            if sampling:
+                g_inflight.set(sum(run.rows))  # a degraded re-plan's rows
             if not run.cursor.done:
                 exec_unit(run)
             else:

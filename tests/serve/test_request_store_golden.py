@@ -7,7 +7,12 @@ its Perfetto export, its Prometheus text and the tracer's ``requests``,
 ``segments`` and ``batch_rows`` rows.  The digests were recorded from
 the per-request engine that preceded the columnar request store (one
 ``Request`` object per arrival, mutated in place), so they hold the
-store to that engine's results bit for bit.
+store to that engine's results bit for bit.  Ten export digests were
+re-recorded since, when sampled runs began to read the in-flight rows
+after a degraded re-plan, the plan-cache hit rate after every lookup
+and the availability after a launch that abandons part of its batch:
+the Perfetto digests of cases 5, 11, 19, 48, 51, 53, 56 and 63 and the
+Prometheus digests of cases 5 and 63.
 
 The cases are a pairwise covering design: every pair of values of any
 two axes (workload, batcher, admission, behaviour, tracing, machine)
@@ -308,8 +313,8 @@ GOLDEN: dict[int, tuple[str, ...]] = {
     5: (
         "6ac17e5b0b53d3ba165c57479cf34f713d34f63d740f7534cd19e0f37d60a2e6",
         "99d465d02eaad0de18afcfa44aee002239b0223b8f1685e967739ea0b7b46609",
-        "79377bc29854507307e7a326b08d671b9d8c404ee4122326bef22138c9abda9c",
-        "7c03555528004197d8d47fcf4659edc99604c7d7fdf29e5ace8f680814d22fb0",
+        "2825fee4bb8b48c4c7341eb607ba7e650b69eeb1bc80e872de547272dab9d0a5",
+        "ecbfb1e8645ee49a26fffd752401982958f5ddccbba4a6aebb671e893998f230",
         "5c542ffc18cd298c5fead60a9f419c2675a5119314143680bf2f73f6ebdf914f",
     ),
     6: (
@@ -344,7 +349,7 @@ GOLDEN: dict[int, tuple[str, ...]] = {
     11: (
         "9dc8d4a100520d2ae203ca13b3aec40f42f80ecd9ac8232129396c508ea26891",
         "ddffe7e94342bca4b4c1ad7593f0847f04805df66580871e8b329534d8a13de7",
-        "a4717175510c5c21403b3748788f2d26e13d54d11207437fed8950fe261cfa9d",
+        "3df7e8cdeca28d005aa31fb8398d0cbfc42bdd72b6ebf5bff27f8e6cbbf2f7aa",
         "cf92e9337d2a8c1a7aad7cf960aa2f4de41bd0d8d4a1538c38409652e345ac65",
         "259c8bcc05f2003f7ae448d62ae9388de33ef6b2fb633b631852518d173b80cc",
     ),
@@ -394,7 +399,7 @@ GOLDEN: dict[int, tuple[str, ...]] = {
     19: (
         "7fe42262297d1a036aa9a6a1e6afa3b61e36c07f6ec458e76c50af32954ba8b0",
         "2436f261a6f9b5d01c0134d28dcf8f137384d7d61382a3203c0fd7c81b2b6789",
-        "d8bb324c6a85cbe070e1cd42bc89ed859a71dcd1e4bd1e11c5e1747379c69398",
+        "9b488c02077cae58c4681cbbf913c3002da0ddb188cae7481244b855319dc735",
         "1ce431e349d1265aad32dd54a63bcf86ed0672e25831cc4a2b92aaf18e5aae96",
         "0b2074ec4621a0eff6163cddcd586cf9c78da9f53921266116a72e71bfa52c6b",
     ),
@@ -519,7 +524,7 @@ GOLDEN: dict[int, tuple[str, ...]] = {
     48: (
         "fe2b20016c69942f68803e77b12dde73c5efff7b11eaaee7e6be668fd58d4cb5",
         "a30a7e6232d61ee15c7398450c8cfe0e42e24c7668cd2ce6673d59306f111ced",
-        "43db716136eb15ce69863b3792c4708ea8e607f248e177eaa49abd1bddc82a07",
+        "6017026f6bfc9ab674f67cb04de7db616e892a26871eefd8e14a68381af04253",
         "84246fa63b951aec22c41d81fd8988ffbb1b2494e3268eda21d5bae78c1fa1c4",
         "f49d345debb0653bdeecf7b37345834b25ae3bfe5befefc5b676aad35096d4b0",
     ),
@@ -540,7 +545,7 @@ GOLDEN: dict[int, tuple[str, ...]] = {
     51: (
         "8f542ba24b6c72a05f8c6d7cc6acf9e47ed4aabae6a71baebb33c55809cb0049",
         "74cf9b76208bd2f8b79f936d4dc0eca6de57821c082e8f0694788d27503bbf2f",
-        "4ac200fd7b79109594cc521b0bd2b4e40cd14178de3499b2eb741471e8e44357",
+        "4ed3a69cafe6f8a080f481d0c4963085844355105fa3135a87a756abeb6b3ec4",
         "6f41e7a421c83972acc26369c19c1109bca2bcf0447f55d81ce85eb64c54a2e4",
         "f530f8cfa88ea8245f92a978023dfa4ef673518d53ea4443e2a3fded3b1b0a9d",
     ),
@@ -554,7 +559,7 @@ GOLDEN: dict[int, tuple[str, ...]] = {
     53: (
         "5e6871c09006a71d0f32bf4a8515c117f36c612ba0264b9354fbe37c70346da5",
         "564fe6f7d3bf067764a5978538002dfd19563c82634bc7ed3e85f337fb8286e8",
-        "f8d3b8c7d2b401e5168f0c1257e3e657b441741d55e7a31d7ff510458b9260be",
+        "7212ccf1c637bc514cccc50043a7fa00efb0903f169e860f1a4c43a0ba18c9b2",
         "1c781d4143b2c2010dbcadcf1048c6335da2e3c9b9f704f21fb72a790de8183e",
         "a36d25b55c3851aac738f47c5a3676b2656bdc705c3477665d841295838bc0b7",
     ),
@@ -575,7 +580,7 @@ GOLDEN: dict[int, tuple[str, ...]] = {
     56: (
         "094edafb15aca1703b29ed155ea2b58d6d496124de3752111ef57ee74d2241fc",
         "e4b98290ea677a24b371c6871a9be8bf1b61b35989c70a105ae0e80aa8d18856",
-        "9fb3df461034b9c9200c5ec74e1086bd3e47f6410890d66e3d1b69cca2e8a06a",
+        "d00f546c2c07505a6894bfa571fc438f2ae3efb1d7dfec8bad07193b8e9187fb",
         "8496c7ef58908c0e41296e7f66ed5b29af5a4c189d26f47b07854c90ac18f6c7",
         "59391cb0da027b485b25b9b82e93eded374ef583e117f05d6b95684ed2443cb1",
     ),
@@ -618,8 +623,8 @@ GOLDEN: dict[int, tuple[str, ...]] = {
     63: (
         "3999e9b98cb482817ddcd0bf04e3a7d826c297312b13b393a710c167bd5104d2",
         "6ee05259aeb6f68ba4ba8867445c631861c5a7a1b2b1d85029c082586f62e1ef",
-        "39d3847f7ffa853334616dd860741fba15b74b4c1ddd331686592a9d80c49031",
-        "ac0122c070f6a12cdc895465963606ba02428d950f1094d7d24f7446c9436fc1",
+        "45e0658dd04292812e054bad35b4802ec1f10ef065bdfe03e176684c99993f06",
+        "185491dae2ba9463b50aac5f3cdda99081e217e0e6e1e0aaa9435d93fc1b554f",
         "12ece885710835d5fd3bc6d75a550d004887442fcc61cf00d89d5a01320f2220",
     ),
 }
