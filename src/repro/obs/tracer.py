@@ -32,6 +32,30 @@ spans (with their tensor-unit lanes) are always recorded; charges are
 bit-identical either way (stepwise parity is a standing engine gate),
 only the event granularity changes.
 
+Serving metrics
+---------------
+
+:meth:`Tracer.begin_run` registers a served run's metrics on
+:attr:`Tracer.registry`: the gauges ``queue_depth`` (queued requests),
+``in_flight_rows`` (the running batch's rows), ``availability``
+(completed over completed + abandoned) and ``cache_hit_rate`` (the
+run's plan-cache hits over its lookups), the counters
+``requests_completed``, ``requests_shed``, ``requests_abandoned``,
+``preemptions``, ``faults`` and ``retries``, and the
+``request_latency`` histogram; a class's ``slo_attainment`` gauge (met
+over judged SLOs) is registered at its first SLO outcome.  The engine
+owns none of them: it hands the tracer the run's state when the sampler
+is due (:meth:`Tracer.sample`) and when the run ends
+(:meth:`Tracer.end_run`), and each metric is computed from that state
+by one formula, the same with and without a sampler.  A counter reads
+the value it held at run start plus the run's total, so runs sharing a
+registry accumulate; a gauge reads the latest run.  Two details differ
+by mode, because exports pin their bits and order: under a sampler each
+request's latency and SLO outcome are folded as its batch completes, in
+completion order, and without one the whole run is folded at its end,
+its latencies in one ``observe_many`` call (whose sum may differ in its
+last bits).  SLO monitors see each outcome as its batch completes.
+
 Reconciliation
 --------------
 
@@ -49,6 +73,8 @@ import math
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from .metrics import MetricsRegistry
 from .sampler import Sampler, SloBurnMonitor
 from .spans import Instant, ObsError, Span
@@ -63,6 +89,30 @@ _DETAILS = ("auto", "level")
 
 #: ledger charge categories mirrored into registry counters
 _CHARGE_CATEGORIES = ("tensor", "cpu", "reload", "wasted")
+
+#: a served run's gauges, by name and help text, in :meth:`Tracer.sample`'s order
+_GAUGES = (
+    ("queue_depth", "requests waiting in class queues"),
+    ("in_flight_rows", "rows of the running batch"),
+    ("availability", "completed over completed + abandoned"),
+    ("cache_hit_rate", "plan-cache hit fraction, this run"),
+)
+#: a served run's counters, in the order of the run totals they read
+_COUNTERS = (
+    "requests_completed",
+    "requests_shed",
+    "requests_abandoned",
+    "preemptions",
+    "faults",
+    "retries",
+)
+_LATENCY_BOUNDS = tuple(10.0**k for k in range(-3, 10))
+
+
+def _assign(metric, value: float) -> None:
+    """Set ``metric`` to ``value`` unless it holds that value already."""
+    if value != metric.value:
+        metric.value = value
 
 
 class Tracer:
@@ -234,11 +284,16 @@ class Tracer:
         segment (``start``, ``dur``), its batch row and the done rows of
         its ``requests`` (finished at ``ts``).  ``requests`` are the
         batch's rows in the run's request table; the tracer reads their
-        done rows off the table when :attr:`requests` is read."""
+        done rows off the table when :attr:`requests` is read.  Under a
+        sampler each request's latency and SLO outcome are folded now, in
+        row order, and the monitors see each outcome now."""
         self._log.append(
             (batch, kind, priority, requests, launch, ts, service, reload,
              wasted, faults, start, dur)
         )
+        self._done += len(requests.index)
+        if self.sampler is not None or self.monitors:
+            self._judge(priority, requests, ts)
 
     # -- faults -------------------------------------------------------
     def wait(
@@ -307,6 +362,132 @@ class Tracer:
 
     def unbind_ledger(self, ledger: CostLedger) -> None:
         ledger.on_charge = ledger.on_charges = None
+
+    # -- serving metrics ----------------------------------------------
+    def begin_run(self, ledger: CostLedger, cache=None) -> None:
+        """Start observing a served run: mirror ``ledger``'s charges
+        (:meth:`bind_ledger`) and register the run's metrics (see the
+        module docstring); ``cache_hit_rate`` reads ``cache``'s lookups
+        from now on."""
+        self.bind_ledger(ledger)
+        registry = self.registry
+        self._gauges = [registry.gauge(name, text) for name, text in _GAUGES]
+        self._counters = [registry.counter(name) for name in _COUNTERS]
+        self._bases = [counter.value for counter in self._counters]
+        self._latency = registry.histogram(
+            "request_latency", _LATENCY_BOUNDS, "end-to-end request latency (model time)"
+        )
+        self._cache = cache
+        self._cache_base = (cache.hits, cache.misses) if cache is not None else (0, 0)
+        self._lookups = sum(self._cache_base)  # the lookups last read
+        self._depth = -1  # the queued requests last read
+        self._rows: Sequence[int] = ()  # the running batch's rows last read
+        self._totals = (0,) * len(_COUNTERS)  # the counters' run totals last read
+        self._done = 0  # requests completed (:meth:`batch_done`)
+        self._logged = len(self._log)  # log entries from before the run
+        self._slo: dict[int, list] = {}  # priority -> [met, judged, gauge]
+
+    def sample(self, state: tuple, *, ts: float) -> None:
+        """Bring the run's metrics up to ``state`` and record a sample at
+        ``ts`` (the engine calls it when the sampler is due).
+
+        ``state`` is ``(queues, rows, totals)``: the class queues (a
+        dict of sized containers of queued requests), the running
+        batch's rows (empty while the machine is idle) and the run's
+        shed, abandoned, preemption, fault and retry totals."""
+        self._read(state)
+        self.sampler.sample(self.registry, ts=ts)
+
+    def end_run(self, state: tuple, *, ts: float) -> None:
+        """Bring the run's metrics up to its final ``state`` (as
+        :meth:`sample`) and, with a sampler, record a last sample at
+        ``ts``.  Without one, the run's completed requests are folded
+        now."""
+        if self.sampler is None:
+            self._fold()
+        self._read(state)
+        if self.sampler is not None:
+            self.sampler.sample(self.registry, ts=ts, force=True)
+
+    def _read(self, state: tuple) -> None:
+        """Each metric from its formula over ``state``.  A metric is
+        assigned only when its value changed, so a sample repeats the
+        float object the exporter has already formatted."""
+        queues, rows, totals = state
+        queue_depth, in_flight, availability, hit_rate = self._gauges
+        depth = sum(map(len, queues.values()))
+        if depth != self._depth:
+            self._depth = depth
+            queue_depth.value = float(depth)
+        if rows is not self._rows:
+            self._rows = rows
+            _assign(in_flight, float(sum(rows)))
+        totals, last = (self._done, *totals), self._totals
+        if totals != last:
+            self._totals = totals
+            for counter, base, total, seen in zip(
+                self._counters, self._bases, totals, last, strict=True
+            ):
+                if total != seen:
+                    counter.value = base + total
+            entered = totals[0] + totals[2]  # completed + abandoned
+            if entered:
+                _assign(availability, totals[0] / entered)
+            if totals[0] != last[0]:
+                for met, judged, gauge in self._slo.values():
+                    _assign(gauge, met / judged)
+        cache = self._cache
+        if cache is not None and cache.hits + cache.misses != self._lookups:
+            self._lookups = cache.hits + cache.misses
+            hits, misses = self._cache_base
+            _assign(hit_rate, (cache.hits - hits) / (self._lookups - hits - misses))
+
+    def _judge(self, priority: int, requests: RequestRows, finish: float) -> None:
+        """Each request of a completed batch, in row order: the monitors
+        see its SLO outcome and, under a sampler, its latency joins the
+        histogram and its outcome its class's tally."""
+        sampled = self.sampler is not None
+        table, rows = requests.table, requests.index
+        for arrival, slo in zip(
+            table.arrival[rows].tolist(), table.slo[rows].tolist(), strict=True
+        ):
+            latency = finish - arrival
+            if sampled:
+                self._latency.observe(latency)
+            if slo == slo:  # NaN: no objective
+                met = latency <= slo
+                self.observe_slo(priority, met, ts=finish)
+                if sampled:
+                    self._tally(priority, met, 1)
+
+    def _fold(self) -> None:
+        """A samplerless run's completed requests, at its end: their
+        latencies join the histogram in one ``observe_many`` call, in
+        completion order, and their SLO outcomes their classes' tallies."""
+        done = [entry[3] for entry in self._log[self._logged :] if len(entry) == 12]
+        if not done:
+            return
+        table = done[0].table
+        rows = np.concatenate([requests.index for requests in done])
+        latency = table.completion[rows] - table.arrival[rows]
+        self._latency.observe_many(latency)
+        objectives = table.slo[rows]
+        judged = objectives == objectives  # NaN: no objective
+        met = latency[judged] <= objectives[judged]
+        classes = table.priority[rows][judged]
+        for priority in dict.fromkeys(classes.tolist()):
+            mine = classes == priority
+            self._tally(priority, np.count_nonzero(met[mine]), np.count_nonzero(mine))
+
+    def _tally(self, priority: int, met: int, judged: int) -> None:
+        """Count ``judged`` SLO outcomes of class ``priority``, ``met`` of
+        them met; a class's gauge is registered at its first outcome."""
+        tally = self._slo.get(priority)
+        if tally is None:
+            gauge = self.registry.gauge("slo_attainment", labels={"class": str(priority)})
+            tally = self._slo[priority] = [0, 0, gauge]
+        tally[0] += int(met)
+        tally[1] += int(judged)
 
     # -- reconciliation -----------------------------------------------
     def exec_time(self) -> float:

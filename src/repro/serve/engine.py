@@ -56,6 +56,15 @@ With preemption disabled and admission unbounded the kernel reproduces
 the PR4 run-to-completion engine bit-identically (per-shape charges,
 completions, clock) — pinned by ``tests/serve/test_preemption.py``.
 
+Telemetry is the :class:`~repro.obs.tracer.Tracer`'s.  A traced run
+emits its events (shed, abandoned, segment, level span, batch done,
+backoff wait, unit down, reload, instants) and hands the tracer the
+run's state — the class queues, the running batch's rows and the shed,
+abandoned, preemption, fault and retry totals — when its sampler is due
+and when the run ends; the tracer computes every metric from that.  The
+engine owns no metric (the ``OBS002`` lint rule), and ``tracer=None``
+takes none of the tracer's branches.
+
 Quickstart::
 
     >>> from repro.core.machine import TCUMachine
@@ -697,10 +706,11 @@ class ServingEngine:
         requesting a cache on a numeric machine is a :class:`ValueError`.
     tracer:
         A :class:`~repro.obs.tracer.Tracer`, or ``None`` (default).
-        When set, :meth:`serve` emits request/segment/level/fault spans
-        and registry metrics, all timestamped on the simulated clock —
-        charges, clock and results are bit-identical to an untraced
-        run.  ``None`` keeps the exact untraced code path.  A tracer
+        When set, :meth:`serve` emits request/segment/level/fault spans,
+        all timestamped on the simulated clock, and hands the tracer the
+        run's state for its metrics — charges, clock and results are
+        bit-identical to an untraced run.  ``None`` keeps the exact
+        untraced code path.  A tracer
         with ``detail="level"`` forces stepwise execution so per-level
         spans are always recorded (stepwise replay is charge-identical;
         only event granularity changes).
@@ -825,7 +835,6 @@ class ServingEngine:
         running: _Run | None = None
         suspended: list[_Run] = []
         finished: list[np.ndarray] = []  # each completed batch's rows
-        done_total = 0
         shed: list[int] = []
         abandoned: list[np.ndarray] = []
         abandoned_total = 0
@@ -836,7 +845,8 @@ class ServingEngine:
         wasted_total = 0.0
         degraded_machine: TCUMachine | None = None  # lazy quantized twin
         batches: list[BatchRecord | None] = []
-        trace_start = len(ledger.calls) if ledger.trace_calls is True else 0
+        full_trace = ledger.trace_calls is True
+        trace_start = len(ledger.calls) if full_trace else 0
         ledger_start = ledger.clock
         reload_start = ledger.reload_time
         busy_time = 0.0
@@ -844,61 +854,25 @@ class ServingEngine:
         # per-run section baselines: ledger sections are cumulative over
         # the machine's lifetime, results report only this run's share
         kind_base: dict[str, float] = {}
-        rtypes: dict[str, object] = {}  # per-run registry memo
+        rtypes: dict[str, object] = {}  # per-run request-type memo
         cache = self.plan_cache
         cache_hits_start = cache.hits if cache is not None else 0
         cache_misses_start = cache.misses if cache is not None else 0
 
-        # telemetry plumbing: metric handles are resolved once, every
-        # emission below sits behind `if tracing` so tracer=None keeps
-        # the untraced hot path (one falsy branch per event)
+        # telemetry: every emission below sits behind `if tracing`, so
+        # tracer=None keeps the untraced hot path (one falsy branch per
+        # event); the tracer's metrics read the run's state when its
+        # sampler is due and when the run ends
         sampler = tr.sampler if tracing else None
-        sampling = sampler is not None
-        queued_now = 0
-        if tracing:
-            reg = tr.registry
-            g_queue = reg.gauge("queue_depth", "requests waiting in class queues")
-            g_inflight = reg.gauge("in_flight_rows", "rows of the running batch")
-            g_avail = reg.gauge(
-                "availability", "completed over completed + abandoned"
-            )
-            g_cache = reg.gauge("cache_hit_rate", "plan-cache hit fraction, this run")
-            c_completed = reg.counter("requests_completed")
-            c_shed = reg.counter("requests_shed")
-            c_abandoned = reg.counter("requests_abandoned")
-            c_preempt = reg.counter("preemptions")
-            c_faults = reg.counter("faults")
-            c_retries = reg.counter("retries")
-            h_latency = reg.histogram(
-                "request_latency",
-                tuple(10.0**k for k in range(-3, 10)),
-                "end-to-end request latency (model time)",
-            )
-            # priority -> [hits, total, slo_attainment gauge]
-            slo_stats: dict[int, list] = {}
-            full_trace = ledger.trace_calls is True
-            # a completed batch records its requests in one tracer call;
-            # only the latency histogram (sampled runs) and the SLO
-            # monitors need each request as it completes
-            per_request = sampling or bool(tr.monitors)
-            observe_latency = h_latency.observe
 
-        def note_availability() -> None:
-            entered = done_total + abandoned_total
-            if entered:
-                g_avail.set(done_total / entered)
-
-        def note_slo(priority: int, hits: int, total: int = 1) -> list:
-            """Count ``total`` SLO outcomes of ``priority``'s class, of
-            which ``hits`` met it; returns the class's ``[hits, total,
-            slo_attainment gauge]``."""
-            stats = slo_stats.get(priority)
-            if stats is None:
-                gauge = reg.gauge("slo_attainment", labels={"class": str(priority)})
-                stats = slo_stats[priority] = [0, 0, gauge]
-            stats[0] += hits
-            stats[1] += total
-            return stats
+        def run_state() -> tuple:
+            """The run as the tracer's metrics read it (see
+            :meth:`~repro.obs.tracer.Tracer.sample`)."""
+            rows = running.rows if running is not None else ()
+            shed_total, faults_total = len(shed), len(fault_events)
+            return queues, rows, (
+                shed_total, abandoned_total, preemptions_total, faults_total, retries_total
+            )
 
         def class_queue(key: tuple[int, str]) -> deque[int]:
             queue = queues.get(key)
@@ -934,18 +908,12 @@ class ServingEngine:
 
         def offer(row: int, queue: deque[int], arrival: float) -> None:
             """Admit the request at ``row`` to its class queue, or shed it."""
-            nonlocal queued_now
             if admit(table, row, queue, arrival):
                 queue.append(row)
-                if sampling:
-                    queued_now += 1
-                    g_queue.set(queued_now)
             else:
                 shed.append(row)
                 if tracing:
-                    c_shed.inc()
-                    rid, kind, priority, _ = table.stamps(row)
-                    tr.request_shed(rid, kind, priority, arrival, ts=arrival)
+                    tr.request_shed(*table.stamps(row), ts=arrival)
 
         def pump(limit: int, until: float = math.inf) -> float:
             """The arrival event: admit or shed, in time order, up to
@@ -1070,13 +1038,6 @@ class ServingEngine:
                     else run.rtype.plan(exec_machine, rows)
                 )
                 run.cursor = ExecutionCursor(plan, exec_machine)
-            if sampling and cache is not None:
-                lookups = (
-                    cache.hits + cache.misses
-                    - cache_hits_start - cache_misses_start
-                )
-                if lookups:
-                    g_cache.set((cache.hits - cache_hits_start) / lookups)
             if tracing and stepwise and not run.cursor.done:
                 attach_level_observer(run)
 
@@ -1108,15 +1069,12 @@ class ServingEngine:
             cursor.observer = observe
 
         def launch(key: tuple[int, str], release: float) -> None:
-            nonlocal clock, running, queued_now, abandoned_total
+            nonlocal clock, running, abandoned_total
             priority, kind = key
             clock = max(clock, release)
             taken = policy.take(queues[key], clock)
             if not taken:
                 raise ServeError(f"policy {policy.name!r} released an empty batch")
-            if sampling:
-                queued_now -= len(taken)
-                g_queue.set(queued_now)
             batch = np.array(taken, dtype=np.int64)
             if self.abandon:
                 # a request without a deadline reads NaN: never expired
@@ -1127,13 +1085,10 @@ class ServingEngine:
                     abandoned_total += len(gone)
                     if tracing:
                         for row in gone.tolist():
-                            c_abandoned.inc()
                             rid, _, _, arrival = table.stamps(row)
                             tr.request_abandoned(
                                 rid, kind, priority, arrival, math.nan, -1, ts=clock
                             )
-                        if sampling:
-                            note_availability()
                     batch = batch[~expired]
                     if not len(batch):
                         return
@@ -1148,8 +1103,6 @@ class ServingEngine:
             table.batch[batch] = run.index
             run.seg_base = ledger.clock
             build_cursor(run, machine, table.rows[batch].tolist())
-            if sampling:
-                g_inflight.set(sum(run.rows))
             if not run.cursor.done:
                 exec_unit(run)
             else:
@@ -1169,8 +1122,7 @@ class ServingEngine:
             clock = max(clock, at)
             run.seg_clock = clock
             run.seg_base = ledger.clock
-            if tracing:
-                run.trace_mark = len(ledger.calls)
+            run.trace_mark = len(ledger.calls)  # other batches ran meanwhile
             if not run.retry_pending:
                 # preemption resume: the PR5 path, bit-identical when
                 # no fault machinery is configured
@@ -1178,8 +1130,6 @@ class ServingEngine:
                 if tracing:
                     tr.instant("resume", ts=clock, batch=run.index)
                 charge_resume_reload(run)
-                if sampling:
-                    g_inflight.set(sum(run.rows))
                 exec_unit(run)
                 running = run
                 return
@@ -1187,9 +1137,9 @@ class ServingEngine:
             run.ready_at = 0.0
             run.retry_at.append(clock)
             if tracing:
-                retry_no = len(run.retry_at)
                 tr.instant(
-                    "retry", ts=clock, batch=run.index, detail=f"attempt {retry_no}"
+                    "retry", ts=clock, batch=run.index,
+                    detail=f"attempt {len(run.retry_at)}",
                 )
             if run.degrade_pending:
                 run.degrade_pending = False
@@ -1212,8 +1162,6 @@ class ServingEngine:
                 # (or a failure on the very first level) has no resident
                 # state to re-load and pays only the re-run levels
                 charge_resume_reload(run)
-            if sampling:
-                g_inflight.set(sum(run.rows))  # a degraded re-plan's rows
             if not run.cursor.done:
                 exec_unit(run)
             else:
@@ -1246,9 +1194,6 @@ class ServingEngine:
                 tr.segment(
                     run.index, run.kind, run.priority, start=run.seg_clock, dur=span
                 )
-                c_preempt.inc()
-                if sampling:
-                    g_inflight.set(0)
                 tr.instant("preempt", ts=clock, batch=run.index)
 
         def abandon_run(run: _Run) -> None:
@@ -1261,15 +1206,12 @@ class ServingEngine:
             abandoned.append(rows)
             abandoned_total += len(rows)
             if tracing:
-                c_abandoned.inc(len(rows))
                 for row in rows.tolist():
                     rid, _, _, arrival = table.stamps(row)
                     tr.request_abandoned(
                         rid, run.kind, run.priority, arrival, run.launch, run.index,
                         ts=clock,
                     )
-                if sampling:
-                    note_availability()
 
         def park(run: _Run, ready_at: float) -> None:
             nonlocal retries_total
@@ -1278,7 +1220,6 @@ class ServingEngine:
             retries_total += 1
             suspended.append(run)
             if tracing:
-                c_retries.inc()
                 tr.wait(
                     run.index, run.kind, run.priority, start=clock, end=ready_at
                 )
@@ -1300,9 +1241,6 @@ class ServingEngine:
                 tr.segment(
                     run.index, run.kind, run.priority, start=run.seg_clock, dur=span
                 )
-                c_faults.inc()
-                if sampling:
-                    g_inflight.set(0)
                 tr.instant(
                     f"fault:{fkind}",
                     ts=clock,
@@ -1335,7 +1273,7 @@ class ServingEngine:
             park(run, clock + delay)
 
         def complete(run: _Run) -> None:
-            nonlocal running, completion_clock, done_total
+            nonlocal running, completion_clock
             span = close_segment(run)
             finish = run.boundary
             completion_clock = max(completion_clock, finish)
@@ -1365,44 +1303,24 @@ class ServingEngine:
             )
             table.completion[rows] = finish
             finished.append(rows)
-            done_total += len(rows)
             if on_complete is not None:
                 for req in table.records(rows):
                     for new in on_complete(req, finish):
                         heapq.heappush(injected, (new.arrival, next(seq), new))
             running = None
             if tracing:
-                c_completed.value += len(rows)  # a count: never negative
-                if sampling:
-                    g_inflight.set(0)
-                if per_request:
-                    priority = run.priority  # one class per batch
-                    for arrival, slo in zip(
-                        table.arrival[rows].tolist(), table.slo[rows].tolist(), strict=True
-                    ):
-                        latency = finish - arrival
-                        if sampling:
-                            observe_latency(latency)
-                        if slo == slo:  # NaN: no objective
-                            met = latency <= slo
-                            tr.observe_slo(priority, met, ts=finish)
-                            if sampling:
-                                hits, total, gauge = note_slo(priority, met)
-                                gauge.set(hits / total)
                 tr.batch_done(
                     run.index, run.kind, run.priority, run.requests,
                     run.service, run.reload, run.wasted, run.faults,
                     launch=run.launch, start=run.seg_clock, dur=span, ts=finish,
                 )
-                if sampling:
-                    note_availability()
 
         if tracing:
-            tr.bind_ledger(ledger)
+            tr.begin_run(ledger, cache)
         try:
             while True:
-                if sampling and sampler.due(clock):
-                    sampler.sample(reg, ts=clock)
+                if sampler is not None and sampler.due(clock):
+                    tr.sample(run_state(), ts=clock)
                 if running is not None:
                     # level-complete vs arrival, boundary first at equal
                     # times (the PR4 completion/arrival tie-break); every
@@ -1502,40 +1420,12 @@ class ServingEngine:
             # machine's ledger may be reused by later serves
             if tracing:
                 tr.unbind_ledger(ledger)
-        done_rows = np.concatenate(finished) if finished else _NO_ROWS
-        if sampling:
-            sampler.sample(reg, ts=clock, force=True)
-        elif tracing:
-            # without a sampler no one observes intermediate gauge or
-            # histogram state, so the hot path skips those updates;
-            # record the end-of-run values now so the final registry
-            # snapshot matches a sampled run's last row (bucket counts
-            # exactly; the histogram sum up to float association)
-            latencies = table.completion[done_rows] - table.arrival[done_rows]
-            h_latency.observe_many(latencies)
-            # the serve loop ends only once every class queue is empty
-            g_queue.set(0)
-            g_inflight.set(0)
-            note_availability()
-            if cache is not None:
-                lookups = (
-                    cache.hits + cache.misses
-                    - cache_hits_start - cache_misses_start
-                )
-                if lookups:
-                    g_cache.set((cache.hits - cache_hits_start) / lookups)
-            objectives = table.slo[done_rows]
-            with_slo = ~np.isnan(objectives)
-            met = latencies[with_slo] <= objectives[with_slo]
-            classes = table.priority[done_rows][with_slo]
-            for priority in dict.fromkeys(classes.tolist()):
-                mine = classes == priority
-                note_slo(priority, int(met[mine].sum()), int(mine.sum()))
-            for hits, total, gauge in slo_stats.values():
-                gauge.set(hits / total)
-
+        if tracing:
+            tr.end_run(run_state(), ts=clock)
         result = ServeResult(
-            requests=RequestRows(table, done_rows),
+            requests=RequestRows(
+                table, np.concatenate(finished) if finished else _NO_ROWS
+            ),
             batches=[b for b in batches if b is not None],
             clock=completion_clock if batches else 0.0,
             busy_time=busy_time,
