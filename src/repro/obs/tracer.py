@@ -209,22 +209,6 @@ class Tracer:
         ]
 
     # -- request lifecycle --------------------------------------------
-    def request_done(
-        self,
-        rid: int,
-        kind: str,
-        priority: int,
-        arrival: float,
-        launch: float,
-        batch: int,
-        *,
-        ts: float,
-        met: bool | None = None,
-    ) -> None:
-        self._log.append(
-            (rid, kind, priority, "done", arrival, launch, ts, batch, met)
-        )
-
     def request_shed(
         self, rid: int, kind: str, priority: int, arrival: float, *, ts: float
     ) -> None:

@@ -779,9 +779,7 @@ class ServingEngine:
             raise ValueError(f"tracer must be a Tracer or None, got {tracer!r}")
         self.tracer = tracer
 
-    def serve(
-        self, workload: Workload, *, validate: bool = True, seed: int | None = None
-    ) -> ServeResult:
+    def serve(self, workload: Workload, *, seed: int | None = None) -> ServeResult:
         machine = self.machine
         ledger = machine.ledger
         policy = self.batcher
@@ -1460,8 +1458,7 @@ class ServingEngine:
             recovery=self.recovery,
             retry_policy=retry.name,
         )
-        if validate:
-            result.check_conservation()
+        result.check_conservation()
         return result
 
 

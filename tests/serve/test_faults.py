@@ -498,7 +498,7 @@ class TestChaosPropertySweep:
             ),
             retry=ExponentialRetry(base=50.0, max_attempts=5),
         ).serve(hot_workload(seed=seed))
-        result.check_conservation()  # validate=True already ran it; pin it
+        result.check_conservation()  # serve already ran it; pin it
         assert result.ledger_time > 0.0
         assert math.isclose(
             result.useful_time + result.wasted_time + result.reload_time,
