@@ -40,6 +40,10 @@ so the CLI, CI gate and tests select them with a string.
             call — trace timestamps must be *read* from the ledger
             clock (a name or attribute), never recomputed at the
             emission site.
+``OBS002``  A ``.registry`` read or a ``.counter(``/``.gauge(``/
+            ``.histogram(`` call in ``repro.core`` / ``repro.serve`` —
+            serving code owns no metric; the tracer computes every
+            metric from the run state it is handed.
 =========  ===========================================================
 """
 
@@ -61,6 +65,7 @@ __all__ = [
     "HardcodedCostParameter",
     "BroadExcept",
     "RecomputedTraceTimestamp",
+    "ServingCodeOwnsMetric",
     "register_rule",
     "get_rule",
     "available_rules",
@@ -857,6 +862,55 @@ class RecomputedTraceTimestamp(LintRule):
                     )
 
 
+# ----------------------------------------------------------------------
+# OBS002 — serving code owns no metric
+# ----------------------------------------------------------------------
+_METRIC_FACTORIES = ("counter", "gauge", "histogram")
+
+
+class ServingCodeOwnsMetric(LintRule):
+    """When the serving engine kept metric handles, it updated them per
+    event in sampled runs and recomputed them in a separate end-of-run
+    block in samplerless runs, and the two drifted apart: sampled runs
+    ended with a stale ``cache_hit_rate`` and sampled the pre-degrade
+    ``in_flight_rows``.  Every metric now lives behind the
+    :class:`~repro.obs.tracer.Tracer`, computed by one formula from the
+    run state the engine hands it, so a ``.registry`` read or a
+    ``.counter(``/``.gauge(``/``.histogram(`` call in the core or the
+    serving layer reopens a second path.
+    """
+
+    code = "OBS002"
+    name = "serving-code-owns-metric"
+    description = "metric registry access in repro.core / repro.serve"
+
+    def applies(self, ctx: LintContext) -> bool:
+        return ctx.module.startswith(("repro.core", "repro.serve"))
+
+    def check(self, ctx: LintContext) -> Iterator[Finding]:
+        for node in ast.walk(ctx.tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "registry"
+                and isinstance(node.ctx, ast.Load)
+            ):
+                what = f"{dotted_name(node) or '.registry'} reads a metrics registry"
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _METRIC_FACTORIES
+            ):
+                what = f".{node.func.attr}(...) registers a metric"
+            else:
+                continue
+            yield self.finding(
+                ctx,
+                node,
+                f"{what}: serving code owns no metric; hand the tracer the "
+                "run state and let repro.obs.tracer compute the metric",
+            )
+
+
 for _rule in (
     UnchargedHardwareOp(),
     UnseededRandomness(),
@@ -866,5 +920,6 @@ for _rule in (
     HardcodedCostParameter(),
     BroadExcept(),
     RecomputedTraceTimestamp(),
+    ServingCodeOwnsMetric(),
 ):
     register_rule(_rule)

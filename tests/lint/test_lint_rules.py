@@ -300,6 +300,39 @@ class TestOBS001:
 
 
 # ----------------------------------------------------------------------
+# OBS002
+# ----------------------------------------------------------------------
+class TestOBS002:
+    def test_fires_on_metric_access(self):
+        findings = lint_fixture(
+            "obs002_fires.py", "repro.serve.fixture", select=["OBS002"]
+        )
+        fired = active(findings, "OBS002")
+        # two .registry reads, one counter, one gauge, one histogram
+        assert len(fired) == 5
+        msgs = " ".join(f.message for f in fired)
+        for what in ("tracer.registry", ".counter(", ".gauge(", ".histogram("):
+            assert what in msgs
+        assert "owns no metric" in fired[0].message
+
+    def test_clean_on_state_handoff(self):
+        findings = lint_fixture(
+            "obs002_clean.py", "repro.serve.fixture", select=["OBS002"]
+        )
+        assert active(findings, "OBS002") == []
+
+    def test_scope_is_core_and_serve_only(self):
+        findings = lint_fixture(
+            "obs002_fires.py", "repro.obs.fixture", select=["OBS002"]
+        )
+        assert findings == []
+        findings = lint_fixture(
+            "obs002_fires.py", "repro.core.fixture", select=["OBS002"]
+        )
+        assert len(active(findings, "OBS002")) == 5
+
+
+# ----------------------------------------------------------------------
 # registry idiom of the lint package itself
 # ----------------------------------------------------------------------
 class TestRuleRegistry:
@@ -314,6 +347,7 @@ class TestRuleRegistry:
             "COST002",
             "EXC001",
             "OBS001",
+            "OBS002",
         ):
             assert code in codes
 
