@@ -865,19 +865,13 @@ class RecomputedTraceTimestamp(LintRule):
 # ----------------------------------------------------------------------
 # OBS002 — serving code owns no metric
 # ----------------------------------------------------------------------
-_METRIC_FACTORIES = ("counter", "gauge", "histogram")
-
-
 class ServingCodeOwnsMetric(LintRule):
-    """When the serving engine kept metric handles, it updated them per
-    event in sampled runs and recomputed them in a separate end-of-run
-    block in samplerless runs, and the two drifted apart: sampled runs
-    ended with a stale ``cache_hit_rate`` and sampled the pre-degrade
-    ``in_flight_rows``.  Every metric now lives behind the
-    :class:`~repro.obs.tracer.Tracer`, computed by one formula from the
-    run state the engine hands it, so a ``.registry`` read or a
-    ``.counter(``/``.gauge(``/``.histogram(`` call in the core or the
-    serving layer reopens a second path.
+    """When the serving engine kept metric handles it updated them per
+    event in sampled runs and recomputed them at the end of samplerless
+    runs, and the two paths drifted apart.  Every metric is the
+    :class:`~repro.obs.tracer.Tracer`'s, computed from the run state the
+    engine hands it; a registry read or metric registration in the core
+    or the serving layer reopens a second path.
     """
 
     code = "OBS002"
@@ -889,26 +883,20 @@ class ServingCodeOwnsMetric(LintRule):
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
-            if (
-                isinstance(node, ast.Attribute)
-                and node.attr == "registry"
-                and isinstance(node.ctx, ast.Load)
-            ):
-                what = f"{dotted_name(node) or '.registry'} reads a metrics registry"
+            if isinstance(node, ast.Attribute) and node.attr == "registry":
+                if isinstance(node.ctx, ast.Load):
+                    yield self._owns(ctx, node, f"{dotted_name(node)} reads a registry")
             elif (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _METRIC_FACTORIES
+                and node.func.attr in ("counter", "gauge", "histogram")
             ):
-                what = f".{node.func.attr}(...) registers a metric"
-            else:
-                continue
-            yield self.finding(
-                ctx,
-                node,
-                f"{what}: serving code owns no metric; hand the tracer the "
-                "run state and let repro.obs.tracer compute the metric",
-            )
+                yield self._owns(ctx, node, f".{node.func.attr}(...) registers a metric")
+
+    def _owns(self, ctx: LintContext, node: ast.AST, what: str) -> Finding:
+        return self.finding(
+            ctx, node, f"{what}: serving code owns no metric; hand the tracer the run state"
+        )
 
 
 for _rule in (

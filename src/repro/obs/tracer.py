@@ -17,8 +17,7 @@ rows in the run's request table), and the :attr:`requests`,
 Nothing is formatted, no objects are built, and no clock is *computed*
 — callers pass timestamps they already hold (the ``OBS001`` lint rule
 enforces that those are names bound from the ledger clock, not
-recomputed expressions).  The structured :class:`~repro.obs.spans.Span`
-view is materialised only on demand (:meth:`spans`, exporters).
+recomputed expressions).
 
 Detail levels
 -------------
@@ -35,26 +34,23 @@ only the event granularity changes.
 Serving metrics
 ---------------
 
-:meth:`Tracer.begin_run` registers a served run's metrics on
-:attr:`Tracer.registry`: the gauges ``queue_depth`` (queued requests),
-``in_flight_rows`` (the running batch's rows), ``availability``
-(completed over completed + abandoned) and ``cache_hit_rate`` (the
-run's plan-cache hits over its lookups), the counters
-``requests_completed``, ``requests_shed``, ``requests_abandoned``,
-``preemptions``, ``faults`` and ``retries``, and the
-``request_latency`` histogram; a class's ``slo_attainment`` gauge (met
-over judged SLOs) is registered at its first SLO outcome.  The engine
-owns none of them: it hands the tracer the run's state when the sampler
-is due (:meth:`Tracer.sample`) and when the run ends
-(:meth:`Tracer.end_run`), and each metric is computed from that state
-by one formula, the same with and without a sampler.  A counter reads
-the value it held at run start plus the run's total, so runs sharing a
-registry accumulate; a gauge reads the latest run.  Two details differ
-by mode, because exports pin their bits and order: under a sampler each
-request's latency and SLO outcome are folded as its batch completes, in
-completion order, and without one the whole run is folded at its end,
-its latencies in one ``observe_many`` call (whose sum may differ in its
-last bits).  SLO monitors see each outcome as its batch completes.
+:meth:`Tracer.begin_run` registers a served run's metrics: the gauges
+``queue_depth``, ``in_flight_rows``, ``availability`` (completed over
+completed + abandoned) and ``cache_hit_rate`` (the run's plan-cache
+hits over its lookups), the counters ``requests_completed``,
+``requests_shed``, ``requests_abandoned``, ``preemptions``, ``faults``
+and ``retries``, and the ``request_latency`` histogram; a class's
+``slo_attainment`` gauge is registered at its first SLO outcome.  The
+engine owns none of them: it hands :meth:`Tracer.sample` the run's state
+when the sampler is due and when the run ends, and each metric is
+computed from that state by one formula, with or without a sampler.  A
+counter reads its value at run start plus the run's total, so runs
+sharing a registry accumulate; a gauge reads the latest run.  Two
+details differ by mode, because exports pin their bits and order: under
+a sampler each request's latency and SLO outcome are folded as its
+batch completes, and without one the whole run is folded at its end,
+its latencies in one ``observe_many`` call.  SLO monitors see each
+outcome as its batch completes.
 
 Reconciliation
 --------------
@@ -77,7 +73,7 @@ import numpy as np
 
 from .metrics import MetricsRegistry
 from .sampler import Sampler, SloBurnMonitor
-from .spans import Instant, ObsError, Span
+from .spans import ObsError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..core.ledger import CostLedger
@@ -90,20 +86,15 @@ _DETAILS = ("auto", "level")
 #: ledger charge categories mirrored into registry counters
 _CHARGE_CATEGORIES = ("tensor", "cpu", "reload", "wasted")
 
-#: a served run's gauges, by name and help text, in :meth:`Tracer.sample`'s order
+#: a served run's gauges (name, help) and counters, in Tracer.sample's order
 _GAUGES = (
     ("queue_depth", "requests waiting in class queues"),
     ("in_flight_rows", "rows of the running batch"),
     ("availability", "completed over completed + abandoned"),
     ("cache_hit_rate", "plan-cache hit fraction, this run"),
 )
-#: a served run's counters, in the order of the run totals they read
 _COUNTERS = (
-    "requests_completed",
-    "requests_shed",
-    "requests_abandoned",
-    "preemptions",
-    "faults",
+    "requests_completed", "requests_shed", "requests_abandoned", "preemptions", "faults",
     "retries",
 )
 _LATENCY_BOUNDS = tuple(10.0**k for k in range(-3, 10))
@@ -351,7 +342,7 @@ class Tracer:
     def begin_run(self, ledger: CostLedger, cache=None) -> None:
         """Start observing a served run: mirror ``ledger``'s charges
         (:meth:`bind_ledger`) and register the run's metrics (see the
-        module docstring); ``cache_hit_rate`` reads ``cache``'s lookups
+        module docstring); ``cache_hit_rate`` counts ``cache``'s lookups
         from now on."""
         self.bind_ledger(ledger)
         registry = self.registry
@@ -363,40 +354,28 @@ class Tracer:
         )
         self._cache = cache
         self._cache_base = (cache.hits, cache.misses) if cache is not None else (0, 0)
-        self._lookups = sum(self._cache_base)  # the lookups last read
-        self._depth = -1  # the queued requests last read
-        self._rows: Sequence[int] = ()  # the running batch's rows last read
-        self._totals = (0,) * len(_COUNTERS)  # the counters' run totals last read
-        self._done = 0  # requests completed (:meth:`batch_done`)
-        self._logged = len(self._log)  # log entries from before the run
+        # the run as last read: lookups, queued requests, the running
+        # batch's rows and the counters' totals
+        self._lookups, self._depth, self._rows = sum(self._cache_base), -1, ()
+        self._totals = (0,) * len(_COUNTERS)
+        self._done = 0  # requests completed (batch_done)
+        self._logged = len(self._log)  # log entries folded, or from earlier runs
         self._slo: dict[int, list] = {}  # priority -> [met, judged, gauge]
 
     def sample(self, state: tuple, *, ts: float) -> None:
-        """Bring the run's metrics up to ``state`` and record a sample at
-        ``ts`` (the engine calls it when the sampler is due).
+        """Bring the run's metrics up to its ``state`` and, with a
+        sampler, record a sample at ``ts``.  The engine calls it when the
+        sampler is due and when the run ends; without a sampler, that is
+        the one call, and it folds the run's completed requests.
 
         ``state`` is ``(queues, rows, totals)``: the class queues (a
-        dict of sized containers of queued requests), the running
-        batch's rows (empty while the machine is idle) and the run's
-        shed, abandoned, preemption, fault and retry totals."""
-        self._read(state)
-        self.sampler.sample(self.registry, ts=ts)
-
-    def end_run(self, state: tuple, *, ts: float) -> None:
-        """Bring the run's metrics up to its final ``state`` (as
-        :meth:`sample`) and, with a sampler, record a last sample at
-        ``ts``.  Without one, the run's completed requests are folded
-        now."""
+        dict of sized containers), the running batch's rows (empty while
+        the machine is idle) and the run's shed, abandoned, preemption,
+        fault and retry totals.  A metric is assigned only when its value
+        changed, so a sample repeats the float object the exporter has
+        already formatted."""
         if self.sampler is None:
             self._fold()
-        self._read(state)
-        if self.sampler is not None:
-            self.sampler.sample(self.registry, ts=ts, force=True)
-
-    def _read(self, state: tuple) -> None:
-        """Each metric from its formula over ``state``.  A metric is
-        assigned only when its value changed, so a sample repeats the
-        float object the exporter has already formatted."""
         queues, rows, totals = state
         queue_depth, in_flight, availability, hit_rate = self._gauges
         depth = sum(map(len, queues.values()))
@@ -414,17 +393,17 @@ class Tracer:
             ):
                 if total != seen:
                     counter.value = base + total
-            entered = totals[0] + totals[2]  # completed + abandoned
-            if entered:
-                _assign(availability, totals[0] / entered)
-            if totals[0] != last[0]:
-                for met, judged, gauge in self._slo.values():
-                    _assign(gauge, met / judged)
+            if totals[0] + totals[2]:  # completed + abandoned
+                _assign(availability, totals[0] / (totals[0] + totals[2]))
+            for met, judged, gauge in self._slo.values():
+                _assign(gauge, met / judged)
         cache = self._cache
         if cache is not None and cache.hits + cache.misses != self._lookups:
             self._lookups = cache.hits + cache.misses
             hits, misses = self._cache_base
             _assign(hit_rate, (cache.hits - hits) / (self._lookups - hits - misses))
+        if self.sampler is not None:
+            self.sampler.sample(self.registry, ts=ts, force=True)
 
     def _judge(self, priority: int, requests: RequestRows, finish: float) -> None:
         """Each request of a completed batch, in row order: the monitors
@@ -439,16 +418,16 @@ class Tracer:
             if sampled:
                 self._latency.observe(latency)
             if slo == slo:  # NaN: no objective
-                met = latency <= slo
-                self.observe_slo(priority, met, ts=finish)
+                self.observe_slo(priority, latency <= slo, ts=finish)
                 if sampled:
-                    self._tally(priority, met, 1)
+                    self._tally(priority, latency <= slo, 1)
 
     def _fold(self) -> None:
         """A samplerless run's completed requests, at its end: their
         latencies join the histogram in one ``observe_many`` call, in
         completion order, and their SLO outcomes their classes' tallies."""
         done = [entry[3] for entry in self._log[self._logged :] if len(entry) == 12]
+        self._logged = len(self._log)
         if not done:
             return
         table = done[0].table
@@ -457,8 +436,7 @@ class Tracer:
         self._latency.observe_many(latency)
         objectives = table.slo[rows]
         judged = objectives == objectives  # NaN: no objective
-        met = latency[judged] <= objectives[judged]
-        classes = table.priority[rows][judged]
+        met, classes = latency[judged] <= objectives[judged], table.priority[rows][judged]
         for priority in dict.fromkeys(classes.tolist()):
             mine = classes == priority
             self._tally(priority, np.count_nonzero(met[mine]), np.count_nonzero(mine))
@@ -521,86 +499,3 @@ class Tracer:
             + len(self.instants)
             + len(self.alerts)
         )
-
-    # -- materialised views -------------------------------------------
-    def spans(self) -> list[Span]:
-        """Structured :class:`Span` view of every stored interval."""
-        out: list[Span] = []
-        for rid, kind, prio, outcome, arrival, launch, finish, batch, met in (
-            self.requests
-        ):
-            if outcome == "shed" or math.isnan(launch):
-                continue
-            out.append(
-                Span(
-                    name=f"{kind}#r{rid}",
-                    cat="queue",
-                    start=arrival,
-                    dur=launch - arrival,
-                    lane=f"class p{prio}",
-                    args={"outcome": outcome, "batch": batch, "met": met},
-                )
-            )
-        for batch, kind, prio, start, dur in self.segments:
-            out.append(
-                Span(
-                    name=f"{kind}#b{batch}",
-                    cat="exec",
-                    start=start,
-                    dur=dur,
-                    lane=f"class p{prio}",
-                    args={"batch": batch},
-                )
-            )
-        for batch, level, units, start, end in self.levels:
-            lanes = units if units else (-1,)
-            for unit in lanes:
-                out.append(
-                    Span(
-                        name=f"b{batch}/L{level}",
-                        cat="level",
-                        start=start,
-                        dur=end - start,
-                        lane="serial" if unit < 0 else f"unit {unit}",
-                        args={"batch": batch, "level": level},
-                    )
-                )
-        for batch, kind, prio, start, end in self.waits:
-            out.append(
-                Span(
-                    name=f"{kind}#b{batch} backoff",
-                    cat="backoff",
-                    start=start,
-                    dur=end - start,
-                    lane=f"class p{prio}",
-                    args={"batch": batch},
-                )
-            )
-        for start, end in self.downs:
-            out.append(
-                Span(
-                    name="unit down",
-                    cat="down",
-                    start=start,
-                    dur=end - start,
-                    lane="faults",
-                )
-            )
-        return out
-
-    def instant_events(self) -> list[Instant]:
-        """Structured :class:`Instant` view (fault/preempt/retry/alert)."""
-        out = [
-            Instant(name=name, ts=ts, lane="faults", args={"batch": batch, "detail": d})
-            for name, ts, batch, d in self.instants
-        ]
-        for monitor, state, ts, burn, attainment in self.alerts:
-            out.append(
-                Instant(
-                    name=f"slo:{monitor}",
-                    ts=ts,
-                    lane="alerts",
-                    args={"state": state, "burn": burn, "attainment": attainment},
-                )
-            )
-        return out

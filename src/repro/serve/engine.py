@@ -56,14 +56,11 @@ With preemption disabled and admission unbounded the kernel reproduces
 the PR4 run-to-completion engine bit-identically (per-shape charges,
 completions, clock) — pinned by ``tests/serve/test_preemption.py``.
 
-Telemetry is the :class:`~repro.obs.tracer.Tracer`'s.  A traced run
-emits its events (shed, abandoned, segment, level span, batch done,
-backoff wait, unit down, reload, instants) and hands the tracer the
-run's state — the class queues, the running batch's rows and the shed,
-abandoned, preemption, fault and retry totals — when its sampler is due
-and when the run ends; the tracer computes every metric from that.  The
-engine owns no metric (the ``OBS002`` lint rule), and ``tracer=None``
-takes none of the tracer's branches.
+Telemetry is the :class:`~repro.obs.tracer.Tracer`'s: a traced run
+emits its events and hands the tracer the run's state (class queues,
+the running batch's rows, shed/abandoned/preemption/fault/retry totals)
+when its sampler is due and when the run ends.  The engine owns no
+metric (the ``OBS002`` lint rule).
 
 Quickstart::
 
@@ -864,8 +861,8 @@ class ServingEngine:
         sampler = tr.sampler if tracing else None
 
         def run_state() -> tuple:
-            """The run as the tracer's metrics read it (see
-            :meth:`~repro.obs.tracer.Tracer.sample`)."""
+            """The run as the tracer's metrics read it
+            (:meth:`~repro.obs.tracer.Tracer.sample`)."""
             rows = running.rows if running is not None else ()
             shed_total, faults_total = len(shed), len(fault_events)
             return queues, rows, (
@@ -1419,7 +1416,7 @@ class ServingEngine:
             if tracing:
                 tr.unbind_ledger(ledger)
         if tracing:
-            tr.end_run(run_state(), ts=clock)
+            tr.sample(run_state(), ts=clock)
         result = ServeResult(
             requests=RequestRows(
                 table, np.concatenate(finished) if finished else _NO_ROWS
