@@ -125,7 +125,8 @@ class Tracer:
         by default).
 
     A tracer records one run; hand a fresh instance to each
-    :meth:`~repro.serve.engine.ServingEngine.serve` call.
+    :meth:`~repro.serve.engine.ServingEngine.serve` call, which calls
+    :meth:`begin_run` before any event method and :meth:`sample` last.
     """
 
     def __init__(
@@ -418,9 +419,10 @@ class Tracer:
             if sampled:
                 self._latency.observe(latency)
             if slo == slo:  # NaN: no objective
-                self.observe_slo(priority, latency <= slo, ts=finish)
+                met = latency <= slo
+                self.observe_slo(priority, met, ts=finish)
                 if sampled:
-                    self._tally(priority, latency <= slo, 1)
+                    self._tally(priority, met, 1)
 
     def _fold(self) -> None:
         """A samplerless run's completed requests, at its end: their
