@@ -189,8 +189,10 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[str, _Metric] = {}
-        # (sorted metrics, scrape keys); None after a registration
-        self._order: tuple[tuple[_Metric, ...], tuple[str, ...]] | None = None
+        # (sorted metrics, scrape keys, the metrics read by value, and
+        # each histogram with the position of its count among the keys);
+        # None after a registration
+        self._order: tuple | None = None
 
     # -- registration --------------------------------------------------
     def _get_or_create(self, cls: type, key: str, factory) -> _Metric:
@@ -253,17 +255,21 @@ class MetricsRegistry:
     def __iter__(self):
         return iter(self._scrape_order()[0])
 
-    def _scrape_order(self) -> tuple[tuple[_Metric, ...], tuple[str, ...]]:
+    def _scrape_order(self) -> tuple:
         order = self._order
         if order is None:
             metrics = tuple(self._metrics[key] for key in sorted(self._metrics))
             keys: list[str] = []
+            plain: list[_Metric] = []
+            histograms: list[tuple[int, Histogram]] = []
             for metric in metrics:
                 if isinstance(metric, Histogram):
+                    histograms.append((len(keys), metric))
                     keys += (metric.full_name + "_count", metric.full_name + "_sum")
                 else:
+                    plain.append(metric)
                     keys.append(metric.full_name)
-            order = self._order = (metrics, tuple(keys))
+            order = self._order = (metrics, tuple(keys), tuple(plain), tuple(histograms))
         return order
 
     def scrape(self) -> tuple[tuple[str, ...], tuple[float, ...]]:
@@ -271,13 +277,10 @@ class MetricsRegistry:
         :meth:`snapshot` order.  ``keys`` is the same tuple object on
         every scrape until a metric is registered, so a stream of
         scrapes shares one key tuple per set of registered metrics."""
-        metrics, keys = self._scrape_order()
-        values: list[float] = []
-        for metric in metrics:
-            if isinstance(metric, Histogram):
-                values += (float(metric.count), metric.sum)
-            else:
-                values.append(metric.value)  # type: ignore[attr-defined]
+        _, keys, plain, histograms = self._scrape_order()
+        values = [metric.value for metric in plain]  # type: ignore[attr-defined]
+        for at, histogram in histograms:
+            values[at:at] = (float(histogram.count), histogram.sum)
         return keys, tuple(values)
 
     def snapshot(self) -> dict[str, float]:

@@ -35,22 +35,19 @@ Serving metrics
 ---------------
 
 :meth:`Tracer.begin_run` registers a served run's metrics: the gauges
-``queue_depth``, ``in_flight_rows``, ``availability`` (completed over
-completed + abandoned) and ``cache_hit_rate`` (the run's plan-cache
-hits over its lookups), the counters ``requests_completed``,
+``queue_depth``, ``in_flight_rows``, ``availability`` and
+``cache_hit_rate``, the counters ``requests_completed``,
 ``requests_shed``, ``requests_abandoned``, ``preemptions``, ``faults``
-and ``retries``, and the ``request_latency`` histogram; a class's
-``slo_attainment`` gauge is registered at its first SLO outcome.  The
-engine owns none of them: it hands :meth:`Tracer.sample` the run's state
-when the sampler is due and when the run ends, and each metric is
-computed from that state by one formula, with or without a sampler.  A
-counter reads its value at run start plus the run's total, so runs
-sharing a registry accumulate; a gauge reads the latest run.  Two
-details differ by mode, because exports pin their bits and order: under
-a sampler each request's latency and SLO outcome are folded as its
-batch completes, and without one the whole run is folded at its end,
-its latencies in one ``observe_many`` call.  SLO monitors see each
-outcome as its batch completes.
+and ``retries``, the ``request_latency`` histogram, and a class's
+``slo_attainment`` gauge at its first SLO outcome.  The engine hands
+:meth:`Tracer.sample` the run's state when the sampler is due and when
+the run ends, and each metric is computed from it by one formula, with
+or without a sampler; a counter adds the run's total to its value at
+run start.  Completed requests are folded by mode: under a sampler each
+one as its batch completes, in completion order, as the exported
+samples pin; without one the whole run at its end, its latencies in one
+``observe_many`` call.  SLO monitors see each outcome as its batch
+completes.
 
 Reconciliation
 --------------
@@ -97,7 +94,6 @@ _COUNTERS = (
     "requests_completed", "requests_shed", "requests_abandoned", "preemptions", "faults",
     "retries",
 )
-_LATENCY_BOUNDS = tuple(10.0**k for k in range(-3, 10))
 
 
 def _assign(metric, value: float) -> None:
@@ -350,15 +346,16 @@ class Tracer:
         self._gauges = [registry.gauge(name, text) for name, text in _GAUGES]
         self._counters = [registry.counter(name) for name in _COUNTERS]
         self._bases = [counter.value for counter in self._counters]
+        bounds = tuple(10.0**k for k in range(-3, 10))
         self._latency = registry.histogram(
-            "request_latency", _LATENCY_BOUNDS, "end-to-end request latency (model time)"
+            "request_latency", bounds, "end-to-end request latency (model time)"
         )
         self._cache = cache
         self._cache_base = (cache.hits, cache.misses) if cache is not None else (0, 0)
         # the run as last read: lookups, queued requests, the running
-        # batch's rows and the counters' totals
+        # batch's rows, the counters' totals and the engine's part of them
         self._lookups, self._depth, self._rows = sum(self._cache_base), -1, ()
-        self._totals = (0,) * len(_COUNTERS)
+        self._last, self._totals = (0,) * len(_COUNTERS), (0,) * (len(_COUNTERS) - 1)
         self._done = 0  # requests completed (batch_done)
         self._logged = len(self._log)  # log entries folded, or from earlier runs
         self._slo: dict[int, list] = {}  # priority -> [met, judged, gauge]
@@ -369,42 +366,47 @@ class Tracer:
         sampler is due and when the run ends; without a sampler, that is
         the one call, and it folds the run's completed requests.
 
-        ``state`` is ``(queues, rows, totals)``: the class queues (a
-        dict of sized containers), the running batch's rows (empty while
-        the machine is idle) and the run's shed, abandoned, preemption,
-        fault and retry totals.  A metric is assigned only when its value
-        changed, so a sample repeats the float object the exporter has
-        already formatted."""
+        ``state`` is ``(queues, rows, totals)``: the class queues (sized
+        containers of queued requests), the running batch's rows (empty
+        while the machine is idle) and the run's shed, abandoned,
+        preemption, fault and retry totals.  A metric is assigned only
+        when its value changed, so a sample repeats the float object the
+        exporter has already formatted."""
         if self.sampler is None:
             self._fold()
         queues, rows, totals = state
-        queue_depth, in_flight, availability, hit_rate = self._gauges
-        depth = sum(map(len, queues.values()))
+        depth = sum(map(len, queues))
         if depth != self._depth:
             self._depth = depth
-            queue_depth.value = float(depth)
+            self._gauges[0].value = float(depth)
         if rows is not self._rows:
             self._rows = rows
-            _assign(in_flight, float(sum(rows)))
-        totals, last = (self._done, *totals), self._totals
-        if totals != last:
-            self._totals = totals
-            for counter, base, total, seen in zip(
-                self._counters, self._bases, totals, last, strict=True
-            ):
-                if total != seen:
-                    counter.value = base + total
-            if totals[0] + totals[2]:  # completed + abandoned
-                _assign(availability, totals[0] / (totals[0] + totals[2]))
-            for met, judged, gauge in self._slo.values():
-                _assign(gauge, met / judged)
+            _assign(self._gauges[1], float(sum(rows)))
+        if totals != self._totals or self._done != self._last[0]:
+            self._count(totals)
         cache = self._cache
         if cache is not None and cache.hits + cache.misses != self._lookups:
             self._lookups = cache.hits + cache.misses
             hits, misses = self._cache_base
-            _assign(hit_rate, (cache.hits - hits) / (self._lookups - hits - misses))
+            _assign(self._gauges[3], (cache.hits - hits) / (self._lookups - hits - misses))
         if self.sampler is not None:
             self.sampler.sample(self.registry, ts=ts, force=True)
+
+    def _count(self, totals: tuple) -> None:
+        """The counters, ``availability`` and the classes' SLO attainment
+        from the completed requests and the run's other ``totals``."""
+        now, last = (self._done, *totals), self._last
+        for counter, base, total, seen in zip(
+            self._counters, self._bases, now, last, strict=True
+        ):
+            if total != seen:
+                counter.value = base + total
+        if now[0] != last[0] or now[2] != last[2]:  # completed, abandoned
+            _assign(self._gauges[2], now[0] / (now[0] + now[2]))
+        if now[0] != last[0]:
+            for met, judged, gauge in self._slo.values():
+                _assign(gauge, met / judged)
+        self._last, self._totals = now, totals
 
     def _judge(self, priority: int, requests: RequestRows, finish: float) -> None:
         """Each request of a completed batch, in row order: the monitors

@@ -806,6 +806,7 @@ class ServingEngine:
         # results hold row indices, never per-request objects
         table = RequestTable()
         queues: dict[tuple[int, str], deque[int]] = {}
+        queued = queues.values()  # a live view, for the tracer
         injected: list[tuple[float, int, Request]] = []
         seq = count()
         # the arrival stream, a chunk at a time: the loaded chunk's
@@ -854,10 +855,8 @@ class ServingEngine:
         cache_hits_start = cache.hits if cache is not None else 0
         cache_misses_start = cache.misses if cache is not None else 0
 
-        # telemetry: every emission below sits behind `if tracing`, so
-        # tracer=None keeps the untraced hot path (one falsy branch per
-        # event); the tracer's metrics read the run's state when its
-        # sampler is due and when the run ends
+        # every emission below sits behind `if tracing`, so tracer=None
+        # keeps the untraced hot path (one falsy branch per event)
         sampler = tr.sampler if tracing else None
 
         def run_state() -> tuple:
@@ -865,7 +864,7 @@ class ServingEngine:
             (:meth:`~repro.obs.tracer.Tracer.sample`)."""
             rows = running.rows if running is not None else ()
             shed_total, faults_total = len(shed), len(fault_events)
-            return queues, rows, (
+            return queued, rows, (
                 shed_total, abandoned_total, preemptions_total, faults_total, retries_total
             )
 
