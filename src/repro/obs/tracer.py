@@ -353,10 +353,10 @@ class Tracer:
         self._cache = cache
         self._cache_base = (cache.hits, cache.misses) if cache is not None else (0, 0)
         # the run as last read: lookups, queued requests, the running
-        # batch's rows, the counters' totals and the engine's part of them
+        # batch's rows, completed requests and the other counters' totals
         self._lookups, self._depth, self._rows = sum(self._cache_base), -1, ()
-        self._last, self._totals = (0,) * len(_COUNTERS), (0,) * (len(_COUNTERS) - 1)
-        self._done = 0  # requests completed (batch_done)
+        self._done = self._counted = 0  # requests completed (batch_done), read
+        self._totals = (0,) * (len(_COUNTERS) - 1)
         self._logged = len(self._log)  # log entries folded, or from earlier runs
         self._slo: dict[int, list] = {}  # priority -> [met, judged, gauge]
 
@@ -382,7 +382,9 @@ class Tracer:
         if rows is not self._rows:
             self._rows = rows
             _assign(self._gauges[1], float(sum(rows)))
-        if totals != self._totals or self._done != self._last[0]:
+        if self._done != self._counted:
+            self._complete()
+        if totals != self._totals:
             self._count(totals)
         cache = self._cache
         if cache is not None and cache.hits + cache.misses != self._lookups:
@@ -392,26 +394,28 @@ class Tracer:
         if self.sampler is not None:
             self.sampler.sample(self.registry, ts=ts, force=True)
 
+    def _complete(self) -> None:
+        """``requests_completed``, ``availability`` and SLO attainment."""
+        done = self._counted = self._done
+        self._counters[0].value = self._bases[0] + done
+        _assign(self._gauges[2], done / (done + self._totals[1]))
+        for met, judged, gauge in self._slo.values():
+            _assign(gauge, met / judged)
+
     def _count(self, totals: tuple) -> None:
-        """The counters, ``availability`` and the classes' SLO attainment
-        from the completed requests and the run's other ``totals``."""
-        now, last = (self._done, *totals), self._last
+        """The other counters, and ``availability`` after abandonments."""
         for counter, base, total, seen in zip(
-            self._counters, self._bases, now, last, strict=True
+            self._counters[1:], self._bases[1:], totals, self._totals, strict=True
         ):
             if total != seen:
                 counter.value = base + total
-        if now[0] != last[0] or now[2] != last[2]:  # completed, abandoned
-            _assign(self._gauges[2], now[0] / (now[0] + now[2]))
-        if now[0] != last[0]:
-            for met, judged, gauge in self._slo.values():
-                _assign(gauge, met / judged)
-        self._last, self._totals = now, totals
+        if totals[1] != self._totals[1]:  # abandoned
+            _assign(self._gauges[2], self._done / (self._done + totals[1]))
+        self._totals = totals
 
     def _judge(self, priority: int, requests: RequestRows, finish: float) -> None:
-        """Each request of a completed batch, in row order: the monitors
-        see its SLO outcome and, under a sampler, its latency joins the
-        histogram and its outcome its class's tally."""
+        """Each request of a completed batch, in row order: the monitors see
+        its SLO outcome; under a sampler, the histogram and tally fold it."""
         sampled = self.sampler is not None
         table, rows = requests.table, requests.index
         for arrival, slo in zip(
@@ -427,9 +431,8 @@ class Tracer:
                     self._tally(priority, met, 1)
 
     def _fold(self) -> None:
-        """A samplerless run's completed requests, at its end: their
-        latencies join the histogram in one ``observe_many`` call, in
-        completion order, and their SLO outcomes their classes' tallies."""
+        """A samplerless run's completed requests, at its end: one
+        ``observe_many`` call in completion order, then each class's tally."""
         done = [entry[3] for entry in self._log[self._logged :] if len(entry) == 12]
         self._logged = len(self._log)
         if not done:
@@ -446,8 +449,7 @@ class Tracer:
             self._tally(priority, np.count_nonzero(met[mine]), np.count_nonzero(mine))
 
     def _tally(self, priority: int, met: int, judged: int) -> None:
-        """Count ``judged`` SLO outcomes of class ``priority``, ``met`` of
-        them met; a class's gauge is registered at its first outcome."""
+        """Count SLO outcomes; a class's gauge registers at its first."""
         tally = self._slo.get(priority)
         if tally is None:
             gauge = self.registry.gauge("slo_attainment", labels={"class": str(priority)})
