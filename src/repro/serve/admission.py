@@ -20,24 +20,32 @@ Policies follow the same name-registry idiom as
     Deadline-aware reject: admit only requests whose absolute
     :attr:`~repro.serve.table.Request.deadline` is still feasible
     under a per-request service estimate — the predicted completion is
-    ``clock + est_service * (queued_ahead + 1)``.  Requests without a
+    ``arrival + est_service * (queued_ahead + 1)``.  Requests without a
     deadline are always admitted.
 
-The engine calls ``admit(table, row, queue, clock)`` once per arrival:
-``row`` is the arriving request's row in the run's
-:class:`~repro.serve.table.RequestTable` (its stamps are the table's
-columns at that row, e.g. ``table.deadline[row]``, NaN for none), and
-``queue`` is its class queue, a FIFO of the rows already admitted.  No
-:class:`~repro.serve.table.Request` is built for the call.
+The engine calls ``admit(table, rows, queue)`` once per *run*: a
+``range`` of consecutive rows of the run's
+:class:`~repro.serve.table.RequestTable` that arrive, in order, for one
+class queue before anything leaves it — every arrival due while a batch
+executes, split where the class changes, or a single arrival when the
+machine is idle.  A request's stamps are the table's columns at its row
+(``table.arrival[row]``, ``table.deadline[row]``, NaN for none), and
+``queue`` is its class queue, a FIFO of the rows already admitted.  The
+policy returns the rows it admits, in order, and leaves ``queue`` alone;
+the engine appends them and sheds the rest.  Each row is judged at its
+own arrival, as if every row admitted before it had already joined
+``queue`` — so a run's decisions are the ones a per-arrival call would
+make.  No :class:`~repro.serve.table.Request` is built for the call.
 
-Policies are pure functions of (request, queue, clock), so a served run
-replays bit-identically.
+Policies are pure functions of (the rows' stamps, queue), so a served
+run replays bit-identically.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Sequence
 
 from .table import RequestTable
 
@@ -61,10 +69,13 @@ class AdmissionPolicy:
 
     name = "abstract"
 
-    def admit(self, table: RequestTable, row: int, queue: deque[int], clock: float) -> bool:
-        """True to enqueue the request at ``row`` of ``table``, False to
-        shed it.  ``queue`` is the request's own class queue (its rows)
-        as it stands at arrival time."""
+    def admit(self, table: RequestTable, rows: range, queue: deque[int]) -> Sequence[int]:
+        """The rows of ``rows`` to enqueue, in order; the engine sheds
+        the rest.  ``rows`` is a run of consecutive rows of ``table``
+        bound for ``queue``, their class queue as it stands before the
+        first of them arrives.  Judge each row at ``table.arrival[row]``
+        with the rows admitted before it counted as queued; do not
+        modify ``queue``."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -76,8 +87,8 @@ class UnboundedAdmission(AdmissionPolicy):
 
     name = "unbounded"
 
-    def admit(self, table: RequestTable, row: int, queue: deque[int], clock: float) -> bool:
-        return True
+    def admit(self, table: RequestTable, rows: range, queue: deque[int]) -> Sequence[int]:
+        return rows
 
 
 class QueueCapAdmission(AdmissionPolicy):
@@ -90,17 +101,17 @@ class QueueCapAdmission(AdmissionPolicy):
             raise ValueError(f"cap must be >= 1, got {cap}")
         self.cap = int(cap)
 
-    def admit(self, table: RequestTable, row: int, queue: deque[int], clock: float) -> bool:
-        return len(queue) < self.cap
+    def admit(self, table: RequestTable, rows: range, queue: deque[int]) -> Sequence[int]:
+        return rows[: max(0, self.cap - len(queue))]
 
 
 class DeadlineAdmission(AdmissionPolicy):
     """Reject requests whose deadline is already infeasible at arrival.
 
     ``est_service`` is the policy's per-request service estimate (model
-    time); the predicted completion of an arriving request behind
-    ``len(queue)`` queued peers is ``clock + est_service * (len(queue)
-    + 1)``.  Admit when that meets the request's absolute deadline, or
+    time); the predicted completion of a request arriving at ``arrival``
+    behind ``ahead`` queued peers is ``arrival + est_service * (ahead +
+    1)``.  Admit when that meets the request's absolute deadline, or
     when the request carries none.  A measured estimate (e.g.
     :func:`repro.serve.scenarios.size1_capacity`) keeps the policy
     honest as charging rules evolve.
@@ -113,12 +124,18 @@ class DeadlineAdmission(AdmissionPolicy):
             raise ValueError(f"est_service must be >= 0, got {est_service}")
         self.est_service = float(est_service)
 
-    def admit(self, table: RequestTable, row: int, queue: deque[int], clock: float) -> bool:
-        deadline = float(table.deadline[row])
-        if math.isnan(deadline):  # no deadline
-            return True
-        predicted = clock + self.est_service * (len(queue) + 1)
-        return predicted <= deadline
+    def admit(self, table: RequestTable, rows: range, queue: deque[int]) -> Sequence[int]:
+        lo, hi = rows.start, rows.stop
+        ahead = len(queue)  # grows with each admitted row
+        admitted: list[int] = []
+        for row, arrival, deadline in zip(
+            rows, table.arrival[lo:hi].tolist(), table.deadline[lo:hi].tolist(), strict=True
+        ):
+            # no deadline (NaN) is always met
+            if math.isnan(deadline) or arrival + self.est_service * (ahead + 1) <= deadline:
+                admitted.append(row)
+                ahead += 1
+        return admitted
 
 
 _REGISTRY: dict[str, AdmissionPolicy] = {}

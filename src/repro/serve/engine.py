@@ -20,9 +20,13 @@ in deterministic order (level-complete before arrival before release at
 equal times, matching the run-to-completion engine's tie-breaks):
 
 * **arrival** — the next request of the merged open-loop/injected
-  stream joins its class queue, or is shed by the admission policy (an
-  arrival that is NaN, infinite or earlier than the last one admitted
-  raises :class:`ServeError`);
+  stream joins its class queue, or is shed by the admission policy.
+  While a batch runs, every arrival due before its next boundary is
+  admitted in one pass, one policy call per run of consecutive arrivals
+  bound for the same class queue (an arrival that is NaN, infinite or
+  earlier than the one before it raises :class:`ServeError`; a streamed
+  chunk is checked when it is read, a follow-up when it is injected and
+  when it arrives);
 * **release** — a class queue whose batching policy fires becomes a
   running batch (earliest release first, higher class on ties; see
   :func:`~repro.serve.batcher.priority_release`);
@@ -77,6 +81,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left, bisect_right
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -106,6 +111,16 @@ from .workload import Workload, get_request_type
 __all__ = ["ServingEngine", "ServeResult", "BatchRecord", "ServeError", "replay_batches"]
 
 _NO_ROWS = np.empty(0, dtype=np.int64)
+
+
+def _unservable(rid: int, arrival: float, after: float) -> ServeError:
+    """The error for request ``rid``'s arrival: not finite, or earlier
+    than ``after``, the arrival before it."""
+    if not -math.inf < arrival < math.inf:
+        return ServeError(f"request {rid} arrives at {arrival}; arrivals must be finite")
+    return ServeError(
+        f"arrival stream is not time-ordered: request {rid} arrives at {arrival} after {after}"
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -659,7 +674,8 @@ class ServingEngine:
         name) deciding when a class queue becomes a batch.
     admission:
         An :class:`~repro.serve.admission.AdmissionPolicy` (or name)
-        consulted at every arrival; refusals are shed, not queued.
+        consulted for every arrival, a same-queue run of arrivals per
+        call; refusals are shed, not queued.
     preempt:
         Enable priority preemption: a strictly-higher-class release due
         at a running batch's level boundary checkpoints the batch there
@@ -810,14 +826,18 @@ class ServingEngine:
         injected: list[tuple[float, int, Request]] = []
         seq = count()
         # the arrival stream, a chunk at a time: the loaded chunk's
-        # arrivals as floats, each row's class queue, the table row of
-        # its first row, and the position of the next arrival
+        # arrivals as floats, the end of each of its same-queue runs and
+        # that run's class queue, the table row of its first row, the
+        # positions of the next arrival and of its run, and the next
+        # arrival's time (inf once the stream is spent)
         chunks = iter(workload.chunks())
         s_arrival: list[float] = []
-        s_queue: list[deque[int]] = []
+        s_ends: list[int] = []
+        s_queues: list[deque[int]] = []
         s_base = 0
         s_pos = 0
-        streaming = True
+        s_run = 0
+        s_next = math.inf
         last_arrival = -math.inf
         # bound per run, not per engine: a wrapper installed on the
         # policy's class after the engine was built still sees every call
@@ -875,84 +895,105 @@ class ServingEngine:
             return queue
 
         def load() -> None:
-            """Enter the stream's next chunk into the table."""
-            nonlocal s_arrival, s_queue, s_base, s_pos, streaming
-            chunk = next(chunks, None)
-            s_pos = 0
-            if chunk is None:
-                s_arrival, s_queue, streaming = [], [], False
+            """Enter the stream's next non-empty chunk into the table, or
+            mark the stream spent.  The chunk's arrivals are checked here,
+            once: each must be finite and no earlier than the one before
+            it (the last admitted, for its first row).  A one-class
+            chunk is one same-queue run; any other is split where the
+            class changes."""
+            nonlocal s_arrival, s_ends, s_queues, s_base, s_pos, s_run, s_next
+            for chunk in chunks:
+                n = len(chunk)
+                if not n:
+                    continue
+                arrival = chunk.arrival
+                after = np.r_[last_arrival, arrival[:-1]]
+                ok = np.isfinite(arrival) & (arrival >= after)
+                if not ok.all():
+                    at = int(ok.argmin())
+                    raise _unservable(int(chunk.rid[at]), float(arrival[at]), float(after[at]))
+                s_base = table.extend(chunk)
+                s_arrival = arrival.tolist()
+                if chunk.uniform:
+                    s_ends = [n]
+                    s_queues = [class_queue((int(chunk.priority[0]), chunk.kind[0]))]
+                else:
+                    priority, kind = chunk.priority, chunk.kind
+                    cuts = (priority[1:] != priority[:-1]) | (kind[1:] != kind[:-1])
+                    starts = [0, *(np.flatnonzero(cuts) + 1).tolist()]
+                    s_ends = [*starts[1:], n]
+                    keys = zip(priority[starts].tolist(), kind[starts].tolist(), strict=True)
+                    s_queues = [class_queue(key) for key in keys]
+                s_pos = s_run = 0
+                s_next = s_arrival[0]
                 return
-            s_base = table.extend(chunk)
-            s_arrival = chunk.arrival.tolist()
-            if chunk.uniform and s_arrival:
-                key = (int(chunk.priority[0]), chunk.kind[0])
-                s_queue = [class_queue(key)] * len(s_arrival)
-            else:
-                keys = zip(chunk.priority.tolist(), chunk.kind.tolist(), strict=True)
-                s_queue = [class_queue(key) for key in keys]
+            s_arrival, s_ends, s_queues, s_next = [], [], [], math.inf
 
-        def unservable(rid: int, arrival: float) -> None:
-            """Raise for request ``rid``'s out-of-order or non-finite arrival."""
-            if arrival < last_arrival:
-                raise ServeError(
-                    f"arrival stream is not time-ordered: request "
-                    f"{rid} arrives at {arrival} after {last_arrival}"
-                )
-            raise ServeError(f"request {rid} arrives at {arrival}; arrivals must be finite")
-
-        def offer(row: int, queue: deque[int], arrival: float) -> None:
-            """Admit the request at ``row`` to its class queue, or shed it."""
-            if admit(table, row, queue, arrival):
-                queue.append(row)
-            else:
-                shed.append(row)
-                if tracing:
-                    tr.request_shed(*table.stamps(row), ts=arrival)
+        def enqueue(rows: range, queue: deque[int]) -> None:
+            """Admit the run ``rows`` (consecutive table rows bound for
+            ``queue``) with one policy call; shed the rows it refuses, in
+            row order."""
+            admitted = admit(table, rows, queue)
+            queue.extend(admitted)
+            if len(admitted) < len(rows):
+                kept = set(admitted)
+                for row in rows:
+                    if row not in kept:
+                        shed.append(row)
+                        if tracing:
+                            stamps = table.stamps(row)
+                            tr.request_shed(*stamps, ts=stamps[3])
 
         def pump(limit: int, until: float = math.inf) -> float:
             """The arrival event: admit or shed, in time order, up to
             ``limit`` arrivals (all when negative) due strictly before
             ``until``; return the next arrival's time (``inf`` when none
             is left).  The stream goes before injected follow-ups at
-            equal times, and each arrival must be finite and no earlier
-            than the last one admitted.  A follow-up enters the table
-            (its stamps checked) when it arrives."""
-            nonlocal s_pos, last_arrival, clock
-            inf = math.inf
+            equal times.  With no limit, the stream arrivals due before
+            ``until`` and no later than the next follow-up are found by
+            bisection and admitted a same-queue run per policy call;
+            with a limit, and for a follow-up, a run is one arrival.  A
+            follow-up enters the table (its stamps checked) when it
+            arrives, and must arrive no earlier than the last arrival
+            admitted.  With nothing due it returns after two comparisons."""
+            nonlocal s_pos, s_run, s_next, last_arrival, clock
             while True:
-                while s_pos == len(s_arrival) and streaming:
-                    load()
-                # the loaded chunk's arrivals, up to a follow-up due
-                # strictly earlier, in one loop
-                follow = injected[0][0] if injected else inf
-                arrivals, pos, end = s_arrival, s_pos, len(s_arrival)
-                while pos < end:
-                    arrival = arrivals[pos]
-                    if follow < arrival:
-                        break
-                    if not last_arrival <= arrival < inf:
-                        unservable(int(table.rid[s_base + pos]), arrival)
-                    if not (limit and arrival < until):
-                        s_pos = pos
-                        return arrival
+                follow = injected[0][0] if injected else math.inf
+                if follow < s_next:
+                    if follow < last_arrival:
+                        raise _unservable(injected[0][2].rid, follow, last_arrival)
+                    if not (limit and follow < until):
+                        return follow
                     limit -= 1
-                    last_arrival = clock = arrival
-                    offer(s_base + pos, s_queue[pos], arrival)
-                    pos += 1
-                s_pos = pos
-                if pos == end and streaming:
-                    continue  # the next chunk may still go first
-                if not injected:
-                    return inf
-                arrival, _, req = injected[0]
-                if not last_arrival <= arrival < inf:
-                    unservable(req.rid, arrival)
-                if not (limit and arrival < until):
-                    return arrival
-                limit -= 1
-                heapq.heappop(injected)
-                last_arrival = clock = arrival
-                offer(table.append(req), class_queue((int(req.priority), req.kind)), arrival)
+                    req = heapq.heappop(injected)[2]
+                    last_arrival = clock = follow
+                    row = table.append(req)
+                    enqueue(range(row, row + 1), class_queue((int(req.priority), req.kind)))
+                    continue
+                if not (limit and s_next < until):
+                    return s_next
+                pos = s_pos
+                if limit > 0:
+                    limit -= 1
+                    stop = pos + 1
+                else:
+                    stop = bisect_left(s_arrival, until, pos + 1)
+                    if follow < s_arrival[stop - 1]:
+                        stop = bisect_right(s_arrival, follow, pos + 1, stop)
+                run = s_run
+                while pos < stop:
+                    end = min(s_ends[run], stop)
+                    enqueue(range(s_base + pos, s_base + end), s_queues[run])
+                    if end == s_ends[run]:
+                        run += 1
+                    pos = end
+                s_run = run
+                last_arrival = clock = s_arrival[stop - 1]
+                s_pos = stop
+                if stop < len(s_arrival):
+                    s_next = s_arrival[stop]
+                else:
+                    load()
 
         def set_boundary(run: _Run) -> None:
             run.boundary = run.seg_clock + (ledger.clock - run.seg_base)
@@ -1300,6 +1341,8 @@ class ServingEngine:
             if on_complete is not None:
                 for req in table.records(rows):
                     for new in on_complete(req, finish):
+                        if not -math.inf < new.arrival < math.inf:
+                            raise _unservable(new.rid, new.arrival, last_arrival)
                         heapq.heappush(injected, (new.arrival, next(seq), new))
             running = None
             if tracing:
@@ -1312,6 +1355,7 @@ class ServingEngine:
         if tracing:
             tr.begin_run(ledger, cache)
         try:
+            load()
             while True:
                 if sampler is not None and sampler.due(clock):
                     tr.sample(run_state(), ts=clock)
@@ -1319,7 +1363,10 @@ class ServingEngine:
                     # level-complete vs arrival, boundary first at equal
                     # times (the PR4 completion/arrival tie-break); every
                     # arrival due strictly before the boundary is admitted
-                    # in one pump instead of a full event-loop turn each
+                    # in one pump instead of a full event-loop turn each.
+                    # The class queues only grow meanwhile, so admitting
+                    # a same-queue run in one policy call decides what
+                    # admitting its arrivals one by one would
                     boundary = running.boundary
                     pump(-1, boundary)
                     clock = boundary

@@ -21,7 +21,11 @@ code with the planned kernels it checks (save the batch levels of
   charge per call;
 * :func:`per_call_execute` — the per-call plan executor the fused level
   executor replaced: one ``mm`` per merge group or grid call, then the
-  level's CPU ops, each charged here.
+  level's CPU ops, each charged here;
+* :func:`per_row_admit` — the per-arrival admission the run-at-a-time
+  policies replaced: each stock policy judges one row at its own
+  arrival, against the queue as it stands after the rows admitted
+  before it.
 
 On a sequential machine the planned kernels charge exactly what these
 do wherever the planner has nothing to merge (Strassen, the DFT); the
@@ -33,6 +37,7 @@ pivot column into one.  The kernel oracles run on numeric machines;
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 
@@ -314,3 +319,43 @@ def per_call_execute(plan, machine):
                     op.value = value
         _cpu_ops(others, machine)
     return plan
+
+
+def _admit_unbounded(policy, table, row, queue, clock):
+    return True
+
+
+def _admit_queue_cap(policy, table, row, queue, clock):
+    return len(queue) < policy.cap
+
+
+def _admit_deadline(policy, table, row, queue, clock):
+    deadline = float(table.deadline[row])
+    if math.isnan(deadline):  # no deadline
+        return True
+    predicted = clock + policy.est_service * (len(queue) + 1)
+    return predicted <= deadline
+
+
+# each stock admission policy's per-row decision, by registry name:
+# True to enqueue the request at ``row``, judged at ``clock``
+PER_ROW_ADMIT = {
+    "unbounded": _admit_unbounded,
+    "queue-cap": _admit_queue_cap,
+    "deadline": _admit_deadline,
+}
+
+
+def per_row_admit(policy, table, rows, queue):
+    """The rows of ``rows`` that ``policy`` admits one at a time, in
+    order: each row is judged at its own ``table.arrival`` against a
+    copy of ``queue`` holding every row admitted before it (``queue``
+    itself is not changed)."""
+    judge = PER_ROW_ADMIT[policy.name]
+    queue = deque(queue)
+    admitted = []
+    for row in rows:
+        if judge(policy, table, row, queue, float(table.arrival[row])):
+            queue.append(row)
+            admitted.append(row)
+    return admitted

@@ -1,10 +1,16 @@
-"""Admission control: shedding, conservation with sheds, registry, and
-the rel_tol plumbing of ServeResult.check_conservation."""
+"""Admission control: shedding, conservation with sheds, registry,
+run-at-a-time admission against the per-row oracle, and the rel_tol
+plumbing of ServeResult.check_conservation."""
 
 import math
+from collections import deque
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from eager_oracles import per_row_admit
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import PoissonWorkload, TCUMachine
 from repro.serve import (
@@ -16,6 +22,7 @@ from repro.serve import (
     available_admissions,
     get_admission,
 )
+from repro.serve.table import RequestChunk, RequestTable
 
 ELL = 32.0
 
@@ -114,6 +121,87 @@ class TestDeadlineAdmission:
         )
         result = engine.serve(overload(total=25, seed=6))
         assert result.shed == [] and result.completed == 25
+
+
+def _table(arrival, deadline=None) -> RequestTable:
+    """A run's table: one-class rows at ``arrival`` with absolute
+    ``deadline`` stamps (NaN, or ``None`` for all: no deadline)."""
+    arrival = np.asarray(arrival, dtype=np.float64)
+    chunk = RequestChunk.stamped(
+        0, arrival, np.full(len(arrival), 4), kind="matmul", priority=0, slo=None, deadline=None
+    )
+    if deadline is not None:
+        chunk.deadline = np.asarray(deadline, dtype=np.float64)
+    table = RequestTable()
+    table.extend(chunk)
+    return table
+
+
+_DEADLINES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0]),
+    st.floats(-20.0, 120.0, allow_nan=False),
+)
+_EST_SERVICE = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 4.0]), st.floats(0.0, 30.0))
+
+
+@st.composite
+def admission_runs(draw):
+    """``(cap, est_service, table, rows, queue)``: a class queue of
+    ``depth`` admitted rows (0 .. cap+3) followed in the table by a run
+    of up to 12 rows with non-decreasing arrivals and deadlines that may
+    be NaN (none) or infinite."""
+    cap = draw(st.integers(1, 8))
+    depth = draw(st.integers(0, cap + 3))
+    n = draw(st.integers(0, 12))
+    gaps = draw(
+        st.lists(
+            st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 25.0)),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    start = draw(st.floats(-10.0, 10.0))
+    arrival = np.r_[np.full(depth, start), start + np.cumsum(gaps)]
+    deadline = np.array(
+        [*[math.nan] * depth, *draw(st.lists(_DEADLINES, min_size=n, max_size=n))]
+    )
+    table = _table(arrival, deadline)
+    return cap, draw(_EST_SERVICE), table, range(depth, depth + n), deque(range(depth))
+
+
+class TestRunAdmission:
+    """A run's admitted rows equal the per-row oracle's, in order."""
+
+    @staticmethod
+    def _check(policy, table, rows, queue):
+        before = list(queue)
+        admitted = policy.admit(table, rows, queue)
+        assert not isinstance(admitted, np.ndarray)
+        assert list(admitted) == per_row_admit(policy, table, rows, queue)
+        assert list(queue) == before  # the engine appends, not the policy
+        return list(admitted)
+
+    @settings(max_examples=300, deadline=None)
+    @given(admission_runs())
+    def test_every_stock_policy_matches_per_row(self, case):
+        cap, est, table, rows, queue = case
+        for policy in (
+            UnboundedAdmission(),
+            QueueCapAdmission(cap=cap),
+            DeadlineAdmission(est_service=est),
+        ):
+            self._check(policy, table, rows, queue)
+
+    @pytest.mark.parametrize("depth", [0, 3, 4, 7])
+    def test_runs_at_the_edges(self, depth):
+        # runs that start below, at and above a cap of 4, and empty runs
+        table = _table(np.arange(depth + 6.0))
+        queue = deque(range(depth))
+        for rows in (range(depth, depth + 6), range(depth, depth)):
+            admitted = self._check(QueueCapAdmission(cap=4), table, rows, queue)
+            assert admitted == list(rows)[: max(0, 4 - depth)]
+        for policy in (UnboundedAdmission(), DeadlineAdmission()):
+            assert self._check(policy, table, range(depth, depth), queue) == []
 
 
 class TestConservationTolerance:

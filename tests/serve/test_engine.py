@@ -8,9 +8,12 @@ run are bit-identical to the same batches replayed serially — through
 path, and through a cost-only machine.
 """
 
+import hashlib
+import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -19,16 +22,21 @@ from repro import (
     TCUMachine,
     replay_batches,
 )
+from repro.obs import Tracer
 from repro.serve import (
     BurstyWorkload,
     ClosedLoopWorkload,
+    ContinuousBatcher,
+    MixedWorkload,
+    QueueCapAdmission,
     ServeError,
     ServingEngine,
     SizeBatcher,
     TimeoutBatcher,
     Workload,
 )
-from repro.serve.workload import Request
+from repro.serve.table import RequestChunk
+from repro.serve.workload import _CHUNK, Request
 
 ELL = 32.0
 
@@ -339,20 +347,126 @@ class TestUnservableArrivals:
             ([math.nan] * 3, 0, "nan"),
             ([0.0, math.nan, 5.0], 1, "nan"),
             ([math.inf, math.inf], 0, "inf"),
+            ([-math.inf, 1.0], 0, "-inf"),
+            ([0.0, 1.0, -math.inf], 2, "-inf"),
         ],
-        ids=["trailing-inf", "all-nan", "nan-between", "all-inf"],
+        ids=[
+            "trailing-inf", "all-nan", "nan-between", "all-inf", "first-minus-inf",
+            "minus-inf-after-finite",
+        ],
     )
     def test_streamed(self, stamps, rid, value):
         machine = TCUMachine(m=16, ell=64.0, execute="cost-only")
         with pytest.raises(ServeError, match=rf"^request {rid} arrives at {value}; .*finite"):
             ServingEngine(machine, "continuous").serve(_Stamped(stamps))
 
-    @pytest.mark.parametrize("think", [math.nan, math.inf])
+    @pytest.mark.parametrize("think", [math.nan, math.inf, -math.inf])
     def test_injected(self, think):
         machine = TCUMachine(m=16, ell=64.0, execute="cost-only")
         workload = _InjectsAt([0.0], think=think, total=3)
         with pytest.raises(ServeError, match=rf"^request 1 arrives at {think}; .*finite"):
             ServingEngine(machine, "continuous").serve(workload)
+
+
+class _Chunked(Workload):
+    """Serves each list of arrival stamps as one one-class chunk."""
+
+    def __init__(self, *stamps):
+        self.stamps = stamps
+
+    def chunks(self):
+        rid = 0
+        for stamps in self.stamps:
+            arrival = np.array(stamps, dtype=np.float64)
+            rows = np.full(len(stamps), 4, dtype=np.int64)
+            yield RequestChunk.stamped(
+                rid, arrival, rows, kind="matmul", priority=0, slo=None, deadline=None
+            )
+            rid += len(stamps)
+
+
+class _LateAfterChunk(PoissonWorkload):
+    """A stock stream of ``_CHUNK`` requests, then one request stamped
+    before the stream's last arrival: the first row of the second chunk
+    the engine reads."""
+
+    def requests(self):
+        yield from super().requests()
+        yield Request(rid=self.total, kind="matmul", arrival=1.0, rows=4)
+
+
+def _sha(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+class TestArrivalRuns:
+    """Arrivals are checked a chunk at a time and admitted a same-queue
+    run at a time; neither moves a decision or an error."""
+
+    def test_out_of_order_first_row_of_a_later_chunk(self):
+        machine = TCUMachine(m=16, ell=64.0, execute="cost-only")
+        workload = _Chunked([0.0, 1.0, 2.0], [1.5, 3.0])
+        with pytest.raises(
+            ServeError,
+            match=r"^arrival stream is not time-ordered: request 3 arrives at 1\.5 after 2\.0$",
+        ):
+            ServingEngine(machine, "continuous").serve(workload)
+
+    def test_out_of_order_first_row_after_a_full_records_chunk(self):
+        workload = _LateAfterChunk(rate=1 / 8.0, total=_CHUNK, kind="matmul", rows=4, seed=2)
+        last = float(next(iter(PoissonWorkload.chunks(workload))).arrival[-1])
+        machine = TCUMachine(m=16, ell=64.0, execute="cost-only", trace_calls=False)
+        engine = ServingEngine(machine, ContinuousBatcher(max_size=512))
+        with pytest.raises(
+            ServeError,
+            match=rf"^arrival stream is not time-ordered: request {_CHUNK} "
+            rf"arrives at 1\.0 after {last!r}$",
+        ):
+            engine.serve(workload)
+
+    def test_one_class_sheds_mid_run_while_the_other_admits(self):
+        # a bulk class floods a queue capped at 3 while an interactive
+        # class's arrivals land between its sheds; pinned from the
+        # per-arrival engine
+        tracer = Tracer()
+        engine = ServingEngine(
+            TCUMachine(m=16, ell=64.0, execute="cost-only"),
+            ContinuousBatcher(max_size=2),
+            admission=QueueCapAdmission(cap=3),
+            tracer=tracer,
+        )
+        workload = MixedWorkload(
+            PoissonWorkload(rate=1 / 8e3, total=48, kind="matmul", rows=8, seed=5),
+            PoissonWorkload(rate=1 / 3e4, total=16, kind="dft", rows=2, priority=1, seed=6),
+        )
+        result = engine.serve(workload)
+        shed = result.shed
+        # while some batch ran, a bulk request was shed and an
+        # interactive one was admitted (and later served)
+        assert any(
+            any(b.launch < r.arrival < b.completion and r.kind == "matmul" for r in shed)
+            and any(
+                b.launch < r.arrival < b.completion and r.kind == "dft"
+                for r in result.requests
+            )
+            for b in result.batches
+        )
+        traced = [row for row in tracer.requests if row[3] == "shed"]
+        batches = [(b.index, b.kind, b.priority, b.rids, b.rows) for b in result.batches]
+        assert (
+            _sha(json.dumps([r.to_dict() for r in shed])),
+            _sha(traced),
+            _sha(batches),
+        ) == MIXED_RUN_DIGESTS
+
+
+# sha256 of the shed records, the tracer's shed rows and the batches'
+# requests, recorded from the engine that admitted one arrival per call
+MIXED_RUN_DIGESTS = (
+    "d3c7d7238ba6dda3af6fd22ddaec15ddf0324b1ef1cce647d176b72c799277c4",
+    "b05327af25c4be85a5dbf28ea8989cf066a5323cac24abe0862b4cf71cbe4a76",
+    "5ccb26413d1533d830231e8ba837a8bed9dd1eba69c3056d3995f00ebcab9c8f",
+)
 
 
 class TestConservationBatchLookup:
