@@ -20,6 +20,13 @@ Total model time (Theorem 5):
 
     T(n) = Theta( n^3 / sqrt(m) + (n^2/m) l + n^2 sqrt(m) ).
 
+Kernels A, B and C are ``sqrt(m)`` rank-one OR-updates on the CPU.  B
+closes each column of a pivot-row block on its own and C each row of a
+pivot-column block, so each runs as one sweep per contiguous run of the
+pivot row (column), ``j < k`` and ``j > k``, charged once from its shape
+at 2 RAM units per entry per update — Theta(m^{3/2}) per block, as in
+the paper.  The trailing clamp is charged once per pivot.
+
 Each pivot's trailing update is built as a
 :class:`~repro.core.program.TensorProgram`: the planner notices that the
 above/below segments of one ``j`` share the same resident weight block
@@ -40,37 +47,16 @@ from ..matmul.schedule import ceil_to_multiple
 __all__ = ["transitive_closure"]
 
 
-def _closure_block(tcu: TCUMachine, X: np.ndarray) -> None:
-    """Kernel A: in-place closure of the diagonal block (Figure 7)."""
-    s = X.shape[0]
+def _sweep(tcu: TCUMachine, X: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
+    """Figure 7's kernels A, B and C: ``X |= left[:, k] & right[k, :]``
+    for every ``k < sqrt(m)`` in turn, in place, charged 2 RAM units per
+    entry of ``X`` per step."""
+    s = tcu.sqrt_m
+    tcu.charge_cpu(2 * s * X.size)
     if tcu.execute == "cost-only":
-        tcu.charge_cpu(2 * s * s * s)
         return
     for k in range(s):
-        X |= np.outer(X[:, k], X[k, :])
-        tcu.charge_cpu(s * s * 2)
-
-
-def _row_block(tcu: TCUMachine, X: np.ndarray, Y: np.ndarray) -> None:
-    """Kernel B: ``X_kj |= X_kk-paths``, in place."""
-    s = X.shape[0]
-    if tcu.execute == "cost-only":
-        tcu.charge_cpu(2 * s * s * s)
-        return
-    for k in range(s):
-        X |= np.outer(Y[:, k], X[k, :])
-        tcu.charge_cpu(s * s * 2)
-
-
-def _col_block(tcu: TCUMachine, X: np.ndarray, Y: np.ndarray) -> None:
-    """Kernel C: ``X_ik |= paths-through-X_kk``, in place."""
-    s = X.shape[0]
-    if tcu.execute == "cost-only":
-        tcu.charge_cpu(2 * s * s * s)
-        return
-    for k in range(s):
-        X |= np.outer(X[:, k], Y[k, :])
-        tcu.charge_cpu(s * s * 2)
+        X |= np.outer(left[:, k], right[k, :])
 
 
 def transitive_closure(
@@ -121,28 +107,26 @@ def transitive_closure(
     for k in range(nb):
         kk = slice(k * s, (k + 1) * s)
         Xkk = work[kk, kk]
-        _closure_block(tcu, Xkk)
-        for j in range(nb):
-            if j != k:
-                jj = slice(j * s, (j + 1) * s)
-                _row_block(tcu, work[kk, jj], Xkk)
-        for i in range(nb):
-            if i != k:
-                ii = slice(i * s, (i + 1) * s)
-                _col_block(tcu, work[ii, kk], Xkk)
-        # Trailing update D on the tensor unit: for each j != k the
-        # weight block X_kj stays resident while every X_ik (i != k)
-        # streams through; the i != k rows form two contiguous runs.
+        _sweep(tcu, Xkk, Xkk, Xkk)  # kernel A
+        # the i != k rows (and j != k columns) form two contiguous runs
         segments = []
         if k > 0:
             segments.append(slice(0, k * s))
         if k + 1 < nb:
             segments.append(slice((k + 1) * s, padded))
-        # Lazy build: both segments of a given j reference the same
-        # copied weight op, so the planner merges them into one tall
-        # call; all (j, seg) products of this pivot are independent
-        # (they read the pivot column, write disjoint strips) and form
-        # a single batchable level.
+        for seg in segments:  # kernel B on a run of the pivot row
+            row = work[kk, seg]
+            _sweep(tcu, row, Xkk, row)
+        for seg in segments:  # kernel C on a run of the pivot column
+            col = work[seg, kk]
+            _sweep(tcu, col, col, Xkk)
+        # Trailing update D on the tensor unit: for each j != k the
+        # weight block X_kj stays resident while every X_ik (i != k)
+        # streams through.  Lazy build: both segments of a given j
+        # reference the same copied weight op, so the planner merges
+        # them into one tall call; all (j, seg) products of this pivot
+        # are independent (they read the pivot column, write disjoint
+        # strips) and form a single batchable level.
         program = TensorProgram()
         tasks = []
         for j in range(nb):
@@ -155,10 +139,13 @@ def transitive_closure(
                 op = program.mm(work[seg, kk], weight)
                 tasks.append((jj, seg, op))
         run_program(program, tcu, split=split)
-        for jj, seg, op in tasks:
-            # X <- min(X + Y*Z, 1): integer product + clamp
-            if tcu.execute != "cost-only":
+        if not tasks:
+            continue  # a lone block: nothing off the pivot row and column
+        # X <- min(X + Y*Z, 1) on every entry off the pivot row and
+        # column: integer product + clamp, 2 units per entry
+        tcu.charge_cpu(2 * (padded - s) ** 2)
+        if tcu.execute != "cost-only":
+            for jj, seg, op in tasks:
                 strip = work[seg, jj]
                 np.minimum(strip + op.result(), 1, out=strip)
-            tcu.charge_cpu(2 * (seg.stop - seg.start) * s)
     return work[:n, :n]

@@ -21,8 +21,11 @@ giving Theorem 4's bound
 
 which collapses to the optimal dense-MM cost once ``sqrt(n) >= m``.
 
-Scalar kernels A/B/C are vectorised over (i, j) per pivot step but
-charged at their true RAM-model cost Theta(m^{3/2}) per block.
+B updates each column of a pivot-row block on its own and C each row of
+a pivot-column block, so each runs as one CPU sweep over the whole pivot
+row (column): one numpy update per elimination step for all blocks, in
+the block-at-a-time arithmetic and order, charged the step's RAM-model
+cost summed over its blocks — Theta(m^{3/2}) per block, as in the paper.
 """
 
 from __future__ import annotations
@@ -34,6 +37,11 @@ from ..matmul.schedule import ceil_to_multiple
 
 __all__ = ["ge_forward", "ge_solve", "back_substitute"]
 
+_ZERO_PIVOT = (
+    "zero pivot encountered: Gaussian elimination without pivoting "
+    "requires a matrix with non-zero leading minors"
+)
+
 
 def _kernel_A(tcu: TCUMachine, X: np.ndarray) -> None:
     """Within-block elimination (Figure 4, function A), in place."""
@@ -41,31 +49,34 @@ def _kernel_A(tcu: TCUMachine, X: np.ndarray) -> None:
     for k in range(s - 1):
         pivot = X[k, k]
         if pivot == 0:
-            raise ZeroDivisionError(
-                "zero pivot encountered: Gaussian elimination without pivoting "
-                "requires a matrix with non-zero leading minors"
-            )
+            raise ZeroDivisionError(_ZERO_PIVOT)
         X[k + 1 :, k + 1 :] -= np.outer(X[k + 1 :, k], X[k, k + 1 :]) / pivot
         tcu.charge_cpu((s - 1 - k) * (s - 1 - k) * 3)
 
 
 def _kernel_B(tcu: TCUMachine, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Pivot-row update (Figure 4, function B), in place; returns X'_j."""
-    s = X.shape[0]
+    """Pivot-row sweep (Figure 4, function B on every block of ``X``),
+    in place; returns the blocks ``X'_j`` side by side."""
+    # B divides by every pivot of Y, the last one too, which A never
+    # divides by and so never checks
+    if Y[-1, -1] == 0:
+        raise ZeroDivisionError(_ZERO_PIVOT)
+    s, width = X.shape
     for k in range(s - 1):
         X[k + 1 :, :] -= np.outer(Y[k + 1 :, k], X[k, :]) / Y[k, k]
-        tcu.charge_cpu((s - 1 - k) * s * 3)
+        tcu.charge_cpu((s - 1 - k) * width * 3)
     Xp = -X / np.diag(Y)[:, None]
-    tcu.charge_cpu(2 * s * s)
+    tcu.charge_cpu(2 * s * width)
     return Xp
 
 
 def _kernel_C(tcu: TCUMachine, X: np.ndarray, Y: np.ndarray) -> None:
-    """Pivot-column update (Figure 4, function C), in place."""
-    s = X.shape[0]
-    for k in range(s):
+    """Pivot-column sweep (Figure 4, function C on every block of
+    ``X``), in place."""
+    height, s = X.shape
+    for k in range(s - 1):
         X[:, k + 1 :] -= np.outer(X[:, k], Y[k, k + 1 :]) / Y[k, k]
-        tcu.charge_cpu(s * (s - 1 - k) * 3)
+        tcu.charge_cpu(height * (s - 1 - k) * 3)
 
 
 def ge_forward(tcu: TCUMachine, X: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
@@ -104,24 +115,19 @@ def ge_forward(tcu: TCUMachine, X: np.ndarray, *, overwrite: bool = False) -> np
         kk = slice(k * s, (k + 1) * s)
         Xkk = work[kk, kk]
         _kernel_A(tcu, Xkk)
-        xprimes: dict[int, np.ndarray] = {}
-        for j in range(k + 1, nb):
-            jj = slice(j * s, (j + 1) * s)
-            xprimes[j] = _kernel_B(tcu, work[kk, jj], Xkk)
-        for i in range(k + 1, nb):
-            ii = slice(i * s, (i + 1) * s)
-            _kernel_C(tcu, work[ii, kk], Xkk)
-        if k + 1 < nb:
-            below = slice((k + 1) * s, padded)
-            tall = work[below, kk]  # all X_ik blocks, contiguous rows
-            for j in range(k + 1, nb):
-                jj = slice(j * s, (j + 1) * s)
-                # X'_j resident in the unit; the sub-column of X_ik
-                # blocks streams through as one tall call (Figure 4,
-                # lines 8-10).
-                update = tcu.mm(tall, xprimes[j])
-                work[below, jj] += update
-                tcu.charge_cpu((padded - (k + 1) * s) * s)
+        if k + 1 == nb:
+            break
+        lo = (k + 1) * s
+        below = slice(lo, padded)
+        xprime = _kernel_B(tcu, work[kk, below], Xkk)
+        _kernel_C(tcu, work[below, kk], Xkk)
+        tall = work[below, kk]  # all X_ik blocks, contiguous rows
+        for j in range(0, padded - lo, s):
+            # X'_j resident in the unit; the sub-column of X_ik blocks
+            # streams through as one tall call (Figure 4, lines 8-10).
+            update = tcu.mm(tall, xprime[:, j : j + s])
+            work[below, lo + j : lo + j + s] += update
+            tcu.charge_cpu((padded - lo) * s)
     return work[:n_side, :n_side]
 
 

@@ -18,19 +18,17 @@ from .exporters import (
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .sampler import Sampler, SloBurnMonitor
-from .spans import Instant, ObsError, Span
+from .spans import ObsError
 from .tracer import Tracer
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "Instant",
     "MetricsRegistry",
     "ObsError",
     "Sampler",
     "SloBurnMonitor",
-    "Span",
     "Tracer",
     "chrome_trace_json",
     "prometheus_text",

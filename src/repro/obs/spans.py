@@ -1,61 +1,10 @@
-"""Span and instant records for the deterministic telemetry layer.
-
-The tracer's hot path stores plain tuples (one append per event); the
-dataclasses here are the *materialised* view — built on demand when a
-trace is inspected or exported.  Everything is timestamped on the
-simulated ledger clock, so a trace is a pure function of
-``(workload seed, fault seed)`` and replays bit-identically.
-
-Span categories mirror the ledger's accounting identity
-``total = useful + wasted + reload``:
-
-* ``exec`` — a contiguous execution segment of a batch (its duration is
-  the exact ledger-clock span the segment charged);
-* ``level`` — one plan level inside a segment (stepwise runs only),
-  tagged with the tensor units that executed its calls;
-* ``queue`` — a request's wait between arrival and launch;
-* ``backoff`` — a failed batch's retry wait window;
-* ``down`` — a crash-repair window during which nothing launches.
-"""
+"""The error type of the deterministic telemetry layer (:mod:`repro.obs`)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-__all__ = ["ObsError", "Span", "Instant"]
+__all__ = ["ObsError"]
 
 
 class ObsError(RuntimeError):
     """Raised on invalid telemetry states (bad metric registrations,
     malformed traces, reconciliation failures)."""
-
-
-@dataclass(frozen=True, slots=True)
-class Span:
-    """A closed interval on the simulated clock.
-
-    ``lane`` is the export track the span renders on (a priority class
-    or a tensor unit); ``args`` carries free-form annotations.
-    """
-
-    name: str
-    cat: str
-    start: float
-    dur: float
-    lane: str = ""
-    args: dict[str, object] = field(default_factory=dict)
-
-    @property
-    def end(self) -> float:
-        return self.start + self.dur
-
-
-@dataclass(frozen=True, slots=True)
-class Instant:
-    """A zero-duration event on the simulated clock (fault, preemption,
-    retry, degradation, alert)."""
-
-    name: str
-    ts: float
-    lane: str = ""
-    args: dict[str, object] = field(default_factory=dict)

@@ -16,6 +16,9 @@ code with the planned kernels it checks (save the batch levels of
   recursion with :func:`per_call_matmul` at every level;
 * :func:`per_segment_closure` — Figure 7 with the above and below
   segments of every trailing update issued as two separate calls;
+* :func:`per_block_ge_forward` — Figure 4's forward phase with kernels
+  A, B and C run one block at a time, one charge per elimination step
+  of each block;
 * :func:`one_batch_matmul` — the Theorem 2 loop on a parallel machine:
   every (strip, block) call in one ``mm_batch``, one accumulation
   charge per call;
@@ -30,8 +33,11 @@ code with the planned kernels it checks (save the batch levels of
 On a sequential machine the planned kernels charge exactly what these
 do wherever the planner has nothing to merge (Strassen, the DFT); the
 closure's planned path merges the two segment calls of every interior
-pivot column into one.  The kernel oracles run on numeric machines;
-:func:`per_call_execute` also runs cost-only.
+pivot column into one.  Gaussian elimination sweeps kernels B and C
+over the whole pivot row and column and charges what
+:func:`per_block_ge_forward` does on every machine, bit for bit.  The
+kernel oracles run on numeric machines; :func:`per_call_execute` also
+runs cost-only.
 """
 
 from __future__ import annotations
@@ -230,6 +236,68 @@ def per_segment_closure(tcu, adjacency):
                 strip = work[seg, jj]
                 np.minimum(strip + tcu.mm(work[seg, kk], Z), 1, out=strip)
                 tcu.charge_cpu(2 * (seg.stop - seg.start) * s)
+    return work[:n, :n]
+
+
+def _ge_diagonal_block(tcu, X):
+    """Figure 4's kernel A on one diagonal block, one charge per step."""
+    s = X.shape[0]
+    for k in range(s - 1):
+        pivot = X[k, k]
+        if pivot == 0:
+            raise ZeroDivisionError("zero pivot encountered")
+        X[k + 1 :, k + 1 :] -= np.outer(X[k + 1 :, k], X[k, k + 1 :]) / pivot
+        tcu.charge_cpu((s - 1 - k) * (s - 1 - k) * 3)
+
+
+def _ge_row_block(tcu, X, Y):
+    """Kernel B on one pivot-row block, one charge per step; returns the
+    negated, pivot-scaled block X'_j."""
+    s = X.shape[0]
+    for k in range(s - 1):
+        X[k + 1 :, :] -= np.outer(Y[k + 1 :, k], X[k, :]) / Y[k, k]
+        tcu.charge_cpu((s - 1 - k) * s * 3)
+    Xp = -X / np.diag(Y)[:, None]
+    tcu.charge_cpu(2 * s * s)
+    return Xp
+
+
+def _ge_col_block(tcu, X, Y):
+    """Kernel C on one pivot-column block, one charge per step."""
+    s = X.shape[0]
+    for k in range(s):
+        X[:, k + 1 :] -= np.outer(X[:, k], Y[k, k + 1 :]) / Y[k, k]
+        tcu.charge_cpu(s * (s - 1 - k) * 3)
+
+
+def per_block_ge_forward(tcu, X):
+    """Figure 4's forward phase with kernels A, B and C run one
+    ``sqrt(m) x sqrt(m)`` block at a time, then one tall call per
+    trailing block column, each followed by its accumulation charge."""
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    s = tcu.sqrt_m
+    padded = ceil_to_multiple(n, s)
+    if padded != n:
+        work = np.eye(padded, dtype=np.float64)
+        work[:n, :n] = X
+        tcu.charge_cpu(padded * padded)
+    else:
+        work = X.copy()
+    nb = padded // s
+    for k in range(nb):
+        kk = slice(k * s, (k + 1) * s)
+        Xkk = work[kk, kk]
+        _ge_diagonal_block(tcu, Xkk)
+        xprimes = {
+            j: _ge_row_block(tcu, work[kk, j * s : (j + 1) * s], Xkk) for j in range(k + 1, nb)
+        }
+        for i in range(k + 1, nb):
+            _ge_col_block(tcu, work[i * s : (i + 1) * s, kk], Xkk)
+        below = slice((k + 1) * s, padded)
+        for j in range(k + 1, nb):
+            work[below, j * s : (j + 1) * s] += tcu.mm(work[below, kk], xprimes[j])
+            tcu.charge_cpu((padded - (k + 1) * s) * s)
     return work[:n, :n]
 
 

@@ -1,5 +1,7 @@
 """Theorem 4 Gaussian elimination tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -31,10 +33,17 @@ class TestForwardPhase:
         assert np.array_equal(X, copy)
 
     def test_overwrite_mutates(self, tcu, rng):
+        """``overwrite=True`` eliminates in ``X`` itself when its side
+        divides by ``sqrt(m)``; a padded input is copied, so it stays."""
         X = diag_dominant(rng, 8)
+        copy = X.copy()
         out = ge_forward(tcu, X, overwrite=True)
-        assert out is not None
-        assert not np.allclose(np.tril(X, -1), np.tril(diag_dominant(rng, 8), -1)) or True
+        assert np.shares_memory(out, X)
+        assert not np.array_equal(X, copy)
+        X = diag_dominant(rng, 7)
+        copy = X.copy()
+        ge_forward(tcu, X, overwrite=True)
+        assert np.array_equal(X, copy)
 
     def test_non_square_rejected(self, tcu, rng):
         with pytest.raises(ValueError, match="square"):
@@ -44,6 +53,30 @@ class TestForwardPhase:
         X = np.zeros((8, 8))
         with pytest.raises(ZeroDivisionError):
             ge_forward(tcu, X)
+
+    @pytest.mark.parametrize("m", [4, 16, 64])
+    def test_zero_pivot_on_a_block_corner_detected(self, m):
+        """The leading 2x2 minor is singular, so the second pivot is 0:
+        the last pivot of a 2x2 block (m=4), which the pivot-row and
+        pivot-column kernels divide by, or an inner one (m=16, 64)."""
+        X = 4.0 * np.eye(4)
+        X[0, 1] = X[1, 0] = 4.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ZeroDivisionError, match="zero pivot"):
+                ge_forward(TCUMachine(m=m), X)
+
+    @pytest.mark.parametrize("m", [4, 16])
+    def test_last_pivot_of_the_matrix_unchecked(self, m):
+        """Nothing divides by the matrix's last pivot (Figure 2 stops at
+        n - 2), so a zero there is no error."""
+        X = np.diag([1.0, 1.0, 1.0, 0.0])
+        X[0, 3] = 2.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ge_forward(TCUMachine(m=m), X)
+        assert np.isfinite(out).all()
+        assert np.array_equal(np.triu(out), X)
 
     def test_triangular_input_fixed_point(self, tcu, rng):
         """An already upper-triangular matrix passes through unchanged."""

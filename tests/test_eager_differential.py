@@ -21,13 +21,22 @@ Charges are compared exactly:
   call per level runs alone); ``split=1`` closure calls carry the same
   throughput and one latency fewer per merged pair.  The clock never
   exceeds the oracle's serial total.
+
+Gaussian elimination sweeps kernels B and C over the whole pivot row
+and column; it must equal the block-at-a-time oracle bit for bit, with
+the same snapshot, per-shape totals and section time, on every machine
+above and on a 2x2-block (``m=4``) one.  The closure's sweeps charge
+from shapes on both execution modes, so its cost-only run must charge
+the numeric run's ledger on every machine.
 """
 
 import numpy as np
+import pytest
 from eager_oracles import (
     eager_batched_dft,
     eager_batched_idft,
     eager_strassen,
+    per_block_ge_forward,
     per_segment_closure,
 )
 from hypothesis import given, settings
@@ -36,6 +45,7 @@ from hypothesis import strategies as st
 from repro.core.machine import TCUMachine
 from repro.core.parallel import ParallelTCUMachine
 from repro.graph.closure import transitive_closure
+from repro.linalg.gaussian import ge_forward
 from repro.matmul.schedule import ceil_to_multiple
 from repro.matmul.strassen import CLASSICAL_2X2, STRASSEN_2X2, strassen_like_mm
 from repro.transform.dft import batched_dft, batched_idft
@@ -48,12 +58,15 @@ SERIAL = {
 }
 PARALLEL = {f"parallel-{units}": dict(m=16, ell=24.0, units=units) for units in (2, 3, 4)}
 MACHINES = sorted(SERIAL) + sorted(PARALLEL)
+# 2x2 blocks: each block's last pivot is one that only kernels B and C
+# of Gaussian elimination divide by
+M4 = dict(m=4, ell=8.0)
 
 
-def make(kind):
+def make(kind, **kwargs):
     if kind in PARALLEL:
-        return ParallelTCUMachine(**PARALLEL[kind])
-    return TCUMachine(**SERIAL[kind])
+        return ParallelTCUMachine(**PARALLEL[kind], **kwargs)
+    return TCUMachine(**(M4 if kind == "m4" else SERIAL[kind]), **kwargs)
 
 
 def run(machine, kernel, *args, **kwargs):
@@ -174,3 +187,37 @@ def test_closure_merges_exactly_the_interior_segment_pairs(kind, n, density, spl
         assert throughput == throughput_ref
         assert latency == latency_ref - pairs * ell
     assert planned.time <= eager.time
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from([*MACHINES, "m4"]),
+    side=st.integers(1, 40),
+    seed=st.integers(0, 2**16),
+)
+def test_gaussian_sweeps_match_the_per_block_kernels(kind, side, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.random((side, side)) + side * np.eye(side)  # diagonally dominant
+    swept, per_block = make(kind), make(kind)
+    U = run(swept, ge_forward, X)
+    U_ref = run(per_block, per_block_ge_forward, X)
+    assert np.array_equal(U, U_ref)
+    assert fingerprint(swept) == fingerprint(per_block)
+
+
+@pytest.mark.parametrize("kind", MACHINES)
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(0, 40),
+    density=st.sampled_from([0.02, 0.1, 0.3]),
+    split=st.sampled_from(["auto", 1]),
+    seed=st.integers(0, 2**16),
+)
+def test_closure_cost_only_charges_the_numeric_ledger(kind, n, density, split, seed):
+    rng = np.random.default_rng(seed)
+    adj = (rng.random((n, n)) < density).astype(np.int64)
+    numeric, cost = make(kind), make(kind, execute="cost-only")
+    run(numeric, transitive_closure, adj, split=split)
+    run(cost, transitive_closure, adj, split=split)
+    assert fingerprint(cost) == fingerprint(numeric)
+    assert trace_sums(cost) == trace_sums(numeric)
