@@ -9,7 +9,7 @@
 * :mod:`repro.core.presets`    -- TPUv1 / Volta-TC parameterisations (§3.1)
 """
 
-from .ledger import CallTrace, CostLedger, LedgerError, LedgerSpan, TensorCall
+from .ledger import CallTrace, CostLedger, LedgerError, TensorCall
 from .machine import TCUMachine, TensorShapeError, WeakTCUMachine, placeholder
 from .parallel import BatchStats, ParallelTCUMachine
 from .scheduling import (
@@ -54,7 +54,6 @@ __all__ = [
     "CostLedger",
     "CallTrace",
     "LedgerError",
-    "LedgerSpan",
     "TensorCall",
     "TensorProgram",
     "TensorOp",

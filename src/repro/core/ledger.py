@@ -46,15 +46,30 @@ from __future__ import annotations
 
 import math
 from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from collections import deque
 from collections.abc import Callable, Iterator, Sequence
 from itertools import starmap
+from types import TracebackType
 
 import numpy as np
 
-__all__ = ["TensorCall", "CallTrace", "CostLedger", "LedgerError", "LedgerSpan"]
+__all__ = ["TensorCall", "CallTrace", "CostLedger", "LedgerError"]
+
+_I64 = np.dtype(np.int64)
+_F64 = np.dtype(np.float64)
+
+
+def _column(values: object, dtype: np.dtype) -> np.ndarray:
+    """``values`` as a C-contiguous array of ``dtype``: the array
+    itself when it already is one, else a converted copy."""
+    if (
+        type(values) is np.ndarray
+        and values.dtype is dtype
+        and values.flags.c_contiguous
+    ):
+        return values
+    return np.ascontiguousarray(values, dtype=dtype)
 
 
 class LedgerError(RuntimeError):
@@ -184,8 +199,8 @@ class CallTrace:
         optionally carries the per-call tensor-unit assignment of a
         scheduled batch (``-1``, the default, marks serial calls).
         """
-        ns = np.ascontiguousarray(ns, dtype=np.int64)
-        times = np.ascontiguousarray(times, dtype=np.float64)
+        ns = _column(ns, _I64)
+        times = _column(times, _F64)
         if ns.ndim != 1 or times.shape != ns.shape:
             raise LedgerError(
                 f"record_bulk expects matching 1-D columns, got {ns.shape} and {times.shape}"
@@ -193,31 +208,35 @@ class CallTrace:
         k = ns.size
         if k == 0:
             return
-        if np.ndim(latency) == 0:
-            lat_col = np.full(k, float(latency), dtype=np.float64)
-        else:
-            lat_col = np.ascontiguousarray(latency, dtype=np.float64)
+        # constant columns repeat one item in the trace's own buffer
+        # type; per-call columns are copied from numpy as raw bytes
+        lat_col: np.ndarray | None = None
+        unit_col: np.ndarray | None = None
+        if not (isinstance(latency, float) or np.ndim(latency) == 0):
+            lat_col = _column(latency, _F64)
             if lat_col.shape != ns.shape:
                 raise LedgerError(
                     f"record_bulk latency column has shape {lat_col.shape}, expected {ns.shape}"
                 )
-        if units is None:
-            unit_col = np.full(k, -1, dtype=np.int64)
-        else:
-            unit_col = np.ascontiguousarray(units, dtype=np.int64)
+        if units is not None:
+            unit_col = _column(units, _I64)
             if unit_col.shape != ns.shape:
                 raise LedgerError(
                     f"record_bulk units column has shape {unit_col.shape}, expected {ns.shape}"
                 )
         sid = self._intern(section)
         self._n.frombytes(ns.tobytes())
-        self._sqrt_m.frombytes(np.full(k, int(sqrt_m), dtype=np.int64).tobytes())
+        self._sqrt_m += array("q", (int(sqrt_m),)) * k
         self._time.frombytes(times.tobytes())
-        self._latency.frombytes(lat_col.tobytes())
-        self._section_ids.frombytes(
-            np.full(k, sid, dtype=np.dtype(f"i{self._section_ids.itemsize}")).tobytes()
-        )
-        self._units.frombytes(unit_col.tobytes())
+        if lat_col is None:
+            self._latency += array("d", (float(latency),)) * k
+        else:
+            self._latency.frombytes(lat_col.tobytes())
+        self._section_ids += array("l", (sid,)) * k
+        if unit_col is None:
+            self._units += array("q", (-1,)) * k
+        else:
+            self._units.frombytes(unit_col.tobytes())
 
     def append(self, call: TensorCall) -> None:
         """List-style append of a materialised :class:`TensorCall`."""
@@ -287,6 +306,11 @@ class CallTrace:
             return np.empty(0, dtype=np.int64)
         return np.frombuffer(self._units, dtype=np.int64)
 
+    def units_between(self, start: int, stop: int) -> tuple[int, ...]:
+        """The distinct tensor units of calls ``start..stop``, sorted
+        (``-1`` for serial calls; empty for an empty range)."""
+        return tuple(sorted(set(self._units[start:stop])))
+
     def histogram_by_n(self) -> dict[int, int]:
         """Call count per left-operand height ``n`` (one ``np.unique``
         over the columnar buffer, not a Python loop)."""
@@ -334,25 +358,27 @@ class CallTrace:
         return f"CallTrace({len(self)} calls)"
 
 
-@dataclass
-class LedgerSpan:
-    """A window of the ledger clock opened by :meth:`CostLedger.stopwatch`.
+class _Section:
+    """The context manager :meth:`CostLedger.section` returns: it pushes
+    its name onto the ledger's section stack on entry and pops it on
+    exit, an exception inside the block included."""
 
-    While the window is open :attr:`elapsed` reads live against the
-    ledger; once the ``with`` block exits it freezes, so the span can be
-    kept as a record (the serving engine stores one per executed batch
-    to derive batch service time from the model clock).
-    """
+    __slots__ = ("_stack", "_name")
 
-    ledger: "CostLedger"
-    start: float
-    end: float | None = None
+    def __init__(self, stack: list[str], name: str) -> None:
+        self._stack = stack
+        self._name = name
 
-    @property
-    def elapsed(self) -> float:
-        """Model time charged since the span opened (frozen at exit)."""
-        end = self.end if self.end is not None else self.ledger.total_time
-        return end - self.start
+    def __enter__(self) -> None:
+        self._stack.append(self._name)
+
+    def __exit__(
+        self,
+        exc_type: type[BaseException] | None,
+        exc: BaseException | None,
+        tb: TracebackType | None,
+    ) -> None:
+        self._stack.pop()
 
 
 @dataclass
@@ -769,29 +795,10 @@ class CostLedger:
     # ------------------------------------------------------------------
     # structure
     # ------------------------------------------------------------------
-    @contextmanager
-    def stopwatch(self) -> Iterator[LedgerSpan]:
-        """Measure the model time charged inside a block.
-
-        Yields a :class:`LedgerSpan` whose :attr:`~LedgerSpan.elapsed`
-        reads live inside the block and freezes when it exits.  This is
-        the clock primitive online layers build on: a batch's service
-        time is exactly the span of ledger clock its execution charged.
-        """
-        span = LedgerSpan(self, self.total_time)
-        try:
-            yield span
-        finally:
-            span.end = self.total_time
-
-    @contextmanager
-    def section(self, name: str) -> Iterator[None]:
-        """Attribute all charges inside the block to ``name`` (nestable)."""
-        self._section_stack.append(name)
-        try:
-            yield
-        finally:
-            self._section_stack.pop()
+    def section(self, name: str) -> _Section:
+        """Attribute all charges inside the ``with`` block to ``name``
+        (nestable: each charge adds to every open section)."""
+        return _Section(self._section_stack, name)
 
     def _bump_sections(self, amount: float) -> None:
         for name in self._section_stack:

@@ -1748,7 +1748,8 @@ class ExecutionCursor:
     Attributes
     ----------
     level_times:
-        Model time charged by each executed level, in step order (the
+        Model time charged by each executed level, the ledger's
+        ``total_time`` after it minus before it, in step order (the
         per-level ledger spans an engine turns into event boundaries);
         a compiled plan's one-pass :meth:`run` adds one entry for all
         the levels it replays.
@@ -1784,13 +1785,16 @@ class ExecutionCursor:
         """Execute the next level; returns the model time it charged."""
         if self.done:
             raise ProgramError("cursor is exhausted; no levels left to execute")
-        with self.machine.ledger.stopwatch() as span:
-            self.plan.run_level(self.next_level, self.machine)
-        self.next_level += 1
-        self.level_times.append(span.elapsed)
+        ledger = self.machine.ledger
+        before = ledger.total_time
+        level = self.next_level
+        self.plan.run_level(level, self.machine)
+        elapsed = ledger.total_time - before
+        self.next_level = level + 1
+        self.level_times.append(elapsed)
         if self.observer is not None:
-            self.observer(self.next_level - 1, span.elapsed)
-        return span.elapsed
+            self.observer(level, elapsed)
+        return elapsed
 
     def run(self) -> None:
         """Execute every remaining level (run to exhaustion).
@@ -1809,13 +1813,15 @@ class ExecutionCursor:
             return
         if self.done:
             return
+        ledger = self.machine.ledger
+        before = ledger.total_time
         start = self.next_level
-        with self.machine.ledger.stopwatch() as span:
-            self.plan.run_levels(start, self.machine)
+        self.plan.run_levels(start, self.machine)
+        elapsed = ledger.total_time - before
         self.next_level = self.total_levels
-        self.level_times.append(span.elapsed)
+        self.level_times.append(elapsed)
         if self.observer is not None:
-            self.observer(start, span.elapsed)
+            self.observer(start, elapsed)
 
     def rewind(self, to_level: int) -> None:
         """Roll the cursor back so levels at/after ``to_level`` re-execute.

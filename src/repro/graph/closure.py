@@ -25,7 +25,8 @@ closes each column of a pivot-row block on its own and C each row of a
 pivot-column block, so each runs as one sweep per contiguous run of the
 pivot row (column), ``j < k`` and ``j > k``, charged once from its shape
 at 2 RAM units per entry per update — Theta(m^{3/2}) per block, as in
-the paper.  The trailing clamp is charged once per pivot.
+the paper.  The trailing clamp is charged once per pivot and runs as
+one add-and-clamp per pair of those runs, at most four.
 
 Each pivot's trailing update is built as a
 :class:`~repro.core.program.TensorProgram`: the planner notices that the
@@ -41,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.machine import TCUMachine
-from ..core.program import TensorProgram, check_split, run_program
+from ..core.program import TensorOp, TensorProgram, check_split, run_program
 from ..matmul.schedule import ceil_to_multiple
 
 __all__ = ["transitive_closure"]
@@ -128,24 +129,28 @@ def transitive_closure(
         # are independent (they read the pivot column, write disjoint
         # strips) and form a single batchable level.
         program = TensorProgram()
-        tasks = []
+        products: list[list[TensorOp]] = [[] for _ in segments]  # per row run
         for j in range(nb):
             if j == k:
                 continue
             jj = slice(j * s, (j + 1) * s)
             # weight must not alias the updated strip
             weight = program.copy(work[kk, jj])
-            for seg in segments:
-                op = program.mm(work[seg, kk], weight)
-                tasks.append((jj, seg, op))
+            for row_products, seg in zip(products, segments, strict=True):
+                row_products.append(program.mm(work[seg, kk], weight))
         run_program(program, tcu, split=split)
-        if not tasks:
+        if not segments:
             continue  # a lone block: nothing off the pivot row and column
         # X <- min(X + Y*Z, 1) on every entry off the pivot row and
-        # column: integer product + clamp, 2 units per entry
+        # column: integer product + clamp, 2 units per entry, applied
+        # to each (row run, column run) block at once, its products
+        # side by side
         tcu.charge_cpu(2 * (padded - s) ** 2)
         if tcu.execute != "cost-only":
-            for jj, seg, op in tasks:
-                strip = work[seg, jj]
-                np.minimum(strip + op.result(), 1, out=strip)
+            for rows, row_products in zip(segments, products, strict=True):
+                runs = [run for run in (row_products[:k], row_products[k:]) if run]
+                for cols, run in zip(segments, runs, strict=True):
+                    block = work[rows, cols]
+                    block += np.concatenate([op.result() for op in run], axis=1)
+                    np.minimum(block, 1, out=block)
     return work[:n, :n]

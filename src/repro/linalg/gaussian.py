@@ -43,14 +43,18 @@ _ZERO_PIVOT = (
 )
 
 
-def _kernel_A(tcu: TCUMachine, X: np.ndarray) -> None:
-    """Within-block elimination (Figure 4, function A), in place."""
+def _kernel_A(tcu: TCUMachine, X: np.ndarray, live: int) -> None:
+    """Within-block elimination (Figure 4, function A), in place.  Only
+    the first ``live`` steps are computed: a later step would update
+    padding alone, beside a pivot whose row and column are zero there,
+    so it is charged but not run."""
     s = X.shape[0]
     for k in range(s - 1):
-        pivot = X[k, k]
-        if pivot == 0:
-            raise ZeroDivisionError(_ZERO_PIVOT)
-        X[k + 1 :, k + 1 :] -= np.outer(X[k + 1 :, k], X[k, k + 1 :]) / pivot
+        if k < live:
+            pivot = X[k, k]
+            if pivot == 0:
+                raise ZeroDivisionError(_ZERO_PIVOT)
+            X[k + 1 :, k + 1 :] -= np.outer(X[k + 1 :, k], X[k, k + 1 :]) / pivot
         tcu.charge_cpu((s - 1 - k) * (s - 1 - k) * 3)
 
 
@@ -89,7 +93,11 @@ def ge_forward(tcu: TCUMachine, X: np.ndarray, *, overwrite: bool = False) -> np
 
     The input side need not divide by ``sqrt(m)``: the matrix is padded
     with an identity block, which eliminates trivially and is cropped
-    from the result.
+    from the result.  The padding's rows and columns stay zero beside
+    the diagonal, so the elimination steps at the input's last pivot
+    and after it change padding only: they are charged but not
+    computed, and, as on an unpadded side, nothing divides by that
+    pivot.
     """
     if tcu.execute == "cost-only":
         raise ValueError(
@@ -114,7 +122,9 @@ def ge_forward(tcu: TCUMachine, X: np.ndarray, *, overwrite: bool = False) -> np
     for k in range(nb):
         kk = slice(k * s, (k + 1) * s)
         Xkk = work[kk, kk]
-        _kernel_A(tcu, Xkk)
+        # the step at the input's last pivot, n_side - 1, and later ones
+        # eliminate padding only
+        _kernel_A(tcu, Xkk, n_side - 1 - k * s)
         if k + 1 == nb:
             break
         lo = (k + 1) * s

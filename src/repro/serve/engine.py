@@ -586,17 +586,21 @@ class _Run:
     ``cursor`` is set by the engine's ``build_cursor`` at launch (and
     again at a degraded retry), before anything reads it.
 
+    ``section`` is the ledger section its charges are attributed to,
+    ``serve:<kind>``, named once per run.
+
     ``seg_clock``/``seg_base`` anchor the current execution segment on
     the engine and ledger clocks; ``boundary`` is the absolute engine
     time of the last executed level's completion.  A batch's completion
-    is always computed as ``seg_clock + (ledger now - seg_base)`` — for
-    a single-segment batch that is bit-identical to the old engine's
-    ``launch + stopwatch span``.
+    is always computed as ``seg_clock + (ledger now - seg_base)``: for
+    a single-segment batch, its launch plus the ledger time its
+    execution charged.
     """
 
     __slots__ = (
         "index",
         "kind",
+        "section",
         "priority",
         "requests",
         "cursor",
@@ -632,6 +636,7 @@ class _Run:
     ) -> None:
         self.index = index
         self.kind = kind
+        self.section = f"serve:{kind}"
         self.priority = priority
         self.requests = requests
         self.launch = launch
@@ -995,8 +1000,9 @@ class ServingEngine:
                 else:
                     load()
 
-        def set_boundary(run: _Run) -> None:
-            run.boundary = run.seg_clock + (ledger.clock - run.seg_base)
+        def set_boundary(run: _Run, now: float) -> None:
+            """Anchor ``run``'s boundary at ledger time ``now``."""
+            run.boundary = run.seg_clock + (now - run.seg_base)
 
         def up_time(t: float) -> float:
             """Earliest model time >= ``t`` the unit is up, consuming
@@ -1037,7 +1043,7 @@ class ServingEngine:
             if fault_active:
                 factor, corrupt = injector.draw_level()
             span_base = ledger.clock
-            with ledger.section(f"serve:{run.kind}"):
+            with ledger.section(run.section):
                 if stepwise:
                     run.cursor.step()
                 else:
@@ -1047,8 +1053,9 @@ class ServingEngine:
                     # the surplus is charged (cpu) but the level still
                     # completes, so it is useful work, not waste
                     ledger.charge_cpu((factor - 1.0) * (ledger.clock - span_base))
-            run.last_span = ledger.clock - span_base
-            set_boundary(run)
+            now = ledger.clock
+            run.last_span = now - span_base
+            set_boundary(run, now)
             if fault_active:
                 crashed = False
                 while injector.next_crash() <= run.boundary:
@@ -1066,7 +1073,7 @@ class ServingEngine:
             a degraded retry (a re-plan can never checkpoint-resume)."""
             run.exec_machine = exec_machine
             run.rows = rows
-            with ledger.section(f"serve:{run.kind}"):
+            with ledger.section(run.section):
                 plan = (
                     cache.get_or_compile(run.rtype, exec_machine, rows)
                     if cache is not None
@@ -1094,10 +1101,7 @@ class ServingEngine:
                 units: tuple[int, ...] = ()
                 if full_trace:
                     mark = len(ledger.calls)
-                    lo = run.trace_mark
-                    if mark > lo:
-                        lane_ids = ledger.calls.unit_ids()[lo:mark].tolist()
-                        units = tuple(sorted(set(lane_ids)))
+                    units = ledger.calls.units_between(run.trace_mark, mark)
                     run.trace_mark = mark
                 tr.level_span(run.index, level, units, start=lvl_start, end=lvl_end)
 
@@ -1141,11 +1145,11 @@ class ServingEngine:
             if not run.cursor.done:
                 exec_unit(run)
             else:
-                set_boundary(run)  # empty plan: completes instantly
+                set_boundary(run, ledger.clock)  # empty plan: completes instantly
             running = run
 
         def charge_resume_reload(run: _Run) -> None:
-            with ledger.section(f"serve:{run.kind}"):
+            with ledger.section(run.section):
                 reload = run.cursor.charge_reload()
                 run.reload += reload
                 run.attempt_reload += reload
@@ -1200,7 +1204,7 @@ class ServingEngine:
             if not run.cursor.done:
                 exec_unit(run)
             else:
-                set_boundary(run)
+                set_boundary(run, ledger.clock)
             running = run
 
         def advance(run: _Run) -> None:

@@ -150,6 +150,10 @@ class NoFaultInjector(FaultInjector):
         return False
 
 
+# levels per refill of the per-level stream (two uniforms each)
+_LEVEL_BLOCK = 256
+
+
 class SeededFaultInjector(FaultInjector):
     """All three fault species, drawn from seeded independent streams.
 
@@ -171,6 +175,12 @@ class SeededFaultInjector(FaultInjector):
         independent substreams (per-level draws vs the crash renewal
         process) via :class:`numpy.random.SeedSequence`, so the crash
         timeline does not depend on how many levels a workload executes.
+
+    Each level takes the next two uniforms of the per-level stream
+    (straggle, then fail).  They are read from a block of that stream
+    drawn :data:`_LEVEL_BLOCK` levels at a time, which yields the
+    uniforms per-level ``random(2)`` draws would; :meth:`begin_run`
+    drops the block with the stream.
     """
 
     name = "seeded"
@@ -220,15 +230,24 @@ class SeededFaultInjector(FaultInjector):
         level_ss, crash_ss = np.random.SeedSequence(self.seed).spawn(2)
         self._level_rng = np.random.default_rng(level_ss)
         self._crash_rng = np.random.default_rng(crash_ss)
+        self._level_draws: list[float] = []
+        self._level_pos = 0
         if self.mtbf is None:
             self._next_crash = math.inf
         else:
             self._next_crash = float(self._crash_rng.exponential(self.mtbf))
 
     def draw_level(self) -> tuple[float, bool]:
-        u_straggle, u_fail = self._level_rng.random(2)
-        factor = self.straggle_factor if u_straggle < self.straggle_rate else 1.0
-        return factor, bool(u_fail < self.fail_rate)
+        # k levels' draws of random(2) each are one random(2k): read
+        # them from a block of the same stream, refilled when spent
+        pos = self._level_pos
+        draws = self._level_draws
+        if pos == len(draws):
+            draws = self._level_draws = self._level_rng.random(2 * _LEVEL_BLOCK).tolist()
+            pos = 0
+        self._level_pos = pos + 2
+        factor = self.straggle_factor if draws[pos] < self.straggle_rate else 1.0
+        return factor, draws[pos + 1] < self.fail_rate
 
     def next_crash(self) -> float:
         return self._next_crash

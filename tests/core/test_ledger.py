@@ -137,6 +137,26 @@ class TestSections:
         assert led.section_time("outer") == 17.0
         assert led.section_time("inner") == 17.0
 
+    def test_sections_close_when_their_block_raises(self):
+        led = CostLedger()
+        with led.section("outer"):
+            led.charge_cpu(1)
+            with pytest.raises(ValueError), led.section("inner"):
+                led.charge_cpu(2)
+                raise ValueError("level lost")
+            led.charge_cpu(4)  # "inner" is closed, "outer" still open
+        with pytest.raises(KeyError), led.section("a"), led.section("b"):
+            led.charge_tensor(4, 4, 0.0)
+            raise KeyError("b")
+        led.charge_tensor(4, 4, 0.0)
+        assert [led.section_time(name) for name in ("outer", "inner", "a", "b")] == [
+            7, 2, 16, 16,
+        ]
+        # every section closed: later calls carry no section, and reset
+        # (which refuses while a section is open) goes through
+        assert [call.section for call in led.calls] == ["b", ""]
+        led.reset()
+
     def test_unknown_section_is_zero(self):
         led = CostLedger()
         assert led.section_time("nope") == 0.0

@@ -586,6 +586,39 @@ class TestExecutionCursor:
         with pytest.raises(ProgramError, match="exhausted"):
             cursor.step()
 
+    @pytest.mark.parametrize("compiled", [False, True], ids=["live", "compiled"])
+    def test_level_times_are_clock_differences(self, compiled):
+        """Each ``level_times`` entry is the ledger's ``total_time``
+        after the level minus before it, bit for bit, on a clock where
+        a fractional ell makes those differences round; a compiled
+        plan's one-pass ``run`` is one such difference."""
+        from repro.core.plan_cache import compile_plan
+        from repro.core.program import ExecutionCursor
+        from repro.serve import get_request_type
+
+        machine = TCUMachine(m=16, ell=2.7)
+        ledger = machine.ledger
+        ledger.charge_cpu(1e9 + 0.1)  # a clock far from zero
+        rtype, rows = get_request_type("mlp"), [8, 8, 4]
+        plan = compile_plan(rtype, machine, rows) if compiled else rtype.plan(machine, rows)
+        cursor = ExecutionCursor(plan, machine)
+        assert cursor.total_levels > 2
+        clocks = [ledger.total_time]
+        cursor.observer = lambda level, elapsed: clocks.append(ledger.total_time)
+        for _ in range(cursor.total_levels - 1):
+            cursor.step()
+        if compiled:
+            cursor.rewind(1)
+            cursor.run()
+        else:
+            cursor.step()
+        want = [after - before for before, after in zip(clocks, clocks[1:])]
+        assert [t.hex() for t in cursor.level_times] == [t.hex() for t in want]
+        if compiled:
+            # the differences round: they are not the levels' own totals
+            totals = [level.total_time for level in plan.levels]
+            assert cursor.level_times[: len(totals) - 1] != totals[:-1]
+
     def test_resident_words_shrink_as_levels_complete(self, rng):
         from repro.core.program import ExecutionCursor
 

@@ -66,12 +66,14 @@ class TestForwardPhase:
             with pytest.raises(ZeroDivisionError, match="zero pivot"):
                 ge_forward(TCUMachine(m=m), X)
 
-    @pytest.mark.parametrize("m", [4, 16])
-    def test_last_pivot_of_the_matrix_unchecked(self, m):
+    @pytest.mark.parametrize("m, side", [(4, 4), (16, 4), (4, 3), (16, 3), (4, 5)])
+    def test_last_pivot_of_the_matrix_unchecked(self, m, side):
         """Nothing divides by the matrix's last pivot (Figure 2 stops at
-        n - 2), so a zero there is no error."""
-        X = np.diag([1.0, 1.0, 1.0, 0.0])
-        X[0, 3] = 2.0
+        n - 2), so a zero there is no error, on a padded side too (3 and
+        5 pad to 4 and 6), where the elimination step at that pivot
+        touches only padding."""
+        X = np.diag([1.0] * (side - 1) + [0.0])
+        X[0, side - 1] = 2.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = ge_forward(TCUMachine(m=m), X)

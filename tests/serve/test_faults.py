@@ -19,6 +19,7 @@ These pin the PR7 acceptance criteria:
 
 import math
 
+import numpy as np
 import pytest
 
 from repro import ParallelTCUMachine, PoissonWorkload, TCUMachine, replay_batches
@@ -40,6 +41,7 @@ from repro.serve import (
     get_retry_policy,
 )
 from repro.serve.admission import DeadlineAdmission, QueueCapAdmission
+from repro.serve.faults import _LEVEL_BLOCK
 
 ELL = 512.0
 
@@ -139,6 +141,60 @@ class TestSeededReplay:
         mix.reseed(7)
         seeds = [wl.seed for wl in mix.workloads]
         assert seeds[0] != seeds[1]
+
+
+def per_level_draws(seed, straggle_rate, fail_rate, factor, levels):
+    """The oracle: each level's two uniforms from its own ``random(2)``
+    call on the injector's per-level substream."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
+    draws = []
+    for _ in range(levels):
+        u_straggle, u_fail = rng.random(2)
+        draws.append(
+            (factor if u_straggle < straggle_rate else 1.0, bool(u_fail < fail_rate))
+        )
+    return draws
+
+
+# fail_rate must stay below 1, so its "always" case is the largest
+# double below 1: only a uniform equal to it is not below it
+RATES = [0.0, 0.05, 1.0]
+FAIL_RATES = [0.0, 0.05, float(np.nextafter(1.0, 0.0))]
+
+
+class TestLevelDraws:
+    """``draw_level`` reads each level's uniforms from a block of its
+    stream; the draws must be those of one ``random(2)`` per level."""
+
+    LEVELS = 3 * _LEVEL_BLOCK + 5  # three refills and part of a fourth
+
+    @pytest.mark.parametrize("fail_rate", FAIL_RATES)
+    @pytest.mark.parametrize("straggle_rate", RATES)
+    def test_block_draws_equal_per_level_draws(self, straggle_rate, fail_rate):
+        for seed in range(10):
+            inj = SeededFaultInjector(
+                straggle_rate=straggle_rate, fail_rate=fail_rate,
+                straggle_factor=3.0, seed=seed,
+            )
+            got = [inj.draw_level() for _ in range(self.LEVELS)]
+            want = per_level_draws(seed, straggle_rate, fail_rate, 3.0, self.LEVELS)
+            assert got == want, seed
+            assert all(type(f) is float and type(x) is bool for f, x in got)
+
+    @pytest.mark.parametrize("drawn", [1, _LEVEL_BLOCK // 2, _LEVEL_BLOCK, _LEVEL_BLOCK + 3])
+    def test_begin_run_restarts_the_stream_mid_block(self, drawn):
+        inj = SeededFaultInjector(straggle_rate=0.5, fail_rate=0.5, seed=3)
+        want = per_level_draws(3, 0.5, 0.5, 2.0, self.LEVELS + 1)
+        assert [inj.draw_level() for _ in range(drawn)] == want[:drawn]
+        inj.begin_run()
+        assert [inj.draw_level() for _ in range(self.LEVELS)] == want[:-1]
+        # a reseed takes effect at the next begin_run, mid-block too
+        inj.reseed(4)
+        assert inj.draw_level() == want[-1]
+        inj.begin_run()
+        assert [inj.draw_level() for _ in range(self.LEVELS)] == per_level_draws(
+            4, 0.5, 0.5, 2.0, self.LEVELS
+        )
 
 
 class TestRecoveryPolicies:
